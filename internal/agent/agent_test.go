@@ -10,7 +10,6 @@ import (
 
 	"filealloc/internal/core"
 	"filealloc/internal/costmodel"
-	"filealloc/internal/secondorder"
 	"filealloc/internal/topology"
 	"filealloc/internal/transport"
 )
@@ -335,7 +334,7 @@ func TestSecondOrderClusterMatchesCentralized(t *testing.T) {
 	// second-order solver bit for bit.
 	m := fig3Model(t)
 	init := []float64{0.8, 0.1, 0.1, 0}
-	central, err := secondorder.NewAllocator(m, secondorder.WithEpsilon(1e-6))
+	central, err := core.NewAllocator(m, core.WithSecondOrder(), core.WithEpsilon(1e-6))
 	if err != nil {
 		t.Fatal(err)
 	}

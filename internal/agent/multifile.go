@@ -233,10 +233,7 @@ func RunMultiFile(ctx context.Context, cfg MultiFileAgentConfig) (MultiFileOutco
 			return out, nil
 		}
 		for f := 0; f < files; f++ {
-			x[f] += steps[f].Delta[id]
-			if x[f] < 0 && x[f] > -1e-9 {
-				x[f] = 0
-			}
+			x[f] = core.ClampResidue(x[f] + steps[f].Delta[id])
 		}
 	}
 	out.X = x

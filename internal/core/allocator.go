@@ -79,9 +79,10 @@ type Result struct {
 // Option configures an Allocator.
 type Option func(*Allocator)
 
-// WithAlpha sets the fixed stepsize α (default 0.1).
+// WithAlpha sets the fixed stepsize α (default 0.1, or 1 with
+// WithSecondOrder).
 func WithAlpha(alpha float64) Option {
-	return func(a *Allocator) { a.alpha = alpha }
+	return func(a *Allocator) { a.alpha, a.alphaSet = alpha, true }
 }
 
 // WithEpsilon sets the termination threshold ε on the marginal-utility
@@ -116,6 +117,16 @@ func WithTrace(fn func(Iteration)) Option {
 // contract, property-tested by TestTheoremInvariantsRandomized).
 func WithDynamicAlpha(safety float64) Option {
 	return func(a *Allocator) { a.dynamicSafety = safety }
+}
+
+// WithSecondOrder switches the step direction to section 8.2's
+// second-derivative step (PlanSecondOrderStep): each deviation from the
+// curvature-weighted average is scaled by 1/|∂²U/∂x_i²|. The objective
+// must implement Curvature and be strictly concave along every
+// coordinate. α then defaults to 1, the Newton step, and dynamic α is
+// rejected — the normalized step already carries its own scale.
+func WithSecondOrder() Option {
+	return func(a *Allocator) { a.secondOrder = true }
 }
 
 // AdaptAlphaConfig tunes the oscillation-triggered stepsize decay used for
@@ -164,6 +175,8 @@ type Allocator struct {
 
 	dynamicSafety float64
 	adapt         *AdaptAlphaConfig
+	alphaSet      bool
+	secondOrder   bool
 	kktCheck      bool
 }
 
@@ -174,12 +187,17 @@ func NewAllocator(obj Objective, opts ...Option) (*Allocator, error) {
 	}
 	a := &Allocator{
 		obj:     obj,
-		alpha:   0.1,
 		epsilon: 1e-3,
 		maxIter: 10000,
 	}
 	for _, opt := range opts {
 		opt(a)
+	}
+	if !a.alphaSet {
+		a.alpha = 0.1
+		if a.secondOrder {
+			a.alpha = 1 // the Newton step
+		}
 	}
 	switch {
 	case a.alpha <= 0 || math.IsNaN(a.alpha):
@@ -191,10 +209,13 @@ func NewAllocator(obj Objective, opts ...Option) (*Allocator, error) {
 	case a.dynamicSafety < 0 || a.dynamicSafety > 1:
 		return nil, fmt.Errorf("%w: dynamic-alpha safety = %v", ErrBadConfig, a.dynamicSafety)
 	}
-	if a.dynamicSafety > 0 {
+	if a.dynamicSafety > 0 || a.secondOrder {
 		if _, ok := obj.(Curvature); !ok {
-			return nil, fmt.Errorf("%w: dynamic alpha requires a Curvature objective", ErrBadConfig)
+			return nil, fmt.Errorf("%w: dynamic alpha and second-order steps require a Curvature objective", ErrBadConfig)
 		}
+	}
+	if a.dynamicSafety > 0 && a.secondOrder {
+		return nil, fmt.Errorf("%w: second-order step and dynamic alpha are mutually exclusive", ErrBadConfig)
 	}
 	if a.adapt != nil {
 		if a.adapt.Factor <= 0 || a.adapt.Factor >= 1 {
@@ -272,12 +293,12 @@ func (a *Allocator) CheckFeasible(x []float64, totals []float64) error {
 }
 
 // Scratch holds every buffer a solve needs — the working allocation, the
-// gradient, per-group step planning buffers, and the dynamic-α Hessian —
-// so repeated solves reuse one set of allocations. The zero value is
-// ready to use; buffers grow on first use and are reused (or regrown)
-// by later runs of any dimension. A Scratch is single-goroutine: sweeps
-// build one per worker (sweep.RunWithScratch pairs naturally with
-// NewScratch).
+// gradient, per-group step planning buffers, and the curvature used by
+// dynamic α and second-order steps — so repeated solves reuse one set of
+// allocations. The zero value is ready to use; buffers grow on first use
+// and are reused (or regrown) by later runs of any dimension. A Scratch
+// is single-goroutine: sweeps build one per worker
+// (sweep.RunWithScratch pairs naturally with NewScratch).
 type Scratch struct {
 	x, grad, hess, xPrev, totals []float64
 	steps                        []Step
@@ -313,37 +334,43 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 	if s == nil {
 		s = &Scratch{}
 	}
-	totals := growFloats(s.totals, len(a.groups))
-	s.totals = totals
+	if err := a.load(s, init); err != nil {
+		return Result{}, err
+	}
+	u, err := a.obj.Utility(s.x)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: evaluating initial utility: %w", err)
+	}
+	res, _, err := a.iterate(ctx, s, u, nil)
+	return res, err
+}
+
+// load checks that init is feasible, copies it into s.x, and sizes every
+// buffer the iteration uses. Each group conserves its sum in init.
+//
+// All per-iteration scratch comes from s, so the iteration itself runs
+// allocation-free (asserted by TestRunInnerLoopAllocFree): planning
+// reuses each group's Delta/Active buffers — growing them in place when
+// a larger group appears — and the curvature lands in s.hess. Solves stay
+// reentrant because each call owns its scratch; sharing one Scratch
+// across concurrent solves is the caller's bug.
+func (a *Allocator) load(s *Scratch, init []float64) error {
+	s.totals = growFloats(s.totals, len(a.groups))
 	for gi, g := range a.groups {
-		totals[gi] = 0
+		s.totals[gi] = 0
 		for _, idx := range g {
 			if idx < len(init) {
-				totals[gi] += init[idx]
+				s.totals[gi] += init[idx]
 			}
 		}
 	}
-	if err := a.CheckFeasible(init, totals); err != nil {
-		return Result{}, err
+	if err := a.CheckFeasible(init, s.totals); err != nil {
+		return err
 	}
-
-	x := growFloats(s.x, len(init))
-	s.x = x
-	copy(x, init)
-	grad := growFloats(s.grad, len(x))
-	s.grad = grad
-	for i := range grad {
-		grad[i] = 0
-	}
-	alpha := a.alpha
-
-	// All per-iteration scratch comes from s, so the inner loop below
-	// runs allocation-free (asserted by TestRunInnerLoopAllocFree):
-	// PlanStepInto reuses each group's Delta/Active buffers — growing
-	// them in place when a larger group appears — and dynamicAlpha
-	// reuses hess. Run stays reentrant because each call owns its
-	// scratch; sharing one Scratch across concurrent runs is the
-	// caller's bug.
+	s.x = growFloats(s.x, len(init))
+	copy(s.x, init)
+	s.grad = growFloats(s.grad, len(init))
+	clear(s.grad)
 	if cap(s.steps) < len(a.groups) {
 		steps := make([]Step, len(a.groups))
 		copy(steps, s.steps)
@@ -351,42 +378,72 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 	} else {
 		s.steps = s.steps[:len(a.groups)]
 	}
-	steps := s.steps
-	var hess, xPrev []float64
+	if a.dynamicSafety > 0 || a.secondOrder {
+		s.hess = growFloats(s.hess, len(init))
+		clear(s.hess)
+	}
 	if a.dynamicSafety > 0 {
-		hess = growFloats(s.hess, len(x))
-		s.hess = hess
-		xPrev = growFloats(s.xPrev, len(x))
-		s.xPrev = xPrev
-		for i := range hess {
-			hess[i] = 0
-			xPrev[i] = 0
-		}
+		s.xPrev = growFloats(s.xPrev, len(init))
 	}
+	return nil
+}
 
-	u, err := a.obj.Utility(x)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: evaluating initial utility: %w", err)
+// iterate is the solver's one iteration loop, shared by the cold solve
+// and the warm re-solve. It starts from s.x, whose utility is u, and
+// each iteration takes the marginal utilities, plans every group's step
+// (first- or second-order, at the fixed or dynamic α), tests
+// convergence, and applies the step.
+//
+// With w == nil it is the cold solve: it stops on convergence, a stall,
+// or after a.maxIter iterations. With w != nil it is the warm phase: the
+// convergence test always includes the boundary KKT condition, a
+// converged single-group iterate must also pass w's certificate, and the
+// budget is w.maxSteps. A warm phase that runs out of budget, stalls, or
+// has its certificate vetoed returns fallBack instead, and the caller
+// continues with a cold solve from s.x.
+//
+//fap:zeroalloc
+func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmSolver) (res Result, fallBack bool, err error) {
+	x, grad, steps := s.x, s.grad, s.steps
+	maxIter, kkt := a.maxIter, a.kktCheck
+	if w != nil {
+		maxIter, kkt = w.maxSteps, true
 	}
+	// hess carries the curvature for dynamic α and second-order steps;
+	// dir is the curvature the planner weights by, nil for first order.
+	var curv Curvature
+	var hess, dir, xPrev []float64
+	if a.dynamicSafety > 0 || a.secondOrder {
+		curv = a.obj.(Curvature) // checked in NewAllocator
+		hess = s.hess
+	}
+	if a.secondOrder {
+		dir = hess
+	}
+	if a.dynamicSafety > 0 {
+		xPrev = s.xPrev
+	}
+	alpha := a.alpha
 	if a.trace != nil {
 		a.trace(Iteration{Index: 0, X: x, Utility: u, Alpha: alpha})
 	}
 
 	decreases := 0
 	prevU := u
-	for iter := 1; iter <= a.maxIter; iter++ {
+	for iter := 1; iter <= maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopCanceled}, nil
+			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopCanceled}, false, nil
 		}
 		if err := a.obj.Gradient(grad, x); err != nil {
-			return Result{}, fmt.Errorf("core: gradient at iteration %d: %w", iter, err)
+			return Result{}, false, fmt.Errorf("core: gradient at iteration %d: %w", iter, err)
+		}
+		if curv != nil {
+			if err := curv.SecondDerivative(hess, x); err != nil {
+				return Result{}, false, fmt.Errorf("core: curvature at iteration %d: %w", iter, err)
+			}
 		}
 		if a.dynamicSafety > 0 {
-			dyn, err := a.dynamicAlpha(x, grad, hess)
-			if err != nil {
-				return Result{}, fmt.Errorf("core: dynamic alpha at iteration %d: %w", iter, err)
-			}
-			if dyn > 0 {
+			if dyn := DynamicAlpha(grad, hess, a.groups, a.dynamicSafety); dyn > 0 {
 				alpha = dyn
 			}
 		}
@@ -395,8 +452,8 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 		movable := false
 		spread := 0.0
 		for gi, g := range a.groups {
-			if err := PlanStepInto(&steps[gi], x, grad, g, alpha); err != nil {
-				return Result{}, fmt.Errorf("core: planning iteration %d: %w", iter, err)
+			if err := planInto(&steps[gi], x, grad, dir, g, alpha); err != nil {
+				return Result{}, false, fmt.Errorf("core: planning iteration %d: %w", iter, err)
 			}
 			st := steps[gi]
 			sp := st.Spread(grad, g)
@@ -405,34 +462,39 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 			}
 			if sp >= a.epsilon {
 				converged = false
-			} else if a.kktCheck && !kktHolds(st, grad, x, g, a.epsilon) {
+			} else if kkt && !kktHolds(st, grad, x, g, a.epsilon) {
 				converged = false
 			}
-			for _, d := range st.Delta {
-				if d != 0 {
-					movable = true
-				}
+			if !st.IsNoOp() {
+				movable = true
 			}
 		}
 		if converged {
-			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopConverged, Converged: true}, nil
+			if w != nil && w.certify != nil && len(a.groups) == 1 {
+				// AvgMarginal is the active set's mean marginal utility;
+				// the section-5.3 price is the marginal cost, its negation.
+				if w.certify(x, -steps[0].AvgMarginal) != nil {
+					return Result{}, true, nil
+				}
+			}
+			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopConverged, Converged: true}, false, nil
 		}
 		if !movable {
-			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopStalled}, nil
+			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopStalled}, w != nil, nil
 		}
 		if xPrev != nil {
 			copy(xPrev, x)
 		}
 		for gi, g := range a.groups {
 			if err := steps[gi].Apply(x, g); err != nil {
-				return Result{}, fmt.Errorf("core: applying iteration %d: %w", iter, err)
+				return Result{}, false, fmt.Errorf("core: applying iteration %d: %w", iter, err)
 			}
 		}
 
 		u, err := a.obj.Utility(x)
 		if err != nil {
 			if xPrev == nil {
-				return Result{}, fmt.Errorf("core: utility at iteration %d: %w", iter, err)
+				return Result{}, false, fmt.Errorf("core: utility at iteration %d: %w", iter, err)
 			}
 			// An overshot step can leave the iterate outside the model's
 			// domain entirely (a queue driven past its service rate has
@@ -453,11 +515,11 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 				alpha /= 2
 				copy(x, xPrev)
 				for gi, g := range a.groups {
-					if err := PlanStepInto(&steps[gi], x, grad, g, alpha); err != nil {
-						return Result{}, fmt.Errorf("core: replanning iteration %d: %w", iter, err)
+					if err := planInto(&steps[gi], x, grad, dir, g, alpha); err != nil {
+						return Result{}, false, fmt.Errorf("core: replanning iteration %d: %w", iter, err)
 					}
 					if err := steps[gi].Apply(x, g); err != nil {
-						return Result{}, fmt.Errorf("core: reapplying iteration %d: %w", iter, err)
+						return Result{}, false, fmt.Errorf("core: reapplying iteration %d: %w", iter, err)
 					}
 				}
 				if u, err = a.obj.Utility(x); err != nil {
@@ -468,11 +530,11 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 				// No stepsize makes representable progress: hold the last
 				// good iterate rather than accept a descent.
 				copy(x, xPrev)
-				return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopStalled}, nil
+				return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopStalled}, w != nil, nil
 			}
 		}
 		if math.IsNaN(u) || math.IsInf(u, 0) {
-			return Result{}, fmt.Errorf("%w: utility %v at iteration %d", ErrDiverged, u, iter)
+			return Result{}, false, fmt.Errorf("%w: utility %v at iteration %d", ErrDiverged, u, iter)
 		}
 		if a.trace != nil {
 			a.trace(Iteration{Index: iter, X: x, Utility: u, Spread: spread, Alpha: alpha})
@@ -489,12 +551,12 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 				}
 			}
 			if a.adapt.CostDelta > 0 && math.Abs(u-prevU) < a.adapt.CostDelta {
-				return Result{X: x, Utility: u, Iterations: iter, Reason: StopCostDelta, Converged: true}, nil
+				return Result{X: x, Utility: u, Iterations: iter, Reason: StopCostDelta, Converged: true}, false, nil
 			}
 		}
 		prevU = u
 	}
-	return Result{X: x, Utility: prevU, Iterations: a.maxIter, Reason: StopMaxIterations}, nil
+	return Result{X: x, Utility: prevU, Iterations: maxIter, Reason: StopMaxIterations}, w != nil, nil
 }
 
 // kktHolds reports whether every variable excluded from the active set and
@@ -507,29 +569,28 @@ func kktHolds(st Step, grad, x []float64, group []int, eps float64) bool {
 		if st.Active[k] {
 			continue
 		}
-		if x[gi] <= 1e-12 && grad[gi] > st.AvgMarginal+eps {
+		if x[gi] <= BoundaryTol && grad[gi] > st.AvgMarginal+eps {
 			return false
 		}
 	}
 	return true
 }
 
-// dynamicAlpha evaluates the Theorem-2 expression
+// DynamicAlpha evaluates the Theorem-2 stepsize bound
 //
 //	α < 2·Σ g_i(g_i − ḡ) / |Σ h_i (g_i − ḡ)²|
 //
-// at the current point, scaled by the configured safety factor. hess is
-// caller-owned scratch of len(x) entries. It returns 0 when the
-// expression is degenerate (already converged or flat).
+// summed over every group (ḡ is the group's plain mean marginal utility)
+// and scaled by safety. grad and hess are the marginal utilities and
+// curvatures at the current point. It returns 0 when the expression is
+// degenerate (already converged or flat). WithDynamicAlpha and the
+// agent's broadcast rounds both size their steps with it, so the
+// distributed trajectory matches the centralized one bit for bit.
 //
 //fap:zeroalloc
-func (a *Allocator) dynamicAlpha(x, grad, hess []float64) (float64, error) {
-	curv := a.obj.(Curvature) // checked in NewAllocator
-	if err := curv.SecondDerivative(hess, x); err != nil {
-		return 0, err
-	}
+func DynamicAlpha(grad, hess []float64, groups [][]int, safety float64) float64 {
 	var num, den float64
-	for _, g := range a.groups {
+	for _, g := range groups {
 		var avg float64
 		for _, gi := range g {
 			avg += grad[gi]
@@ -543,7 +604,7 @@ func (a *Allocator) dynamicAlpha(x, grad, hess []float64) (float64, error) {
 	}
 	den = math.Abs(den)
 	if den < 1e-300 || num <= 0 {
-		return 0, nil
+		return 0
 	}
-	return a.dynamicSafety * 2 * num / den, nil
+	return safety * 2 * num / den
 }

@@ -5,7 +5,8 @@ package core_test
 // only at convergence: Theorem 1 (the step construction conserves Σx = 1
 // and non-negativity, so every iterate is a feasible allocation) and
 // Theorem 2 (under the derived stepsize bound, evaluated dynamically each
-// iteration, the utility never decreases). The package is core_test
+// iteration, the utility never decreases) — plus, at exit, agreement with
+// costmodel's independent water-filling optimum. The package is core_test
 // because the instances are real M/M/1 cost models from costmodel, which
 // itself imports core.
 
@@ -65,56 +66,117 @@ func randomInstance(t *testing.T, r *rand.Rand) propertyInstance {
 	return propertyInstance{model: m, x0: x0}
 }
 
-// TestTheoremInvariantsRandomized runs 1000 seeded random systems under
-// the dynamically computed Theorem-2 stepsize and asserts, after every
-// single iteration: Σx = 1 to within 1e-12 and x ≥ 0 (Theorem 1), and
-// U(x_t) ≥ U(x_{t-1}) up to 1-ulp-scale rounding (Theorem 2).
+// TestTheoremInvariantsRandomized is the solver's differential oracle. It
+// runs every solver combination — first order at a fixed α, first order
+// at the dynamic Theorem-2 α, the section 8.2 second-order direction, and
+// a warm solve under its step budget with a VerifyKKT certificate — on
+// the same 1000 seeded random systems and asserts:
+//
+//   - after every iteration, Σx = 1 to within 1e-12 and x ≥ 0
+//     (Theorem 1);
+//   - after every iteration of the combinations whose ascent is
+//     guaranteed (the dynamic α, whose backtracking guard enforces it),
+//     U(x_t) ≥ U(x_{t-1}) up to 1-ulp-scale rounding (Theorem 2);
+//   - at exit, the run converged and its allocation matches the
+//     independent water-filling optimum of costmodel.SolveKKT to within
+//     oracleTol in every coordinate.
 func TestTheoremInvariantsRandomized(t *testing.T) {
+	// ε = 1e-6 on the marginal-utility spread leaves at most ~2e-5 of
+	// allocation error on these draws (ε over the smallest curvature);
+	// oracleTol is five times that.
+	const (
+		epsilon   = 1e-6
+		oracleTol = 1e-4
+		trials    = 1000
+	)
+	combos := []struct {
+		name     string
+		opts     []core.Option
+		warm     bool // solve through a WarmSolver certified by VerifyKKT
+		monotone bool // Theorem 2 holds at every iteration
+	}{
+		{name: "first-order fixed alpha", opts: []core.Option{core.WithAlpha(0.05)}},
+		{name: "first-order dynamic alpha", opts: []core.Option{core.WithDynamicAlpha(0.5)}, monotone: true},
+		{name: "second-order", opts: []core.Option{core.WithSecondOrder()}},
+		{name: "warm budget with VerifyKKT", opts: []core.Option{core.WithDynamicAlpha(0.5)}, warm: true, monotone: true},
+	}
 	r := rand.New(rand.NewSource(1986))
-	for trial := 0; trial < 1000; trial++ {
-		inst := randomInstance(t, r)
-		var (
-			prevU    float64
-			prevSet  bool
-			worstSum float64
-		)
-		alloc, err := core.NewAllocator(inst.model,
-			core.WithDynamicAlpha(0.5),
-			core.WithEpsilon(1e-4),
-			core.WithMaxIterations(300),
-			core.WithTrace(func(it core.Iteration) {
-				var sum float64
-				for i, v := range it.X {
-					if v < 0 || math.IsNaN(v) {
-						t.Fatalf("trial %d iter %d: x[%d] = %v violates Theorem 1 non-negativity", trial, it.Index, i, v)
+	instances := make([]propertyInstance, trials)
+	for i := range instances {
+		instances[i] = randomInstance(t, r)
+	}
+	for _, combo := range combos {
+		t.Run(combo.name, func(t *testing.T) {
+			for trial, inst := range instances {
+				var (
+					prevU    float64
+					worstSum float64
+				)
+				trace := func(it core.Iteration) {
+					var sum float64
+					for i, v := range it.X {
+						if v < 0 || math.IsNaN(v) {
+							t.Fatalf("trial %d iter %d: x[%d] = %v violates Theorem 1 non-negativity", trial, it.Index, i, v)
+						}
+						sum += v
 					}
-					sum += v
+					if d := math.Abs(sum - 1); d > worstSum {
+						worstSum = d
+					}
+					// Index 0 opens a solve (a warm fallback opens a second
+					// one from the warm iterate).
+					if combo.monotone && it.Index > 0 {
+						tol := 1e-12 * math.Max(1, math.Abs(prevU))
+						if it.Utility < prevU-tol {
+							t.Fatalf("trial %d iter %d: utility fell %v -> %v under the Theorem-2 stepsize bound",
+								trial, it.Index, prevU, it.Utility)
+						}
+					}
+					prevU = it.Utility
 				}
-				if d := math.Abs(sum - 1); d > worstSum {
-					worstSum = d
+				opts := append([]core.Option{
+					core.WithEpsilon(epsilon),
+					core.WithMaxIterations(20000),
+					core.WithKKTCheck(),
+					core.WithTrace(trace),
+				}, combo.opts...)
+				alloc, err := core.NewAllocator(inst.model, opts...)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
 				}
-				if prevSet {
-					tol := 1e-12 * math.Max(1, math.Abs(prevU))
-					if it.Utility < prevU-tol {
-						t.Fatalf("trial %d iter %d: utility fell %v -> %v under the Theorem-2 stepsize bound",
-							trial, it.Index, prevU, it.Utility)
+				var res core.Result
+				if combo.warm {
+					warm, err := core.NewWarmSolver(alloc, core.WarmConfig{
+						Certify: func(x []float64, q float64) error { return inst.model.VerifyKKT(x, q, 1e-4) },
+					})
+					if err != nil {
+						t.Fatalf("trial %d: %v", trial, err)
+					}
+					res, err = warm.Solve(context.Background(), inst.x0, nil)
+					if err != nil {
+						t.Fatalf("trial %d: %v", trial, err)
+					}
+				} else if res, err = alloc.Run(context.Background(), inst.x0); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if worstSum > 1e-12 {
+					t.Fatalf("trial %d: Σx drifted %g from 1 after %d iterations", trial, worstSum, res.Iterations)
+				}
+				if !res.Converged {
+					t.Fatalf("trial %d: stopped %v after %d iterations", trial, res.Reason, res.Iterations)
+				}
+				want, err := inst.model.SolveKKT(1e-12)
+				if err != nil {
+					t.Fatalf("trial %d: SolveKKT: %v", trial, err)
+				}
+				for i := range want.X {
+					if d := math.Abs(res.X[i] - want.X[i]); d > oracleTol {
+						t.Fatalf("trial %d: x[%d] = %v, water-filling optimum %v (|Δ| = %g > %g)",
+							trial, i, res.X[i], want.X[i], d, oracleTol)
 					}
 				}
-				prevU, prevSet = it.Utility, true
-			}))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		res, err := alloc.Run(context.Background(), inst.x0)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if worstSum > 1e-12 {
-			t.Fatalf("trial %d: Σx drifted %g from 1 after %d iterations", trial, worstSum, res.Iterations)
-		}
-		if res.Reason == core.StopMaxIterations && res.Iterations == 0 {
-			t.Fatalf("trial %d: no iterations ran", trial)
-		}
+			}
+		})
 	}
 }
 

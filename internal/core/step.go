@@ -5,9 +5,24 @@ import (
 	"math"
 )
 
-// boundaryTol is the allocation level below which a variable counts as
-// sitting on the non-negativity boundary for active-set purposes.
-const boundaryTol = 1e-12
+// BoundaryTol is the allocation level at or below which a variable counts
+// as sitting on the non-negativity boundary: for the active-set rule, the
+// boundary KKT check, and every distributed planner that mirrors them.
+const BoundaryTol = 1e-12
+
+// residueTol bounds the negative float residue Apply clamps to zero.
+const residueTol = 1e-9
+
+// ClampResidue returns v, or 0 when v is the tiny negative residue (above
+// −1e-9) that float addition leaves on a variable planned to land exactly
+// on the boundary. Every apply of a planned delta goes through it, so a
+// node updating only its own coordinate stays bit-identical to Apply.
+func ClampResidue(v float64) float64 {
+	if v < 0 && v > -residueTol {
+		return 0
+	}
+	return v
+}
 
 // Step is the outcome of planning one iteration over one constraint group:
 // the per-variable deltas and the active set A that produced them. Deltas of
@@ -95,6 +110,44 @@ func growBools(s []bool, n int) []bool {
 //
 //fap:zeroalloc
 func PlanStepInto(step *Step, x, grad []float64, group []int, alpha float64) error {
+	return planInto(step, x, grad, nil, group, alpha)
+}
+
+// PlanSecondOrderStep plans the section 8.2 second-derivative step over
+// one group: each deviation is scaled by the local curvature,
+//
+//	Δx_i = α·(g_i − ν)/|h_i|,   ν = Σ_{j∈A} (g_j/|h_j|) / Σ_{j∈A} (1/|h_j|)
+//
+// where h_i = ∂²U/∂x_i². ν is the curvature-weighted average that makes
+// the deltas sum to zero (Theorem 1), and α = 1 is the projected Newton
+// step on separable quadratics. The active set and the ratio test are
+// PlanStep's, with ν in place of the plain average. Multiplying U by a
+// constant rescales g and h together and leaves the step unchanged — the
+// scale resilience section 8.2 reports. Every h_i in the group must be
+// finite and strictly negative.
+func PlanSecondOrderStep(x, grad, hess []float64, group []int, alpha float64) (Step, error) {
+	var step Step
+	if len(hess) != len(x) {
+		return Step{}, fmt.Errorf("%w: len(x)=%d len(hess)=%d", ErrDimension, len(x), len(hess))
+	}
+	if err := planInto(&step, x, grad, hess, group, alpha); err != nil {
+		return Step{}, err
+	}
+	return step, nil
+}
+
+// planInto is the one implementation of the section 5.2 step: the
+// active-set fixed point and the feasible-direction ratio test, as a
+// curvature-weighted plan. With hess == nil every weight is 1 and the step
+// is the first-order one; otherwise variable i carries weight 1/|h_i| and
+// the step is PlanSecondOrderStep's: the weighted mean replaces the plain
+// one and each delta is divided by |h_i|. With weight 1 those are exactly
+// the unweighted sums (g·1 = g, Σ1 = |A|), so the first-order path skips
+// them and takes no per-variable division. The caller guarantees
+// len(hess) == len(x) when hess is non-nil.
+//
+//fap:zeroalloc
+func planInto(step *Step, x, grad, hess []float64, group []int, alpha float64) error {
 	if step == nil {
 		return fmt.Errorf("%w: nil step", ErrBadConfig)
 	}
@@ -114,6 +167,13 @@ func PlanStepInto(step *Step, x, grad []float64, group []int, alpha float64) err
 		}
 		if math.IsNaN(grad[gi]) || math.IsInf(grad[gi], 0) {
 			return fmt.Errorf("%w: non-finite marginal utility at variable %d", ErrDiverged, gi)
+		}
+	}
+	if hess != nil {
+		for _, gi := range group {
+			if !(hess[gi] < 0) || math.IsInf(hess[gi], 0) {
+				return fmt.Errorf("%w: second-order step needs strictly negative curvature, h[%d] = %v", ErrBadConfig, gi, hess[gi])
+			}
 		}
 	}
 
@@ -152,7 +212,11 @@ func PlanStepInto(step *Step, x, grad []float64, group []int, alpha float64) err
 			step.AvgMarginal = math.NaN()
 			return nil
 		}
-		avg /= float64(active)
+		if hess == nil {
+			avg /= float64(active)
+		} else {
+			avg = curvedMean(step.Active, grad, hess, group)
+		}
 		step.AvgMarginal = avg
 
 		for k, on := range step.Active {
@@ -160,6 +224,11 @@ func PlanStepInto(step *Step, x, grad []float64, group []int, alpha float64) err
 				step.Delta[k] = alpha * (grad[group[k]] - avg)
 			} else {
 				step.Delta[k] = 0
+			}
+		}
+		if hess != nil {
+			for k, gi := range group {
+				step.Delta[k] /= -hess[gi] // off A, 0/|h| stays 0
 			}
 		}
 		if active == 1 {
@@ -172,7 +241,7 @@ func PlanStepInto(step *Step, x, grad []float64, group []int, alpha float64) err
 		// whose share would shrink further.
 		dropped := false
 		for k, on := range step.Active {
-			if on && x[group[k]] <= boundaryTol && step.Delta[k] <= 0 {
+			if on && x[group[k]] <= BoundaryTol && step.Delta[k] <= 0 {
 				step.Active[k] = false
 				dropped = true
 			}
@@ -215,6 +284,24 @@ func PlanStepInto(step *Step, x, grad []float64, group []int, alpha float64) err
 	return nil
 }
 
+// curvedMean returns the curvature-weighted average over the active set,
+// ν = Σ_{i∈A} w_i·g_i / Σ_{i∈A} w_i with w_i = 1/|h_i|: the second-order
+// direction's counterpart of the plain mean. It is kept out of planInto's
+// loop so the first-order path compiles to the unweighted loops alone.
+//
+//fap:zeroalloc
+func curvedMean(active []bool, grad, hess []float64, group []int) float64 {
+	var num, den float64
+	for k, on := range active {
+		if on {
+			w := 1 / -hess[group[k]]
+			num += grad[group[k]] * w
+			den += w
+		}
+	}
+	return num / den
+}
+
 // Apply adds the planned deltas for group into x in place, clamping the
 // tiny negative residue float addition can leave on a variable planned to
 // land exactly on the boundary.
@@ -228,10 +315,7 @@ func (s Step) Apply(x []float64, group []int) error {
 		if gi < 0 || gi >= len(x) {
 			return fmt.Errorf("%w: group index %d outside dimension %d", ErrDimension, gi, len(x))
 		}
-		x[gi] += s.Delta[k]
-		if x[gi] < 0 && x[gi] > -1e-9 {
-			x[gi] = 0
-		}
+		x[gi] = ClampResidue(x[gi] + s.Delta[k])
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 )
 
 // Solver is the shared entry point for whole solves: cold solves
@@ -50,9 +49,9 @@ type WarmConfig struct {
 
 // WarmSolver re-solves a problem whose parameters drifted slightly, seeded
 // from the previous allocation: instead of iterating from a cold start it
-// takes a few gradient re-allocation steps (the same PlanStepInto the cold
-// path uses, at the Allocator's α — dynamic if configured) and exits as
-// soon as the convergence criterion and the optional certificate hold.
+// runs the cold solve's own iteration under a small step budget (same
+// step direction, same α — dynamic if configured) and exits as soon as
+// the convergence criterion and the optional certificate hold.
 // If the budget runs out — the drift was too large for incremental repair
 // — it falls back to a full cold solve continued from the current iterate,
 // so the result is always a converged allocation when the underlying
@@ -95,157 +94,20 @@ func (w *WarmSolver) SolveWarm(ctx context.Context, init []float64, s *Scratch) 
 	if s == nil {
 		s = &Scratch{}
 	}
-	totals := growFloats(s.totals, len(a.groups))
-	s.totals = totals
-	for gi, g := range a.groups {
-		totals[gi] = 0
-		for _, idx := range g {
-			if idx < len(init) {
-				totals[gi] += init[idx]
-			}
-		}
-	}
-	if err := a.CheckFeasible(init, totals); err != nil {
+	if err := a.load(s, init); err != nil {
 		return Result{}, false, err
 	}
-	x := growFloats(s.x, len(init))
-	s.x = x
-	copy(x, init)
-	grad := growFloats(s.grad, len(x))
-	s.grad = grad
-	if cap(s.steps) < len(a.groups) {
-		steps := make([]Step, len(a.groups))
-		copy(steps, s.steps)
-		s.steps = steps
-	} else {
-		s.steps = s.steps[:len(a.groups)]
-	}
-	if a.dynamicSafety > 0 {
-		s.hess = growFloats(s.hess, len(x))
-		s.xPrev = growFloats(s.xPrev, len(x))
-	}
-
-	u, err := a.obj.Utility(x)
+	u, err := a.obj.Utility(s.x)
 	if err != nil {
 		return Result{}, false, fmt.Errorf("core: warm utility: %w", err)
 	}
-	for k := 0; k < w.maxSteps; k++ {
-		if err := ctx.Err(); err != nil {
-			return Result{X: x, Utility: u, Iterations: k, Reason: StopCanceled}, false, nil
-		}
-		next, converged, stalled, err := w.incrementalStep(s, u)
-		if err != nil {
-			return Result{}, false, fmt.Errorf("core: warm step %d: %w", k+1, err)
-		}
-		u = next
-		if stalled {
-			break // no stepsize makes progress here: escalate
-		}
-		if !converged {
-			continue
-		}
-		if w.certify != nil && len(a.groups) == 1 {
-			// AvgMarginal is the active set's mean marginal utility;
-			// the section-5.3 price is the marginal cost, its negation.
-			if err := w.certify(x, -s.steps[0].AvgMarginal); err != nil {
-				break // uncertified: escalate to the cold fallback
-			}
-		}
-		return Result{X: x, Utility: u, Iterations: k, Reason: StopConverged, Converged: true}, false, nil
+	res, fallBack, err := a.iterate(ctx, s, u, w)
+	if err != nil || !fallBack {
+		return res, false, err
 	}
-	// The drift outran the incremental budget (or the certificate was
-	// vetoed): continue as a full cold solve from the current iterate.
-	// x aliases s.x, which RunWithScratch re-adopts in place.
-	res, err := a.RunWithScratch(ctx, x, s)
+	// The drift outran the incremental budget (or the iterate stalled, or
+	// the certificate was vetoed): continue as a full cold solve from the
+	// current iterate. s.x is re-adopted in place.
+	res, err = a.RunWithScratch(ctx, s.x, s)
 	return res, true, err
-}
-
-// incrementalStep performs one warm re-allocation step over s: gradient,
-// per-group step planning at the Allocator's (possibly dynamic) stepsize,
-// and the convergence test — spread below ε and the boundary KKT
-// condition on every group. When the test fails the planned step is
-// applied; when it holds, x is left untouched and the step records each
-// group's active-set average marginal for certification. prevU is the
-// utility of the current iterate; the returned utility describes the
-// (possibly stepped) iterate.
-//
-// Like the cold loop, a dynamically sized step that lowers the utility
-// backtracks — halving α, replanning from the saved iterate — until it
-// is an ascent again; stalled reports that no representable stepsize
-// made progress, in which case x holds the last good iterate.
-//
-//fap:zeroalloc
-func (w *WarmSolver) incrementalStep(s *Scratch, prevU float64) (u float64, converged, stalled bool, err error) {
-	a := w.cold
-	x, grad := s.x, s.grad
-	if err := a.obj.Gradient(grad, x); err != nil {
-		return prevU, false, false, err
-	}
-	alpha := a.alpha
-	if a.dynamicSafety > 0 {
-		dyn, err := a.dynamicAlpha(x, grad, s.hess)
-		if err != nil {
-			return prevU, false, false, err
-		}
-		if dyn > 0 {
-			alpha = dyn
-		}
-	}
-	converged = true
-	for gi, g := range a.groups {
-		if err := PlanStepInto(&s.steps[gi], x, grad, g, alpha); err != nil {
-			return prevU, false, false, err
-		}
-		if s.steps[gi].Spread(grad, g) >= a.epsilon {
-			converged = false
-		} else if !kktHolds(s.steps[gi], grad, x, g, a.epsilon) {
-			converged = false
-		}
-	}
-	if converged {
-		return prevU, true, false, nil
-	}
-	if a.dynamicSafety > 0 {
-		copy(s.xPrev, x)
-	}
-	for gi, g := range a.groups {
-		if err := s.steps[gi].Apply(x, g); err != nil {
-			return prevU, false, false, err
-		}
-	}
-	if u, err = a.obj.Utility(x); err != nil {
-		if a.dynamicSafety == 0 {
-			return prevU, false, false, err
-		}
-		// The step left the iterate outside the model's domain (an
-		// unstable queue has infinite cost): treat it as a utility of
-		// -Inf so the backtracking guard below recovers from xPrev,
-		// mirroring the cold loop.
-		u = math.Inf(-1)
-	}
-	if a.dynamicSafety > 0 && u < prevU {
-		// Theorem-2 backtracking guard, mirroring the cold loop: the
-		// dynamic bound is evaluated at the pre-step point, so a large
-		// move can overshoot its validity region and lower U.
-		for try := 0; try < 48 && u < prevU; try++ {
-			alpha /= 2
-			copy(x, s.xPrev)
-			for gi, g := range a.groups {
-				if err := PlanStepInto(&s.steps[gi], x, grad, g, alpha); err != nil {
-					return prevU, false, false, err
-				}
-				if err := s.steps[gi].Apply(x, g); err != nil {
-					return prevU, false, false, err
-				}
-			}
-			if u, err = a.obj.Utility(x); err != nil {
-				u = math.Inf(-1) // still outside the domain: keep halving
-			}
-		}
-		if u < prevU {
-			copy(x, s.xPrev)
-			return prevU, false, true, nil
-		}
-	}
-	return u, false, false, nil
 }

@@ -3,8 +3,8 @@ package core_test
 // Regression tests for domain-overshoot recovery: a dynamically sized
 // step can land the iterate outside the cost model's domain entirely
 // (λ·xᵢ ≥ μᵢ drives a queue unstable, so Utility errors rather than
-// returning a low number). Both loops must treat that exactly like a
-// utility decrease — backtrack from the saved iterate — instead of
+// returning a low number). Cold and warm solves must treat that exactly
+// like a utility decrease — backtrack from the saved iterate — instead of
 // aborting the solve. Before the fix the warm path surfaced
 // "core: warm step N: costmodel: queue unstable at allocation" and a
 // live re-plan under a demand shift could never adopt a plan.
@@ -91,8 +91,8 @@ func TestWarmSolveRecoversFromDomainOvershoot(t *testing.T) {
 	}
 }
 
-// TestColdSolveRecoversFromDomainOvershoot pins the same guard in the
-// cold loop, which the warm path escalates to.
+// TestColdSolveRecoversFromDomainOvershoot pins the same guard in a cold
+// solve, which the warm path escalates to.
 func TestColdSolveRecoversFromDomainOvershoot(t *testing.T) {
 	m := overshootInstance(t)
 	res, err := overshootAllocator(t, m).Run(context.Background(), []float64{0.2, 0.2, 0.2, 0.2, 0.2})

@@ -248,8 +248,7 @@ func TestNewWarmSolverValidation(t *testing.T) {
 
 // TestWarmSolveSteadyStateAllocFree pins the warm-solve hot path at zero
 // heap allocations once the scratch is warm — the catalog's re-solve loop
-// relies on it (satellite of the //fap:zeroalloc annotation on
-// incrementalStep).
+// relies on it (satellite of the //fap:zeroalloc annotation on iterate).
 func TestWarmSolveSteadyStateAllocFree(t *testing.T) {
 	const n = 32
 	cold, err := NewAllocator(quad{n}, WithAlpha(0.4/n), WithEpsilon(1e-6))
@@ -280,10 +279,10 @@ func TestWarmSolveSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("warm SolveWarm allocated %.1f objects per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, err := warm.incrementalStep(s, 0); err != nil {
+		if _, _, err := cold.iterate(ctx, s, 0, warm); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("incrementalStep allocated %.1f objects per call, want 0", allocs)
+		t.Errorf("warm phase of iterate allocated %.1f objects per call, want 0", allocs)
 	}
 }

@@ -134,3 +134,37 @@ func TestRunInnerLoopAllocFree(t *testing.T) {
 		t.Errorf("dynamic-alpha allocations grew with iterations: %.0f for 5, %.0f for 400", shortDyn, longDyn)
 	}
 }
+
+// TestSecondOrderInnerLoopAllocFree is TestRunInnerLoopAllocFree for the
+// section 8.2 direction: the curvature lands in the scratch and the
+// weighted plan reuses each group's step buffers, so a long run allocates
+// exactly as much as a short one, and a warm scratch allocates nothing.
+func TestSecondOrderInnerLoopAllocFree(t *testing.T) {
+	obj := quad{n: 16}
+	init := make([]float64, 16)
+	init[0] = 1
+
+	base := []Option{WithSecondOrder(), WithAlpha(0.001), WithEpsilon(1e-12)}
+	short := runAllocs(t, append([]Option{WithMaxIterations(5)}, base...), init, obj)
+	long := runAllocs(t, append([]Option{WithMaxIterations(400)}, base...), init, obj)
+	if short != long {
+		t.Errorf("allocations grew with iterations: %.0f for 5 iterations, %.0f for 400 — inner loop allocates", short, long)
+	}
+
+	alloc, err := NewAllocator(obj, append([]Option{WithMaxIterations(400)}, base...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s := NewScratch()
+	if _, err := alloc.RunWithScratch(ctx, init, s); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := alloc.RunWithScratch(ctx, init, s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("second-order RunWithScratch allocated %.1f objects per call, want 0", allocs)
+	}
+}

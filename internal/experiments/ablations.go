@@ -9,7 +9,6 @@ import (
 	"filealloc/internal/baseline"
 	"filealloc/internal/core"
 	"filealloc/internal/costmodel"
-	"filealloc/internal/secondorder"
 	"filealloc/internal/sweep"
 )
 
@@ -55,11 +54,11 @@ func AblationSecondOrder(ctx context.Context, scales []float64) ([]SecondOrderRo
 			row.FirstOrderIterations = res.Iterations
 		}
 
-		second, err := secondorder.NewAllocator(m, secondorder.WithEpsilon(eps), secondorder.WithMaxIterations(5000))
+		second, err := core.NewAllocator(m, core.WithSecondOrder(), core.WithEpsilon(eps), core.WithMaxIterations(5000))
 		if err != nil {
 			return fmt.Errorf("%w: second-order at scale %v: %w", ErrExperiment, scale, err)
 		}
-		res, err := second.Run(ctx, start)
+		res, err := second.RunWithScratch(ctx, start, scratch)
 		if err != nil {
 			return fmt.Errorf("%w: second-order run at scale %v: %w", ErrExperiment, scale, err)
 		}

@@ -388,7 +388,7 @@ func certify(models []agent.LocalModel, xs []float64, alive []bool, tol float64)
 		// the boundary tolerance instead of an exact zero; the protocol
 		// treats it as boundary, so the certificate must judge it under
 		// the boundary condition, not as support.
-		if sub[k] <= boundaryTol {
+		if sub[k] <= core.BoundaryTol {
 			sub[k] = 0
 		}
 	}

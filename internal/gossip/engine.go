@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"filealloc/internal/agent"
+	"filealloc/internal/core"
 	"filealloc/internal/protocol"
 	"filealloc/internal/transport"
 )
@@ -109,10 +110,7 @@ func (e *engine) runTree(ctx context.Context) error {
 		if active {
 			d := e.cfg.alpha * (g - final.Avg)
 			d *= final.Truncation
-			e.x += d
-			if e.x < 0 && e.x > -1e-9 {
-				e.x = 0
-			}
+			e.x = core.ClampResidue(e.x + d)
 		}
 		e.rounds = round + 1
 		if e.cfg.onRound != nil {
@@ -191,7 +189,7 @@ func (e *engine) treeRound(ctx context.Context, round, parent int, children []in
 		}
 		was := active
 		if down.Drop {
-			if active && e.x <= boundaryTol && g <= down.Avg {
+			if active && e.x <= core.BoundaryTol && g <= down.Avg {
 				active = false
 			}
 		} else if down.Readmit == e.id {
@@ -217,7 +215,7 @@ func (e *engine) localAggregate(g, h float64, active, changed, havePrev bool, pr
 	agg.SumH = h
 	agg.Count = 1
 	agg.MinG, agg.MaxG = g, g
-	if e.x <= boundaryTol {
+	if e.x <= core.BoundaryTol {
 		agg.BoundCount = 1
 		agg.BoundMinG = g
 	}

@@ -77,10 +77,6 @@ var (
 	ErrUncertified = errors.New("gossip: converged allocation failed KKT certification")
 )
 
-// boundaryTol mirrors core's boundary tolerance: allocations at or below
-// it count as sitting on the non-negativity boundary.
-const boundaryTol = 1e-12
-
 // supportTol mirrors the serving layer's support threshold for KKT
 // certification: fragments above it count as interior when deriving the
 // multiplier q.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"filealloc/internal/core"
 	"filealloc/internal/protocol"
 )
 
@@ -98,7 +99,7 @@ func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, ha
 		return st, err
 	}
 	st.g = g
-	st.interior = e.x > boundaryTol
+	st.interior = e.x > core.BoundaryTol
 	ext := protocol.GossipExtrema{Node: e.id, OutNode: -1, BoundOK: true}
 	if st.interior {
 		ext.HasInt, ext.IntMinG, ext.IntMaxG = true, g, g

@@ -13,7 +13,6 @@ import (
 var numericSegments = map[string]bool{
 	"core":        true,
 	"costmodel":   true,
-	"secondorder": true,
 	"sweep":       true,
 	"experiments": true,
 	"multicopy":   true,

@@ -169,10 +169,6 @@ func SolveFrom(ctx context.Context, cfg Config, init []float64) (Result, error) 
 	return solveFrom(ctx, cfg, x)
 }
 
-// boundaryTol is the stock below which a node counts as empty for the
-// exchange rules.
-const boundaryTol = 1e-12
-
 func solveFrom(ctx context.Context, cfg Config, x []float64) (Result, error) {
 	obj := cfg.Objective
 	n := obj.Dim()
@@ -203,7 +199,7 @@ func solveFrom(ctx context.Context, cfg Config, x []float64) (Result, error) {
 			if diff < 0 {
 				giver = e.I
 			}
-			if x[giver] > boundaryTol {
+			if x[giver] > core.BoundaryTol {
 				converged = false
 				break
 			}
