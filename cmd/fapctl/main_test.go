@@ -67,7 +67,7 @@ func writeTestCheckpoints(t *testing.T) string {
 	xs := []float64{0.4, 0.3, 0.3, 0}
 	alive := []bool{true, true, true, false}
 	for round := 3; round <= 4; round++ {
-		if err := store.SaveRound(round, xs[1], xs, alive, 0x7); err != nil {
+		if err := store.SaveRound(round, xs[1], xs, alive, 0x7, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -252,6 +252,7 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 			cfg.InitFullX = ck.FullX
 			cfg.InitAlive = ck.Alive
 			cfg.InitPlanned = ck.Planned
+			cfg.InitEarly = ck.Early
 			resumedFrom = ck.Round
 			obs.RecoveryEvent(*id, ck.Round, "resume", "process start resuming from checkpoint")
 			fmt.Fprintf(os.Stderr, "fapnode %d: resuming from round-%d checkpoint in %s\n", *id, ck.Round, s.Dir())
@@ -345,7 +346,7 @@ func serveUntilSignal(ctx context.Context, access *accessServer, srv *http.Serve
 			}
 		}
 		round := outcome.Rounds + epoch
-		if err := store.SaveRound(round, x[id], x, alive, 0); err != nil {
+		if err := store.SaveRound(round, x[id], x, alive, 0, nil); err != nil {
 			return fmt.Errorf("fapnode %d: final checkpoint: %w", id, err)
 		}
 		fmt.Fprintf(os.Stderr, "fapnode %d: flushed final checkpoint (round %d, epoch %d)\n", id, round, epoch)

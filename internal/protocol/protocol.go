@@ -307,6 +307,22 @@ func (b *RoundBuffer) Count(round int) int {
 	return len(b.pending[round])
 }
 
+// Peek returns a copy of the round's buffered reports in ascending node
+// order, leaving them in the buffer.
+func (b *RoundBuffer) Peek(round int) []Report {
+	byNode := b.pending[round]
+	if len(byNode) == 0 {
+		return nil
+	}
+	out := make([]Report, 0, len(byNode))
+	for node := 0; node < b.peers; node++ {
+		if r, ok := byNode[node]; ok {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Take removes and returns the round's reports keyed by node id.
 func (b *RoundBuffer) Take(round int) map[int]Report {
 	byNode := b.pending[round]

@@ -178,6 +178,27 @@ func TestRoundBufferCollects(t *testing.T) {
 	}
 }
 
+func TestRoundBufferPeek(t *testing.T) {
+	buf := NewRoundBuffer(4)
+	if got := buf.Peek(1); got != nil {
+		t.Errorf("Peek on empty round = %+v, want nil", got)
+	}
+	for _, node := range []int{3, 0, 2} {
+		if err := buf.Add(Report{Round: 1, Node: node, Marginal: float64(-node)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := buf.Peek(1)
+	if len(got) != 3 || got[0].Node != 0 || got[1].Node != 2 || got[2].Node != 3 {
+		t.Fatalf("Peek = %+v, want nodes 0, 2, 3 in order", got)
+	}
+	// Peek copies: the reports stay buffered and edits do not leak in.
+	got[0].Marginal = 99
+	if buf.Count(1) != 3 || buf.Take(1)[0].Marginal != 0 {
+		t.Error("Peek removed or aliased buffered reports")
+	}
+}
+
 func TestRoundBufferRejectsDuplicatesAndStrangers(t *testing.T) {
 	buf := NewRoundBuffer(2)
 	if err := buf.Add(Report{Round: 0, Node: 1}); err != nil {

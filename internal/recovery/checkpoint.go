@@ -18,6 +18,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"filealloc/internal/protocol"
 )
 
 // Sentinel errors.
@@ -54,6 +56,12 @@ type Checkpoint struct {
 	// Planned is the bitmask fingerprint of the previous round's
 	// planning group (zero: no previous plan).
 	Planned uint64 `json:"planned"`
+	// Early holds the peer reports for Round that were read before the
+	// round began, in ascending node order. Their senders will not send
+	// them again, so a resume restores them instead of waiting for them.
+	// Omitted when empty, which leaves the encoding of a checkpoint
+	// without early reports unchanged.
+	Early []protocol.Report `json:"early,omitempty"`
 	// Checksum is the hex SHA-256 of the canonical JSON encoding of the
 	// checkpoint with this field empty; it detects torn or bit-rotted
 	// files.
@@ -115,6 +123,16 @@ func (c Checkpoint) Validate() error {
 		if xi < 0 || math.IsNaN(xi) || math.IsInf(xi, 0) {
 			return fmt.Errorf("%w: full_x[%d] = %v", ErrCorrupt, i, xi)
 		}
+	}
+	prev := -1
+	for _, r := range c.Early {
+		if r.Round != c.Round {
+			return fmt.Errorf("%w: early report for round %d in round-%d checkpoint", ErrCorrupt, r.Round, c.Round)
+		}
+		if r.Node <= prev || r.Node >= c.Peers || r.Node == c.Node {
+			return fmt.Errorf("%w: early report from node %d (reports must come from distinct peers in ascending order)", ErrCorrupt, r.Node)
+		}
+		prev = r.Node
 	}
 	return nil
 }
@@ -241,7 +259,7 @@ func (s *Store) Dir() string { return s.dir }
 
 // SaveRound implements agent.CheckpointSink: it seals and atomically
 // writes the round's checkpoint, then prunes old files.
-func (s *Store) SaveRound(round int, x float64, xs []float64, alive []bool, planned uint64) error {
+func (s *Store) SaveRound(round int, x float64, xs []float64, alive []bool, planned uint64, early []protocol.Report) error {
 	c := Checkpoint{
 		Version: Version,
 		Node:    s.node,
@@ -251,6 +269,7 @@ func (s *Store) SaveRound(round int, x float64, xs []float64, alive []bool, plan
 		FullX:   append([]float64(nil), xs...),
 		Alive:   append([]bool(nil), alive...),
 		Planned: planned,
+		Early:   append([]protocol.Report(nil), early...),
 	}
 	if err := c.Seal(); err != nil {
 		return err
@@ -332,7 +351,7 @@ func NewMemStore(node, peers int) *MemStore {
 }
 
 // SaveRound implements agent.CheckpointSink.
-func (m *MemStore) SaveRound(round int, x float64, xs []float64, alive []bool, planned uint64) error {
+func (m *MemStore) SaveRound(round int, x float64, xs []float64, alive []bool, planned uint64, early []protocol.Report) error {
 	c := Checkpoint{
 		Version: Version,
 		Node:    m.node,
@@ -342,6 +361,7 @@ func (m *MemStore) SaveRound(round int, x float64, xs []float64, alive []bool, p
 		FullX:   append([]float64(nil), xs...),
 		Alive:   append([]bool(nil), alive...),
 		Planned: planned,
+		Early:   append([]protocol.Report(nil), early...),
 	}
 	if err := c.Seal(); err != nil {
 		return err

@@ -1,11 +1,15 @@
 package recovery
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"filealloc/internal/protocol"
 )
 
 func sampleCheckpoint(t *testing.T, round int) Checkpoint {
@@ -118,6 +122,55 @@ func TestCheckpointValidateShapeChecks(t *testing.T) {
 	}
 }
 
+func TestCheckpointEarlyReports(t *testing.T) {
+	c := sampleCheckpoint(t, 5)
+	plain, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(plain), "early") {
+		t.Errorf("checkpoint without early reports encodes the field: %s", plain)
+	}
+
+	c.Early = []protocol.Report{
+		{Round: 5, Node: 0, Marginal: -1.5, Alloc: 0.5, Planned: 0b1111},
+		{Round: 5, Node: 3, Marginal: -2.25, Alloc: 0, Planned: 0b1111},
+	}
+	if err := c.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), fileName(5))
+	if err := WriteFile(path, c); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Early, c.Early) {
+		t.Errorf("early reports roundtrip = %+v, want %+v", got.Early, c.Early)
+	}
+
+	cases := map[string][]protocol.Report{
+		"wrong round":  {{Round: 4, Node: 0}},
+		"own node":     {{Round: 5, Node: 1}},
+		"outside":      {{Round: 5, Node: 4}},
+		"negative":     {{Round: 5, Node: -1}},
+		"duplicate":    {{Round: 5, Node: 0}, {Round: 5, Node: 0}},
+		"out of order": {{Round: 5, Node: 3}, {Round: 5, Node: 0}},
+	}
+	for name, early := range cases {
+		bad := sampleCheckpoint(t, 5)
+		bad.Early = early
+		if err := bad.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bad.Validate(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Validate = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 func TestCheckpointSupportAndSum(t *testing.T) {
 	c := sampleCheckpoint(t, 0)
 	s := c.Support()
@@ -138,7 +191,7 @@ func TestStoreSaveLatestPrune(t *testing.T) {
 	xs := []float64{0.5, 0.25, 0.25, 0}
 	alive := []bool{true, true, true, true}
 	for round := 0; round < 6; round++ {
-		if err := s.SaveRound(round, 0.25, xs, alive, 0b1111); err != nil {
+		if err := s.SaveRound(round, 0.25, xs, alive, 0b1111, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -210,7 +263,7 @@ func TestMemStoreHistoryAndLatest(t *testing.T) {
 	xs := []float64{0.6, 0.4}
 	alive := []bool{true, true}
 	for round := 0; round < 3; round++ {
-		if err := m.SaveRound(round, xs[0], xs, alive, 0b11); err != nil {
+		if err := m.SaveRound(round, xs[0], xs, alive, 0b11, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -225,6 +226,70 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 			t.Errorf("no %q recovery event observed", kind)
 		}
 	}
+}
+
+// TestCrashResumeRestoresEarlyReports forces the read-ahead race a
+// checkpoint must cover: node 3's round-4 report to node 2 is held back,
+// so nodes 0 and 1 finish round 4 first and node 2 reads their round-5
+// reports while still collecting round 4. Node 2 then crashes on its
+// first round-5 send. Those early reports are never sent again; only the
+// round-5 checkpoint holds them, and the resumed run must restore them to
+// finish round 5 in full, on the uninterrupted run's trajectory.
+func TestCrashResumeRestoresEarlyReports(t *testing.T) {
+	m := ringModel(t)
+	baseline, err := RunChurnCluster(context.Background(), churnConfig(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := churnConfig(t, m)
+	// Bounds the wait of a resume that lost its early reports, so the
+	// failure surfaces as a quorum desync rather than a long stall.
+	cfg.RoundTimeout = 2 * time.Second
+	cfg.Faults = transport.FaultConfig{Rules: []transport.FaultRule{
+		{
+			Kind: transport.FaultDelay, Direction: transport.DirSend,
+			Nodes: []int{3}, Peers: []int{2}, FromRound: 4, ToRound: 4,
+			Delay: 50 * time.Millisecond,
+		},
+		{
+			Kind: transport.FaultCrash, Direction: transport.DirSend,
+			Nodes: []int{2}, FromRound: 5, ToRound: 5,
+		},
+	}}
+	res, err := RunChurnCluster(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range res.Errs {
+		if e != nil {
+			t.Fatalf("node %d failed: %v", i, e)
+		}
+	}
+	if !res.Converged || res.Rounds != baseline.Rounds {
+		t.Fatalf("crashed run: converged=%t rounds=%d, baseline rounds=%d", res.Converged, res.Rounds, baseline.Rounds)
+	}
+	for i := range baseline.X {
+		if res.X[i] != baseline.X[i] {
+			t.Errorf("x[%d] = %v, baseline %v (trajectory not bit-identical)", i, res.X[i], baseline.X[i])
+		}
+	}
+	var round5 []Checkpoint
+	for _, ck := range res.Stores[2].History() {
+		if ck.Round == 5 {
+			round5 = append(round5, ck)
+		}
+	}
+	if len(round5) != 2 {
+		t.Fatalf("node 2 checkpointed round 5 %d times, want 2 (pre-crash + resume)", len(round5))
+	}
+	if len(round5[0].Early) == 0 {
+		t.Fatal("node 2 read no round-5 report ahead of its crash; the delay did not set up the race")
+	}
+	if !reflect.DeepEqual(round5[1].Early, round5[0].Early) {
+		t.Errorf("resumed round-5 checkpoint early reports = %+v, want the restored %+v", round5[1].Early, round5[0].Early)
+	}
+	assertSumInvariant(t, res.Stores)
 }
 
 // TestCrashDepartRedistributes kills node 3 for good: the supervisor's

@@ -70,6 +70,7 @@ func RunSupervisedAgent(ctx context.Context, cfg agent.Config, sup SupervisorCon
 				run.InitFullX = ck.FullX
 				run.InitAlive = ck.Alive
 				run.InitPlanned = ck.Planned
+				run.InitEarly = ck.Early
 				obs.RecoveryEvent(id, ck.Round, "resume", fmt.Sprintf("restart %d resuming from round-%d checkpoint", attempt, ck.Round))
 			} else {
 				obs.RecoveryEvent(id, 0, "resume", fmt.Sprintf("restart %d found no checkpoint; starting fresh", attempt))
