@@ -247,12 +247,7 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 			return err
 		}
 		if ok {
-			cfg.StartRound = ck.Round
-			cfg.Init = ck.X
-			cfg.InitFullX = ck.FullX
-			cfg.InitAlive = ck.Alive
-			cfg.InitPlanned = ck.Planned
-			cfg.InitEarly = ck.Early
+			cfg.Resume = ck.State()
 			resumedFrom = ck.Round
 			obs.RecoveryEvent(*id, ck.Round, "resume", "process start resuming from checkpoint")
 			fmt.Fprintf(os.Stderr, "fapnode %d: resuming from round-%d checkpoint in %s\n", *id, ck.Round, s.Dir())
@@ -346,7 +341,7 @@ func serveUntilSignal(ctx context.Context, access *accessServer, srv *http.Serve
 			}
 		}
 		round := outcome.Rounds + epoch
-		if err := store.SaveRound(round, x[id], x, alive, 0, nil); err != nil {
+		if err := store.SaveRound(agent.RoundState{Round: round, X: x[id], FullX: x, Alive: alive}); err != nil {
 			return fmt.Errorf("fapnode %d: final checkpoint: %w", id, err)
 		}
 		fmt.Fprintf(os.Stderr, "fapnode %d: flushed final checkpoint (round %d, epoch %d)\n", id, round, epoch)

@@ -411,8 +411,12 @@ func TestClusterSurvivesLossyNetworkWithRetries(t *testing.T) {
 		Alpha:       0.3,
 		Epsilon:     1e-3,
 		SendRetries: 20,
-		DropRate:    0.2,
-		DropSeed:    99,
+		Faults: &transport.FaultConfig{
+			Seed: 99,
+			Rules: []transport.FaultRule{{
+				Kind: transport.FaultDrop, Direction: transport.DirSend, Probability: 0.2,
+			}},
+		},
 	})
 	if err != nil {
 		t.Fatalf("RunCluster: %v", err)
@@ -429,15 +433,21 @@ func TestClusterSurvivesLossyNetworkWithRetries(t *testing.T) {
 
 func TestClusterFailsFastOnLossWithoutRetries(t *testing.T) {
 	// Without retries a 50%-loss network kills a send quickly; the
-	// cluster errors instead of hanging.
+	// cluster errors instead of hanging. Nodes whose own sends all got
+	// through wait out the round timeout for the dead node's report.
 	m := fig3Model(t)
 	_, err := RunCluster(context.Background(), ClusterConfig{
-		Models:   ModelsFromSingleFile(m),
-		Init:     []float64{0.8, 0.1, 0.1, 0},
-		Alpha:    0.3,
-		Epsilon:  1e-3,
-		DropRate: 0.5,
-		DropSeed: 7,
+		Models:       ModelsFromSingleFile(m),
+		Init:         []float64{0.8, 0.1, 0.1, 0},
+		Alpha:        0.3,
+		Epsilon:      1e-3,
+		RoundTimeout: 500 * time.Millisecond,
+		Faults: &transport.FaultConfig{
+			Seed: 7,
+			Rules: []transport.FaultRule{{
+				Kind: transport.FaultDrop, Direction: transport.DirSend, Probability: 0.5,
+			}},
+		},
 	})
 	if !errors.Is(err, transport.ErrDropped) {
 		t.Errorf("error = %v, want wrapped ErrDropped", err)

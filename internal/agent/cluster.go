@@ -48,10 +48,6 @@ type ClusterConfig struct {
 	DynamicAlphaSafety float64
 	// SecondOrder mirrors Config (broadcast mode only).
 	SecondOrder bool
-	// DropRate injects seeded random message loss into the in-memory
-	// network (failure testing); pair with SendRetries for recovery.
-	DropRate float64
-	DropSeed int64
 	// RoundTimeout mirrors Config (default 10s).
 	RoundTimeout time.Duration
 	// Observer is shared by every agent of the cluster (default: none).
@@ -88,11 +84,7 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	if len(cfg.Init) != n {
 		return ClusterResult{}, fmt.Errorf("%w: %d initial fragments for %d nodes", ErrBadConfig, len(cfg.Init), n)
 	}
-	var netOpts []transport.MemoryOption
-	if cfg.DropRate > 0 {
-		netOpts = append(netOpts, transport.WithDropRate(cfg.DropRate, cfg.DropSeed))
-	}
-	net, err := transport.NewMemoryNetwork(n, netOpts...)
+	net, err := transport.NewMemoryNetwork(n)
 	if err != nil {
 		return ClusterResult{}, fmt.Errorf("agent: building memory network: %w", err)
 	}

@@ -2,14 +2,11 @@ package agent
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"filealloc/internal/core"
 	"filealloc/internal/costmodel"
-	"filealloc/internal/protocol"
 	"filealloc/internal/transport"
 )
 
@@ -35,9 +32,17 @@ type MultiFileLocalModel struct {
 // Marginals returns ∂U/∂x_i^f for every file, evaluated at the node's
 // fragment vector x (one entry per file).
 func (m MultiFileLocalModel) Marginals(x []float64) ([]float64, error) {
+	g := make([]float64, len(m.AccessCosts))
+	if err := m.marginals(g, x); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+func (m MultiFileLocalModel) marginals(g, x []float64) error {
 	files := len(m.AccessCosts)
 	if len(x) != files {
-		return nil, fmt.Errorf("%w: %d fragments for %d files", core.ErrDimension, len(x), files)
+		return fmt.Errorf("%w: %d fragments for %d files", core.ErrDimension, len(x), files)
 	}
 	var load, weighted float64
 	for f := 0; f < files; f++ {
@@ -46,14 +51,13 @@ func (m MultiFileLocalModel) Marginals(x []float64) ([]float64, error) {
 	}
 	room := m.ServiceRate - load
 	if room <= 0 {
-		return nil, fmt.Errorf("%w: local queue saturated (μ=%v, load=%v)", core.ErrUnstable, m.ServiceRate, load)
+		return fmt.Errorf("%w: local queue saturated (μ=%v, load=%v)", core.ErrUnstable, m.ServiceRate, load)
 	}
-	out := make([]float64, files)
 	for f := 0; f < files; f++ {
-		out[f] = -(m.Weights[f]*m.AccessCosts[f] +
+		g[f] = -(m.Weights[f]*m.AccessCosts[f] +
 			m.K*(m.Weights[f]*room+weighted*m.FileRates[f])/(room*room))
 	}
-	return out, nil
+	return nil
 }
 
 // MultiFileModelsFrom derives per-node local models from a MultiFile
@@ -115,9 +119,6 @@ type MultiFileOutcome struct {
 // node plans the identical per-file re-allocation (one constraint group
 // per file, exactly as the centralized grouped solver does).
 func RunMultiFile(ctx context.Context, cfg MultiFileAgentConfig) (MultiFileOutcome, error) {
-	if cfg.Endpoint == nil {
-		return MultiFileOutcome{}, fmt.Errorf("%w: nil endpoint", ErrBadConfig)
-	}
 	files := len(cfg.Model.AccessCosts)
 	if files == 0 || len(cfg.Model.FileRates) != files || len(cfg.Model.Weights) != files {
 		return MultiFileOutcome{}, fmt.Errorf("%w: inconsistent local model shapes", ErrBadConfig)
@@ -125,186 +126,20 @@ func RunMultiFile(ctx context.Context, cfg MultiFileAgentConfig) (MultiFileOutco
 	if len(cfg.Init) != files {
 		return MultiFileOutcome{}, fmt.Errorf("%w: %d initial fragments for %d files", ErrBadConfig, len(cfg.Init), files)
 	}
-	for f, v := range cfg.Init {
-		if v < 0 || math.IsNaN(v) {
-			return MultiFileOutcome{}, fmt.Errorf("%w: init[%d] = %v", ErrBadConfig, f, v)
-		}
+	l, err := newRoundLoop(Config{
+		Endpoint:     cfg.Endpoint,
+		Alpha:        cfg.Alpha,
+		Epsilon:      cfg.Epsilon,
+		MaxRounds:    cfg.MaxRounds,
+		RoundTimeout: cfg.RoundTimeout,
+		SendRetries:  cfg.SendRetries,
+		Observer:     cfg.Observer,
+	}, cfg.Model, cfg.Init, true)
+	if err != nil {
+		return MultiFileOutcome{}, err
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.1
+	if err := l.run(ctx); err != nil {
+		return MultiFileOutcome{MessagesSent: l.sent}, err
 	}
-	if cfg.Alpha < 0 || math.IsNaN(cfg.Alpha) {
-		return MultiFileOutcome{}, fmt.Errorf("%w: alpha = %v", ErrBadConfig, cfg.Alpha)
-	}
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 1e-3
-	}
-	if cfg.Epsilon < 0 {
-		return MultiFileOutcome{}, fmt.Errorf("%w: epsilon = %v", ErrBadConfig, cfg.Epsilon)
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 10000
-	}
-	if cfg.MaxRounds < 1 {
-		return MultiFileOutcome{}, fmt.Errorf("%w: max rounds = %d", ErrBadConfig, cfg.MaxRounds)
-	}
-	if cfg.RoundTimeout == 0 {
-		cfg.RoundTimeout = 10 * time.Second
-	}
-	if cfg.SendRetries < 0 {
-		return MultiFileOutcome{}, fmt.Errorf("%w: send retries = %d", ErrBadConfig, cfg.SendRetries)
-	}
-	if cfg.Observer == nil {
-		cfg.Observer = NopObserver{}
-	}
-
-	ep := cfg.Endpoint
-	n := ep.Peers()
-	id := ep.ID()
-	buf := protocol.NewVectorRoundBuffer(n)
-	x := append([]float64(nil), cfg.Init...)
-	out := MultiFileOutcome{}
-
-	// Flattened file-major state, matching costmodel.MultiFile's layout:
-	// variable f·n + i.
-	xs := make([]float64, files*n)
-	gs := make([]float64, files*n)
-	groups := make([][]int, files)
-	for f := range groups {
-		g := make([]int, n)
-		for i := range g {
-			g[i] = f*n + i
-		}
-		groups[f] = g
-	}
-
-	for round := 0; round < cfg.MaxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return out, fmt.Errorf("agent: canceled at round %d: %w", round, err)
-		}
-		cfg.Observer.RoundStarted(id, round)
-		g, err := cfg.Model.Marginals(x)
-		if err != nil {
-			return out, fmt.Errorf("agent: round %d: %w", round, err)
-		}
-		payload, err := protocol.EncodeVectorReport(protocol.VectorReport{
-			Round: round, Node: id, Marginals: g, Allocs: x,
-		})
-		if err != nil {
-			return out, err
-		}
-		sent, err := broadcastVectorReliably(ctx, ep, cfg.SendRetries, payload)
-		out.MessagesSent += sent
-		if err != nil {
-			return out, fmt.Errorf("agent: broadcasting round %d: %w", round, err)
-		}
-		if err := collectVectorReports(ctx, ep, cfg.RoundTimeout, cfg.Observer, buf, round, n-1, files); err != nil {
-			return out, err
-		}
-		reports := buf.Take(round)
-		for f := 0; f < files; f++ {
-			xs[f*n+id], gs[f*n+id] = x[f], g[f]
-		}
-		for node, rep := range reports {
-			for f := 0; f < files; f++ {
-				xs[f*n+node], gs[f*n+node] = rep.Allocs[f], rep.Marginals[f]
-			}
-		}
-		converged := true
-		steps := make([]core.Step, files)
-		movable := false
-		for f := 0; f < files; f++ {
-			st, err := core.PlanStep(xs, gs, groups[f], cfg.Alpha)
-			if err != nil {
-				return out, fmt.Errorf("agent: planning round %d file %d: %w", round, f, err)
-			}
-			steps[f] = st
-			if st.Spread(gs, groups[f]) >= cfg.Epsilon {
-				converged = false
-			}
-			if !st.IsNoOp() {
-				movable = true
-			}
-		}
-		if converged || !movable {
-			out.X = x
-			out.Rounds = round
-			out.Converged = converged
-			return out, nil
-		}
-		for f := 0; f < files; f++ {
-			x[f] = core.ClampResidue(x[f] + steps[f].Delta[id])
-		}
-	}
-	out.X = x
-	out.Rounds = cfg.MaxRounds
-	return out, nil
-}
-
-// collectVectorReports mirrors collectReports for vector rounds,
-// including its tolerance of stale rebroadcasts and identical duplicates.
-func collectVectorReports(ctx context.Context, ep transport.Endpoint, timeout time.Duration, obs Observer, buf *protocol.VectorRoundBuffer, round, want, files int) error {
-	id := ep.ID()
-	deadline, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	for !buf.Complete(round, want) {
-		msg, err := ep.Recv(deadline)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				obs.TimeoutFired(id, round)
-				return fmt.Errorf("%w: waiting for round %d vector reports", ErrRoundTimeout, round)
-			}
-			return fmt.Errorf("agent: receiving round %d: %w", round, err)
-		}
-		env, err := protocol.Decode(msg.Payload)
-		if err != nil {
-			return fmt.Errorf("agent: round %d: %w", round, err)
-		}
-		if env.Kind != protocol.KindVectorReport {
-			return fmt.Errorf("%w: unexpected %q message during vector collection", ErrProtocol, env.Kind)
-		}
-		rep := env.Vector
-		if rep.Node != msg.From {
-			return fmt.Errorf("%w: node %d sent a report claiming to be node %d", ErrProtocol, msg.From, rep.Node)
-		}
-		if len(rep.Marginals) != files || len(rep.Allocs) != files {
-			return fmt.Errorf("%w: node %d reported %d/%d entries for %d files", ErrProtocol, rep.Node, len(rep.Marginals), len(rep.Allocs), files)
-		}
-		if rep.Round < round {
-			obs.MessageDiscarded(id, round, "stale vector report")
-			continue
-		}
-		if err := buf.Add(*rep); err != nil {
-			if errors.Is(err, protocol.ErrDuplicateReport) {
-				obs.MessageDiscarded(id, round, "duplicate vector report")
-				continue
-			}
-			return fmt.Errorf("agent: round %d: %w", round, err)
-		}
-	}
-	obs.ReportsCollected(id, round, want, want)
-	return nil
-}
-
-// broadcastVectorReliably mirrors broadcastReliably without a full Config.
-func broadcastVectorReliably(ctx context.Context, ep transport.Endpoint, retries int, payload []byte) (sent int, err error) {
-	for to := 0; to < ep.Peers(); to++ {
-		if to == ep.ID() {
-			continue
-		}
-		var lastErr error
-		for attempt := 0; attempt <= retries; attempt++ {
-			if lastErr = ep.Send(ctx, to, payload); lastErr == nil {
-				break
-			}
-			if ctx.Err() != nil {
-				break
-			}
-		}
-		if lastErr != nil {
-			return sent, lastErr
-		}
-		sent++
-	}
-	return sent, nil
+	return MultiFileOutcome{X: l.x, Rounds: l.rounds, Converged: l.converged, MessagesSent: l.sent}, nil
 }

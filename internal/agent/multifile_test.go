@@ -186,3 +186,106 @@ func TestRunMultiFileValidation(t *testing.T) {
 		})
 	}
 }
+
+// runTwoFileCluster runs the two-file cluster from an uneven start over a
+// memory network, every endpoint wrapped in faults when set, and returns
+// each agent's outcome and the injected-fault totals.
+func runTwoFileCluster(t *testing.T, obs Observer, faults *transport.FaultConfig, retries int) ([]MultiFileOutcome, transport.FaultStats) {
+	t.Helper()
+	m := twoFileModel(t)
+	n := m.Nodes()
+	net, err := transport.NewMemoryNetwork(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	models := MultiFileModelsFrom(m)
+	outcomes := make([]MultiFileOutcome, n)
+	errs := make([]error, n)
+	feps := make([]*transport.FaultEndpoint, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		var ep transport.Endpoint
+		if ep, err = net.Endpoint(i); err != nil {
+			t.Fatal(err)
+		}
+		if faults != nil {
+			if feps[i], err = transport.NewFaultEndpoint(ep, *faults); err != nil {
+				t.Fatal(err)
+			}
+			ep = feps[i]
+		}
+		init := []float64{0, 0.25}
+		if i == 1 {
+			init[0] = 1
+		}
+		wg.Add(1)
+		go func(i int, ep transport.Endpoint) {
+			defer wg.Done()
+			outcomes[i], errs[i] = RunMultiFile(context.Background(), MultiFileAgentConfig{
+				Endpoint:    ep,
+				Model:       models[i],
+				Init:        init,
+				Alpha:       0.1,
+				Epsilon:     1e-4,
+				SendRetries: retries,
+				Observer:    obs,
+			})
+		}(i, ep)
+	}
+	wg.Wait()
+	var stats transport.FaultStats
+	for _, fep := range feps {
+		if fep != nil {
+			stats.Add(fep.Stats())
+		}
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("agent %d: %v", i, err)
+		}
+	}
+	return outcomes, stats
+}
+
+func TestMultiFileRunIsObservable(t *testing.T) {
+	// A multi-file run reports the same round events as a single-file
+	// one: every node finishes, and applies one step per round.
+	obs := &CounterObserver{}
+	outcomes, _ := runTwoFileCluster(t, obs, nil, 0)
+	n := int64(len(outcomes))
+	rounds := int64(outcomes[0].Rounds)
+	c := obs.Counters()
+	if c.RunsFinished != n || c.RunsConverged != n {
+		t.Errorf("RunsFinished = %d, RunsConverged = %d, want %d", c.RunsFinished, c.RunsConverged, n)
+	}
+	if c.StepsApplied != n*rounds {
+		t.Errorf("StepsApplied = %d, want %d nodes × %d rounds", c.StepsApplied, n, rounds)
+	}
+	if c.StepsPlanned != n*(rounds+1) {
+		t.Errorf("StepsPlanned = %d, want %d nodes × %d rounds", c.StepsPlanned, n, rounds+1)
+	}
+
+	// Under message loss every injected drop shows up as one retry.
+	lossy := &CounterObserver{}
+	faults := &transport.FaultConfig{
+		Seed: 1986,
+		Rules: []transport.FaultRule{{
+			Kind: transport.FaultDrop, Direction: transport.DirSend, Probability: 0.2,
+		}},
+	}
+	lossyOut, stats := runTwoFileCluster(t, lossy, faults, 25)
+	if stats.SendDropped == 0 {
+		t.Fatal("no drops injected at p=0.2")
+	}
+	if got := lossy.Counters().SendRetries; got != stats.SendDropped {
+		t.Errorf("observer saw %d retries for %d injected drops", got, stats.SendDropped)
+	}
+	for i := range outcomes {
+		for f := range outcomes[i].X {
+			if lossyOut[i].X[f] != outcomes[i].X[f] {
+				t.Errorf("agent %d file %d: %v under loss vs %v", i, f, lossyOut[i].X[f], outcomes[i].X[f])
+			}
+		}
+	}
+}

@@ -85,7 +85,7 @@ func runNode(ctx context.Context, cfg nodeConfig) (nodeOutcome, error) {
 
 // runTree executes rounds of the tree-aggregation protocol until
 // convergence, a degenerate (no-op) step, round exhaustion, or failure.
-// The exit structure mirrors agent.runBroadcast exactly: convergence is
+// The exit structure mirrors the agent's round loop exactly: convergence is
 // checked before the no-op exit, and both happen before the step is
 // applied, so e.rounds counts applied steps just like Outcome.Rounds.
 func (e *engine) runTree(ctx context.Context) error {

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrBadMessage reports an undecodable or out-of-protocol message.
@@ -155,75 +156,44 @@ func Decode(payload []byte) (Envelope, error) {
 	if err := json.Unmarshal(payload, &env); err != nil {
 		return Envelope{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
+	// Only the body matching Kind is kept: exactly one payload field of
+	// the result is non-nil.
+	out := Envelope{Kind: env.Kind}
+	var body bool
 	switch env.Kind {
 	case KindReport:
-		if env.Report == nil {
-			return Envelope{}, fmt.Errorf("%w: report envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindReport, Report: env.Report}, nil
+		out.Report, body = env.Report, env.Report != nil
 	case KindUpdate:
-		if env.Update == nil {
-			return Envelope{}, fmt.Errorf("%w: update envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindUpdate, Update: env.Update}, nil
+		out.Update, body = env.Update, env.Update != nil
 	case KindVectorReport:
-		if env.Vector == nil {
-			return Envelope{}, fmt.Errorf("%w: vector-report envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindVectorReport, Vector: env.Vector}, nil
+		out.Vector, body = env.Vector, env.Vector != nil
 	case KindAccess:
-		if env.Access == nil {
-			return Envelope{}, fmt.Errorf("%w: access envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindAccess, Access: env.Access}, nil
+		out.Access, body = env.Access, env.Access != nil
 	case KindAccessReply:
-		if env.AccessReply == nil {
-			return Envelope{}, fmt.Errorf("%w: access-reply envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindAccessReply, AccessReply: env.AccessReply}, nil
+		out.AccessReply, body = env.AccessReply, env.AccessReply != nil
 	case KindPlan:
-		if env.Plan == nil {
-			return Envelope{}, fmt.Errorf("%w: plan envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindPlan, Plan: env.Plan}, nil
+		out.Plan, body = env.Plan, env.Plan != nil
 	case KindPlanAck:
-		if env.PlanAck == nil {
-			return Envelope{}, fmt.Errorf("%w: plan-ack envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindPlanAck, PlanAck: env.PlanAck}, nil
+		out.PlanAck, body = env.PlanAck, env.PlanAck != nil
 	case KindPing:
-		if env.Ping == nil {
-			return Envelope{}, fmt.Errorf("%w: ping envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindPing, Ping: env.Ping}, nil
+		out.Ping, body = env.Ping, env.Ping != nil
 	case KindPong:
-		if env.Pong == nil {
-			return Envelope{}, fmt.Errorf("%w: pong envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindPong, Pong: env.Pong}, nil
+		out.Pong, body = env.Pong, env.Pong != nil
 	case KindAggUp:
-		if env.AggUp == nil {
-			return Envelope{}, fmt.Errorf("%w: agg-up envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindAggUp, AggUp: env.AggUp}, nil
+		out.AggUp, body = env.AggUp, env.AggUp != nil
 	case KindAggDown:
-		if env.AggDown == nil {
-			return Envelope{}, fmt.Errorf("%w: agg-down envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindAggDown, AggDown: env.AggDown}, nil
+		out.AggDown, body = env.AggDown, env.AggDown != nil
 	case KindGossipShare:
-		if env.GossipShare == nil {
-			return Envelope{}, fmt.Errorf("%w: gossip-share envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindGossipShare, GossipShare: env.GossipShare}, nil
+		out.GossipShare, body = env.GossipShare, env.GossipShare != nil
 	case KindGossipExtrema:
-		if env.GossipExtrema == nil {
-			return Envelope{}, fmt.Errorf("%w: gossip-extrema envelope without body", ErrBadMessage)
-		}
-		return Envelope{Kind: KindGossipExtrema, GossipExtrema: env.GossipExtrema}, nil
+		out.GossipExtrema, body = env.GossipExtrema, env.GossipExtrema != nil
 	default:
 		return Envelope{}, fmt.Errorf("%w: unknown kind %q", ErrBadMessage, env.Kind)
 	}
+	if !body {
+		return Envelope{}, fmt.Errorf("%w: %s envelope without body", ErrBadMessage, env.Kind)
+	}
+	return out, nil
 }
 
 // RoundOf extracts the round number carried by an encoded protocol
@@ -256,19 +226,36 @@ func RoundOf(payload []byte) (int, bool) {
 	}
 }
 
+// roundable is a report kind a RoundBuffer collects: one message per node
+// per round. Report is the single-file kind and VectorReport the
+// multi-file one.
+type roundable[R any] interface {
+	Report | VectorReport
+	origin() (round, node int)
+	same(R) bool
+}
+
+func (r Report) origin() (round, node int) { return r.Round, r.Node }
+func (r Report) same(o Report) bool        { return r == o }
+
+func (v VectorReport) origin() (round, node int) { return v.Round, v.Node }
+func (v VectorReport) same(o VectorReport) bool {
+	return v.Round == o.Round && v.Node == o.Node && slices.Equal(v.Marginals, o.Marginals) && slices.Equal(v.Allocs, o.Allocs)
+}
+
 // RoundBuffer collects per-round reports, tolerating peers that run one
 // round ahead (a fast node may broadcast round r+1 before a slow peer has
 // read round r).
-type RoundBuffer struct {
+type RoundBuffer[R roundable[R]] struct {
 	peers   int
-	pending map[int]map[int]Report // round -> node -> report
+	pending map[int]map[int]R // round -> node -> report
 }
 
 // NewRoundBuffer sizes the buffer for a cluster of peers nodes.
-func NewRoundBuffer(peers int) *RoundBuffer {
-	return &RoundBuffer{
+func NewRoundBuffer[R roundable[R]](peers int) *RoundBuffer[R] {
+	return &RoundBuffer[R]{
 		peers:   peers,
-		pending: make(map[int]map[int]Report),
+		pending: make(map[int]map[int]R),
 	}
 }
 
@@ -277,44 +264,39 @@ func NewRoundBuffer(peers int) *RoundBuffer {
 // conflicting duplicate is rejected as ErrBadMessage — the protocol sends
 // one report per peer per round, so two different ones indicate a faulty
 // or byzantine peer.
-func (b *RoundBuffer) Add(r Report) error {
-	if r.Node < 0 || r.Node >= b.peers {
-		return fmt.Errorf("%w: report from unknown node %d", ErrBadMessage, r.Node)
+func (b *RoundBuffer[R]) Add(r R) error {
+	round, node := r.origin()
+	if node < 0 || node >= b.peers {
+		return fmt.Errorf("%w: report from unknown node %d", ErrBadMessage, node)
 	}
-	byNode, ok := b.pending[r.Round]
+	byNode, ok := b.pending[round]
 	if !ok {
-		byNode = make(map[int]Report, b.peers)
-		b.pending[r.Round] = byNode
+		byNode = make(map[int]R, b.peers)
+		b.pending[round] = byNode
 	}
-	if prev, dup := byNode[r.Node]; dup {
-		if prev == r {
-			return fmt.Errorf("%w: node %d round %d", ErrDuplicateReport, r.Node, r.Round)
+	if prev, dup := byNode[node]; dup {
+		if prev.same(r) {
+			return fmt.Errorf("%w: node %d round %d", ErrDuplicateReport, node, round)
 		}
-		return fmt.Errorf("%w: conflicting duplicate report from node %d for round %d", ErrBadMessage, r.Node, r.Round)
+		return fmt.Errorf("%w: conflicting duplicate report from node %d for round %d", ErrBadMessage, node, round)
 	}
-	byNode[r.Node] = r
+	byNode[node] = r
 	return nil
 }
 
-// Complete reports whether `want` distinct reports have arrived for the
-// round.
-func (b *RoundBuffer) Complete(round, want int) bool {
-	return len(b.pending[round]) >= want
-}
-
 // Count returns the number of distinct reports buffered for the round.
-func (b *RoundBuffer) Count(round int) int {
+func (b *RoundBuffer[R]) Count(round int) int {
 	return len(b.pending[round])
 }
 
 // Peek returns a copy of the round's buffered reports in ascending node
 // order, leaving them in the buffer.
-func (b *RoundBuffer) Peek(round int) []Report {
+func (b *RoundBuffer[R]) Peek(round int) []R {
 	byNode := b.pending[round]
 	if len(byNode) == 0 {
 		return nil
 	}
-	out := make([]Report, 0, len(byNode))
+	out := make([]R, 0, len(byNode))
 	for node := 0; node < b.peers; node++ {
 		if r, ok := byNode[node]; ok {
 			out = append(out, r)
@@ -324,68 +306,7 @@ func (b *RoundBuffer) Peek(round int) []Report {
 }
 
 // Take removes and returns the round's reports keyed by node id.
-func (b *RoundBuffer) Take(round int) map[int]Report {
-	byNode := b.pending[round]
-	delete(b.pending, round)
-	return byNode
-}
-
-// VectorRoundBuffer is RoundBuffer's multi-file counterpart.
-type VectorRoundBuffer struct {
-	peers   int
-	pending map[int]map[int]VectorReport
-}
-
-// NewVectorRoundBuffer sizes the buffer for a cluster of peers nodes.
-func NewVectorRoundBuffer(peers int) *VectorRoundBuffer {
-	return &VectorRoundBuffer{
-		peers:   peers,
-		pending: make(map[int]map[int]VectorReport),
-	}
-}
-
-// Add stores a vector report. As with RoundBuffer.Add, an identical
-// re-delivery returns ErrDuplicateReport and a conflicting duplicate or
-// unknown node is ErrBadMessage.
-func (b *VectorRoundBuffer) Add(r VectorReport) error {
-	if r.Node < 0 || r.Node >= b.peers {
-		return fmt.Errorf("%w: vector report from unknown node %d", ErrBadMessage, r.Node)
-	}
-	byNode, ok := b.pending[r.Round]
-	if !ok {
-		byNode = make(map[int]VectorReport, b.peers)
-		b.pending[r.Round] = byNode
-	}
-	if prev, dup := byNode[r.Node]; dup {
-		if prev.Round == r.Round && prev.Node == r.Node && eqFloats(prev.Marginals, r.Marginals) && eqFloats(prev.Allocs, r.Allocs) {
-			return fmt.Errorf("%w: node %d round %d", ErrDuplicateReport, r.Node, r.Round)
-		}
-		return fmt.Errorf("%w: conflicting duplicate vector report from node %d for round %d", ErrBadMessage, r.Node, r.Round)
-	}
-	byNode[r.Node] = r
-	return nil
-}
-
-// eqFloats compares two float slices element-wise (bit equality).
-func eqFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Complete reports whether `want` distinct reports arrived for the round.
-func (b *VectorRoundBuffer) Complete(round, want int) bool {
-	return len(b.pending[round]) >= want
-}
-
-// Take removes and returns the round's reports keyed by node id.
-func (b *VectorRoundBuffer) Take(round int) map[int]VectorReport {
+func (b *RoundBuffer[R]) Take(round int) map[int]R {
 	byNode := b.pending[round]
 	delete(b.pending, round)
 	return byNode

@@ -96,7 +96,7 @@ func TestVectorReportRoundTrip(t *testing.T) {
 }
 
 func TestVectorRoundBuffer(t *testing.T) {
-	buf := NewVectorRoundBuffer(3)
+	buf := NewRoundBuffer[VectorReport](3)
 	if err := buf.Add(VectorReport{Round: 0, Node: 1, Marginals: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,20 +109,20 @@ func TestVectorRoundBuffer(t *testing.T) {
 	if err := buf.Add(VectorReport{Round: 0, Node: 9}); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("stranger: error = %v", err)
 	}
-	if buf.Complete(0, 2) {
+	if buf.Count(0) >= 2 {
 		t.Error("complete with one report")
 	}
 	if err := buf.Add(VectorReport{Round: 0, Node: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !buf.Complete(0, 2) {
+	if buf.Count(0) < 2 {
 		t.Error("not complete with both")
 	}
 	got := buf.Take(0)
 	if len(got) != 2 || got[1].Marginals[0] != 1 {
 		t.Errorf("Take = %+v", got)
 	}
-	if buf.Complete(0, 1) {
+	if buf.Count(0) >= 1 {
 		t.Error("round not cleared after Take")
 	}
 }
@@ -148,8 +148,8 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestRoundBufferCollects(t *testing.T) {
-	buf := NewRoundBuffer(3)
-	if buf.Complete(0, 2) {
+	buf := NewRoundBuffer[Report](3)
+	if buf.Count(0) >= 2 {
 		t.Error("empty buffer reported complete")
 	}
 	if err := buf.Add(Report{Round: 0, Node: 1}); err != nil {
@@ -159,13 +159,13 @@ func TestRoundBufferCollects(t *testing.T) {
 	if err := buf.Add(Report{Round: 1, Node: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Complete(0, 2) {
+	if buf.Count(0) >= 2 {
 		t.Error("round 0 complete with a round-1 report")
 	}
 	if err := buf.Add(Report{Round: 0, Node: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !buf.Complete(0, 2) {
+	if buf.Count(0) < 2 {
 		t.Error("round 0 not complete with both reports")
 	}
 	got := buf.Take(0)
@@ -173,13 +173,13 @@ func TestRoundBufferCollects(t *testing.T) {
 		t.Errorf("Take = %+v", got)
 	}
 	// Round 1's early report is still buffered.
-	if !buf.Complete(1, 1) {
+	if buf.Count(1) < 1 {
 		t.Error("round 1 early report lost")
 	}
 }
 
 func TestRoundBufferPeek(t *testing.T) {
-	buf := NewRoundBuffer(4)
+	buf := NewRoundBuffer[Report](4)
 	if got := buf.Peek(1); got != nil {
 		t.Errorf("Peek on empty round = %+v, want nil", got)
 	}
@@ -200,7 +200,7 @@ func TestRoundBufferPeek(t *testing.T) {
 }
 
 func TestRoundBufferRejectsDuplicatesAndStrangers(t *testing.T) {
-	buf := NewRoundBuffer(2)
+	buf := NewRoundBuffer[Report](2)
 	if err := buf.Add(Report{Round: 0, Node: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"sync"
 
+	"filealloc/internal/agent"
 	"filealloc/internal/protocol"
 )
 
@@ -157,6 +158,32 @@ func (c Checkpoint) SumX() float64 {
 	return sum
 }
 
+// sealState builds the sealed checkpoint of one node's round state,
+// copying its slices.
+func sealState(node, peers int, st agent.RoundState) (Checkpoint, error) {
+	c := Checkpoint{
+		Version: Version,
+		Node:    node,
+		Peers:   peers,
+		Round:   st.Round,
+		X:       st.X,
+		FullX:   append([]float64(nil), st.FullX...),
+		Alive:   append([]bool(nil), st.Alive...),
+		Planned: st.Planned,
+		Early:   append([]protocol.Report(nil), st.Early...),
+	}
+	if err := c.Seal(); err != nil {
+		return Checkpoint{}, err
+	}
+	return c, nil
+}
+
+// State returns the round state the checkpoint restores, for
+// agent.Config.Resume.
+func (c Checkpoint) State() *agent.RoundState {
+	return &agent.RoundState{Round: c.Round, X: c.X, FullX: c.FullX, Alive: c.Alive, Planned: c.Planned, Early: c.Early}
+}
+
 // fileName is the canonical on-disk name for a round's checkpoint; the
 // fixed-width round makes lexical order equal round order.
 func fileName(round int) string {
@@ -259,27 +286,17 @@ func (s *Store) Dir() string { return s.dir }
 
 // SaveRound implements agent.CheckpointSink: it seals and atomically
 // writes the round's checkpoint, then prunes old files.
-func (s *Store) SaveRound(round int, x float64, xs []float64, alive []bool, planned uint64, early []protocol.Report) error {
-	c := Checkpoint{
-		Version: Version,
-		Node:    s.node,
-		Peers:   s.peers,
-		Round:   round,
-		X:       x,
-		FullX:   append([]float64(nil), xs...),
-		Alive:   append([]bool(nil), alive...),
-		Planned: planned,
-		Early:   append([]protocol.Report(nil), early...),
-	}
-	if err := c.Seal(); err != nil {
+func (s *Store) SaveRound(st agent.RoundState) error {
+	c, err := sealState(s.node, s.peers, st)
+	if err != nil {
 		return err
 	}
-	if err := WriteFile(filepath.Join(s.dir, fileName(round)), c); err != nil {
+	if err := WriteFile(filepath.Join(s.dir, fileName(st.Round)), c); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rounds = append(s.rounds, round)
+	s.rounds = append(s.rounds, st.Round)
 	sort.Ints(s.rounds)
 	for len(s.rounds) > s.keep {
 		old := s.rounds[0]
@@ -351,19 +368,9 @@ func NewMemStore(node, peers int) *MemStore {
 }
 
 // SaveRound implements agent.CheckpointSink.
-func (m *MemStore) SaveRound(round int, x float64, xs []float64, alive []bool, planned uint64, early []protocol.Report) error {
-	c := Checkpoint{
-		Version: Version,
-		Node:    m.node,
-		Peers:   m.peers,
-		Round:   round,
-		X:       x,
-		FullX:   append([]float64(nil), xs...),
-		Alive:   append([]bool(nil), alive...),
-		Planned: planned,
-		Early:   append([]protocol.Report(nil), early...),
-	}
-	if err := c.Seal(); err != nil {
+func (m *MemStore) SaveRound(st agent.RoundState) error {
+	c, err := sealState(m.node, m.peers, st)
+	if err != nil {
 		return err
 	}
 	m.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"filealloc/internal/agent"
 	"filealloc/internal/protocol"
 )
 
@@ -38,7 +39,8 @@ func TestCheckpointFileFormatPinned(t *testing.T) {
 			}
 			xs := []float64{0.125, 0.5, 0.375, 0}
 			alive := []bool{true, true, true, false}
-			if err := s.SaveRound(7, xs[1], xs, alive, 0b0111, tt.early); err != nil {
+			st := agent.RoundState{Round: 7, X: xs[1], FullX: xs, Alive: alive, Planned: 0b0111, Early: tt.early}
+			if err := s.SaveRound(st); err != nil {
 				t.Fatal(err)
 			}
 			b, err := os.ReadFile(filepath.Join(dir, fileName(7)))
@@ -58,7 +60,7 @@ func TestCheckpointFileFormatPinned(t *testing.T) {
 			}
 			// MemStore seals the same checkpoint for the same state.
 			m := NewMemStore(1, 4)
-			if err := m.SaveRound(7, xs[1], xs, alive, 0b0111, tt.early); err != nil {
+			if err := m.SaveRound(st); err != nil {
 				t.Fatal(err)
 			}
 			mb, err := json.Marshal(m.History()[0])

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"filealloc/internal/agent"
 	"filealloc/internal/protocol"
 )
 
@@ -191,7 +192,7 @@ func TestStoreSaveLatestPrune(t *testing.T) {
 	xs := []float64{0.5, 0.25, 0.25, 0}
 	alive := []bool{true, true, true, true}
 	for round := 0; round < 6; round++ {
-		if err := s.SaveRound(round, 0.25, xs, alive, 0b1111, nil); err != nil {
+		if err := s.SaveRound(agent.RoundState{Round: round, X: 0.25, FullX: xs, Alive: alive, Planned: 0b1111}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -263,7 +264,7 @@ func TestMemStoreHistoryAndLatest(t *testing.T) {
 	xs := []float64{0.6, 0.4}
 	alive := []bool{true, true}
 	for round := 0; round < 3; round++ {
-		if err := m.SaveRound(round, xs[0], xs, alive, 0b11, nil); err != nil {
+		if err := m.SaveRound(agent.RoundState{Round: round, X: xs[0], FullX: xs, Alive: alive, Planned: 0b11}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -147,7 +147,7 @@ func RunChurnCluster(ctx context.Context, cfg ChurnClusterConfig) (ChurnResult, 
 			Observer:     cfg.Observer,
 		}
 		if cfg.InitAlive != nil {
-			acfg.InitAlive = append([]bool(nil), cfg.InitAlive...)
+			acfg.Resume = &agent.RoundState{X: cfg.Init[i], Alive: cfg.InitAlive}
 		}
 		wg.Add(1)
 		go func(i int, acfg agent.Config, sup SupervisorConfig) {

@@ -235,6 +235,46 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 // first round-5 send. Those early reports are never sent again; only the
 // round-5 checkpoint holds them, and the resumed run must restore them to
 // finish round 5 in full, on the uninterrupted run's trajectory.
+func TestCrashResumeInRoundZero(t *testing.T) {
+	// Node 2 dies on its last round-0 send, after peers 0 and 1 already
+	// hold its round-0 report. The round-0 checkpoint's full view is still
+	// all zeros, so the resume must take its own fragment from the saved
+	// X: re-sending a report with any other allocation would conflict
+	// with the one the peers hold.
+	m := ringModel(t)
+	baseline, err := RunChurnCluster(context.Background(), churnConfig(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := churnConfig(t, m)
+	cfg.Faults = transport.FaultConfig{
+		Rules: []transport.FaultRule{{
+			Kind: transport.FaultCrash, Direction: transport.DirSend,
+			Nodes: []int{2}, Peers: []int{3},
+		}},
+	}
+	res, err := RunChurnCluster(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range res.Errs {
+		if e != nil {
+			t.Fatalf("node %d failed: %v", i, e)
+		}
+	}
+	if got := res.Outcomes[2].Restarts; got != 1 {
+		t.Errorf("node 2 restarts = %d, want 1", got)
+	}
+	if !res.Converged || res.Rounds != baseline.Rounds {
+		t.Fatalf("crashed run: converged=%t rounds=%d, baseline rounds=%d", res.Converged, res.Rounds, baseline.Rounds)
+	}
+	for i := range baseline.X {
+		if res.X[i] != baseline.X[i] {
+			t.Errorf("x[%d] = %v, baseline %v (trajectory not bit-identical)", i, res.X[i], baseline.X[i])
+		}
+	}
+}
+
 func TestCrashResumeRestoresEarlyReports(t *testing.T) {
 	m := ringModel(t)
 	baseline, err := RunChurnCluster(context.Background(), churnConfig(t, m))

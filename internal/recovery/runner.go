@@ -65,17 +65,12 @@ func RunSupervisedAgent(ctx context.Context, cfg agent.Config, sup SupervisorCon
 				return err // corrupt store: non-retryable, surfaces as-is
 			}
 			if ok {
-				run.StartRound = ck.Round
-				run.Init = ck.X
-				run.InitFullX = ck.FullX
-				run.InitAlive = ck.Alive
-				run.InitPlanned = ck.Planned
-				run.InitEarly = ck.Early
+				run.Resume = ck.State()
 				obs.RecoveryEvent(id, ck.Round, "resume", fmt.Sprintf("restart %d resuming from round-%d checkpoint", attempt, ck.Round))
 			} else {
 				obs.RecoveryEvent(id, 0, "resume", fmt.Sprintf("restart %d found no checkpoint; starting fresh", attempt))
 			}
-			obs.RecoveryEvent(id, run.StartRound, "restart", fmt.Sprintf("attempt %d", attempt+1))
+			obs.RecoveryEvent(id, ck.Round, "restart", fmt.Sprintf("attempt %d", attempt+1))
 		}
 		o, err := agent.Run(ctx, run)
 		if err != nil {

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 )
 
@@ -15,30 +14,17 @@ const memoryBufferSize = 256
 
 // MemoryNetwork is an in-process cluster of endpoints connected by
 // channels. It is deterministic apart from goroutine scheduling of the
-// users themselves, and supports seeded message-loss injection for failure
-// tests.
+// users themselves; failure tests inject faults by wrapping its endpoints
+// in a FaultEndpoint.
 type MemoryNetwork struct {
 	mu        sync.Mutex
 	endpoints []*memoryEndpoint
-	dropRate  float64
-	rng       *rand.Rand
 	bufSize   int
 	closed    bool
 }
 
 // MemoryOption configures a MemoryNetwork.
 type MemoryOption func(*MemoryNetwork)
-
-// WithDropRate makes the network lose each message independently with the
-// given probability, using the seeded source for reproducibility. Lost
-// messages report ErrDropped to the sender, modelling a send that is known
-// to have failed (e.g. a broken connection).
-func WithDropRate(rate float64, seed int64) MemoryOption {
-	return func(n *MemoryNetwork) {
-		n.dropRate = rate
-		n.rng = rand.New(rand.NewSource(seed))
-	}
-}
 
 // WithBufferSize overrides the per-endpoint inbox capacity. The default
 // suits the one-message-per-peer-per-round broadcast protocol; a
@@ -96,13 +82,6 @@ func (n *MemoryNetwork) Close() error {
 	return nil
 }
 
-// drop reports whether this message should be lost.
-func (n *MemoryNetwork) drop() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rng != nil && n.dropRate > 0 && n.rng.Float64() < n.dropRate
-}
-
 type memoryEndpoint struct {
 	id    int
 	net   *MemoryNetwork
@@ -125,9 +104,6 @@ func (e *memoryEndpoint) Send(ctx context.Context, to int, payload []byte) error
 	case <-e.done:
 		return ErrClosed
 	default:
-	}
-	if e.net.drop() {
-		return fmt.Errorf("%w: %d -> %d", ErrDropped, e.id, to)
 	}
 	dst := e.net.endpoints[to]
 	msg := Message{From: e.id, Payload: append([]byte(nil), payload...)}

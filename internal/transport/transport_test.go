@@ -112,35 +112,6 @@ func TestMemoryNetworkClose(t *testing.T) {
 	}
 }
 
-func TestMemoryNetworkDropRate(t *testing.T) {
-	net, err := NewMemoryNetwork(2, WithDropRate(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	a, _ := net.Endpoint(0)
-	if err := a.Send(context.Background(), 1, []byte("x")); !errors.Is(err, ErrDropped) {
-		t.Errorf("error = %v, want ErrDropped at drop rate 1", err)
-	}
-
-	// Rate 0.5 with a seed: deterministic mix of delivered and dropped.
-	net2, err := NewMemoryNetwork(2, WithDropRate(0.5, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net2.Close()
-	s, _ := net2.Endpoint(0)
-	dropped := 0
-	for i := 0; i < 100; i++ {
-		if err := s.Send(context.Background(), 1, []byte("x")); errors.Is(err, ErrDropped) {
-			dropped++
-		}
-	}
-	if dropped < 30 || dropped > 70 {
-		t.Errorf("dropped %d of 100 at rate 0.5", dropped)
-	}
-}
-
 func TestBroadcastReachesAllPeers(t *testing.T) {
 	net, err := NewMemoryNetwork(4)
 	if err != nil {

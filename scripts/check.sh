@@ -18,6 +18,17 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+echo "== e2ebench module: go vet + go test (offline)"
+# e2ebench/ is its own Go module, so the ./... runs here never compile it:
+# an API change that breaks the benchmark would otherwise show up only
+# when the benchmark pipeline runs. Offline and workspace-free, as
+# e2ebench/run.sh builds it.
+(
+	cd e2ebench
+	export GOWORK=off GOPROXY=off GOFLAGS=
+	go vet ./... && go test ./...
+)
+
 echo "== fapvet -unused-ignores ./..."
 # Full eight-analyzer suite plus the stale-suppression audit: a directive
 # that stopped suppressing anything fails the gate until it is deleted.
