@@ -42,12 +42,12 @@ func (m LocalModel) marginals(g, x []float64) (err error) {
 type roundLoop struct {
 	cfg          Config
 	model        localModel
-	n, id, fs    int  // cluster size, own id, files
-	plans        bool // plans steps: every node in broadcast mode, or the coordinator
-	central      bool // coordinator mode
-	curved       bool // exchanges curvatures (one file only)
-	start        int
-	alpha        float64
+	n, id        int       // cluster size, own id
+	plans        bool      // plans steps: every node in broadcast mode, or the coordinator
+	central      bool      // coordinator mode
+	curved       bool      // exchanges curvatures (one file only)
+	start        int       // first round: 0, or the resumed round
+	alpha        float64   // stepsize; dynamic α replaces it per round
 	x, g         []float64 // own fragments and marginals, one per file
 	h            float64   // own curvature when curved
 	xs, gs, hs   []float64 // full view, file-major; hs is one file's curvatures
@@ -58,7 +58,7 @@ type roundLoop struct {
 	steps        []core.Step // the round's plan, per file
 	reports      *protocol.RoundBuffer[protocol.Report]
 	vectors      *protocol.RoundBuffer[protocol.VectorReport]
-	rounds, sent int
+	rounds, sent int // outcome: rounds run, messages sent
 	converged    bool
 }
 
@@ -75,22 +75,22 @@ func newRoundLoop(cfg Config, model localModel, init []float64, vector bool) (*r
 			return nil, fmt.Errorf("%w: initial fragment %d = %v", ErrBadConfig, f, v)
 		}
 	}
-	n, fs := cfg.Endpoint.Peers(), len(init)
+	n, files := cfg.Endpoint.Peers(), len(init)
 	l := &roundLoop{
-		cfg: cfg, model: model, n: n, id: cfg.Endpoint.ID(), fs: fs,
+		cfg: cfg, model: model, n: n, id: cfg.Endpoint.ID(),
 		plans:   cfg.Mode == Broadcast || cfg.Endpoint.ID() == cfg.CoordinatorID,
 		central: cfg.Mode == Coordinator,
 		curved:  cfg.DynamicAlphaSafety > 0 || cfg.SecondOrder,
 		alpha:   cfg.Alpha,
 		x:       append([]float64(nil), init...),
-		g:       make([]float64, fs),
-		xs:      make([]float64, fs*n),
-		gs:      make([]float64, fs*n),
+		g:       make([]float64, files),
+		xs:      make([]float64, files*n),
+		gs:      make([]float64, files*n),
 		hs:      make([]float64, n),
 		alive:   make([]bool, n),
 		missing: make([]int, n),
-		groups:  make([][]int, fs),
-		steps:   make([]core.Step, fs),
+		groups:  make([][]int, files),
+		steps:   make([]core.Step, files),
 	}
 	for f := range l.groups {
 		l.groups[f] = make([]int, 0, n)
@@ -450,8 +450,8 @@ func (l *roundLoop) buffer(env protocol.Envelope, from, round int) error {
 		repRound, node = env.Report.Round, env.Report.Node
 	case l.vectors != nil && env.Kind == protocol.KindVectorReport:
 		v := env.Vector
-		if len(v.Marginals) != l.fs || len(v.Allocs) != l.fs {
-			return fmt.Errorf("%w: node %d reported %d/%d entries for %d files", ErrProtocol, v.Node, len(v.Marginals), len(v.Allocs), l.fs)
+		if files := len(l.x); len(v.Marginals) != files || len(v.Allocs) != files {
+			return fmt.Errorf("%w: node %d reported %d/%d entries for %d files", ErrProtocol, v.Node, len(v.Marginals), len(v.Allocs), files)
 		}
 		repRound, node = v.Round, v.Node
 	default:
