@@ -48,7 +48,6 @@ func runGossip(args []string, w io.Writer) error {
 	churn := fs.Int("churn", 0, "crash this many nodes mid-protocol (highest ids first)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"access-cost precompute concurrency; results are byte-identical for any value")
-	jsonWire := fs.Bool("json-wire", false, "use the JSON codec on the wire instead of binary frames")
 	maxRounds := fs.Int("max-rounds", 20000, "total round budget across churn epochs")
 	roundTimeout := fs.Duration("round-timeout", 10*time.Second,
 		"per-round aggregation deadline; hitting it triggers the churn/retry path")
@@ -121,8 +120,8 @@ func runGossip(args []string, w io.Writer) error {
 		reg = metrics.New()
 	}
 
-	fmt.Fprintf(w, "gossip cluster: n=%d topology=%s seed=%d alpha=%g epsilon=%g wire=%s churn=%d\n",
-		*n, *topo, *seed, *alpha, *epsilon, wireName(*jsonWire), *churn)
+	fmt.Fprintf(w, "gossip cluster: n=%d topology=%s seed=%d alpha=%g epsilon=%g wire=binary churn=%d\n",
+		*n, *topo, *seed, *alpha, *epsilon, *churn)
 
 	type billRow struct {
 		scheme   string
@@ -166,7 +165,6 @@ func runGossip(args []string, w io.Writer) error {
 			Seed:         *seed,
 			Ticks:        *ticks,
 			KKTTol:       *kktTol,
-			JSONWire:     *jsonWire,
 			Faults:       faults,
 			MaxRounds:    *maxRounds,
 			RoundTimeout: *roundTimeout,
@@ -219,13 +217,6 @@ func runGossip(args []string, w io.Writer) error {
 		return fmt.Errorf("uncertified run: %s", strings.Join(failed, ", "))
 	}
 	return nil
-}
-
-func wireName(json bool) string {
-	if json {
-		return "json"
-	}
-	return "binary"
 }
 
 func maxInt(a, b int) int {

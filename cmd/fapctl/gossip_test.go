@@ -84,17 +84,6 @@ func TestGossipCommandChurn(t *testing.T) {
 	}
 }
 
-func TestGossipCommandJSONWire(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"gossip", "-n", "8", "-alpha", "0.3", "-json-wire"}, &b)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), "wire=json") {
-		t.Errorf("output wrong:\n%s", b.String())
-	}
-}
-
 func TestGossipCommandRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"gossip", "-mode", "telepathy"},

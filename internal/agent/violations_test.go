@@ -1,8 +1,13 @@
 package agent
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,5 +178,83 @@ func TestWorkerDiscardsStaleUpdate(t *testing.T) {
 	}
 	if c := obs.Counters(); c.DiscardsByReason["stale update"] != 1 {
 		t.Errorf("discards = %+v, want one stale update", c.DiscardsByReason)
+	}
+}
+
+// earlySink is a CheckpointSink that records every early report it is
+// asked to save.
+type earlySink struct {
+	mu    sync.Mutex
+	early []protocol.Report
+}
+
+func (s *earlySink) SaveRound(st RoundState) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.early = append(s.early, st.Early...)
+	return nil
+}
+
+// TestAgentRejectsNaNReportOverTCP sends a hand-built Report carrying a
+// NaN marginal from a raw TCP peer, ahead of the round it belongs to.
+// Accepted, it would sit in the round buffer as an early report and then
+// be checkpointed, which JSON cannot encode; the wire codec must reject
+// it first, so the run fails with ErrBadMessage and no checkpoint ever
+// holds an early report.
+func TestAgentRejectsNaNReportOverTCP(t *testing.T) {
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
+	ep, err := transport.ListenTCP(0, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	// Node 1's endpoint only absorbs the agent's own round-0 broadcast;
+	// node 1's reports come from the raw connection below.
+	peer, err := transport.ListenTCP(1, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if err := ep.SetPeerAddr(1, peer.Addr()); err != nil {
+		t.Fatal(err)
+	}
+
+	const marker = -1.25
+	nan := mustEncodeReport(t, protocol.Report{Round: 1, Node: 1, Marginal: marker, Alloc: 0.5})
+	le := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	if bytes.Count(nan, le(marker)) != 1 {
+		t.Fatal("marker value not found once in the encoded report")
+	}
+	nan = bytes.Replace(nan, le(marker), le(math.NaN()), 1)
+	var stream []byte
+	for _, p := range [][]byte{nan, mustEncodeReport(t, protocol.Report{Round: 0, Node: 1, Marginal: -1, Alloc: 0.5})} {
+		stream = append(stream, 0xFD) // the TCP frame: [0xFD][uvarint len][uvarint from][payload]
+		stream = binary.AppendUvarint(stream, uint64(1+len(p)))
+		stream = append(append(stream, 1), p...)
+	}
+	raw, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+
+	sink := &earlySink{}
+	_, err = Run(context.Background(), Config{
+		Endpoint:     ep,
+		Model:        LocalModel{AccessCost: 1, ServiceRate: 2, Lambda: 1, K: 1},
+		Init:         0.5,
+		RoundTimeout: 5 * time.Second,
+		Checkpoint:   sink,
+	})
+	if !errors.Is(err, protocol.ErrBadMessage) {
+		t.Fatalf("error = %v, want ErrBadMessage", err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.early) != 0 {
+		t.Errorf("checkpointed early reports %+v, want none", sink.early)
 	}
 }

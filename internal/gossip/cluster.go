@@ -40,10 +40,6 @@ type ClusterConfig struct {
 	// RoundTimeout bounds one round's aggregation (default 10s); hitting
 	// it is the loud failure that triggers the churn/retry path.
 	RoundTimeout time.Duration
-	// JSONWire selects the JSON fallback encoding instead of the default
-	// binary codec (a debugging/interop switch; the decoder accepts both
-	// forms on any peer regardless).
-	JSONWire bool
 	// Seed drives the push-sum peer schedule.
 	Seed int64
 	// Ticks is the push-sum mixing length per round; 0 derives it from
@@ -164,10 +160,6 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = 2
 	}
-	codec := protocol.CodecBinary
-	if cfg.JSONWire {
-		codec = protocol.CodecJSON
-	}
 	bufSize := cfg.BufferSize
 	if bufSize == 0 {
 		// Fan-in bound: a node receives at most one message per neighbor
@@ -246,7 +238,6 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 				mode:       cfg.Mode,
 				epoch:      epoch,
 				timeout:    cfg.RoundTimeout,
-				codec:      codec,
 				tree:       tree,
 				adj:        adj,
 				aliveCount: len(group),

@@ -101,42 +101,6 @@ func TestTreeClusterMatchesBroadcast(t *testing.T) {
 	}
 }
 
-func TestTreeClusterJSONWireMatchesBinary(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g, err := topology.Ring(5, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := testModels(5, rng)
-	ctx := context.Background()
-	run := func(json bool) ClusterResult {
-		t.Helper()
-		res, err := RunCluster(ctx, ClusterConfig{
-			Graph:  g,
-			Models: models,
-			Init:   uniformInit(5),
-			Alpha:  0.1, Epsilon: 1e-3, MaxRounds: 3000,
-			JSONWire: json,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	bin, jsn := run(false), run(true)
-	for i := range bin.X {
-		if bin.X[i] != jsn.X[i] {
-			t.Errorf("node %d: binary %.17g != json %.17g", i, bin.X[i], jsn.X[i])
-		}
-	}
-	if bin.Rounds != jsn.Rounds || bin.Converged != jsn.Converged {
-		t.Errorf("wire format changed the trajectory: %+v vs %+v", bin, jsn)
-	}
-	if bin.Bill.Bytes >= jsn.Bill.Bytes {
-		t.Errorf("binary bill %d bytes not below JSON %d", bin.Bill.Bytes, jsn.Bill.Bytes)
-	}
-}
-
 func TestSingleNodeCluster(t *testing.T) {
 	g := topology.New(1)
 	res, err := RunCluster(context.Background(), ClusterConfig{

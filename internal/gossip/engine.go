@@ -24,7 +24,6 @@ type nodeConfig struct {
 	mode       Mode
 	epoch      int
 	timeout    time.Duration
-	codec      protocol.Codec
 	tree       *Tree
 	adj        [][]int
 	aliveCount int
@@ -156,7 +155,7 @@ func (e *engine) treeRound(ctx context.Context, round, parent int, children []in
 		if parent < 0 {
 			down = decide(agg, round, pass, e.cfg.epoch, e.cfg.epsilon)
 		} else {
-			up, err := protocol.EncodeAggUp(e.cfg.codec, protocol.AggUp{
+			up, err := protocol.EncodeAggUp(protocol.CodecBinary, protocol.AggUp{
 				Round: round, Pass: pass, Epoch: e.cfg.epoch, Node: e.id, Agg: agg,
 			})
 			if err != nil {
@@ -171,7 +170,7 @@ func (e *engine) treeRound(ctx context.Context, round, parent int, children []in
 			}
 		}
 		if len(children) > 0 {
-			fwd, err := protocol.EncodeAggDown(e.cfg.codec, down)
+			fwd, err := protocol.EncodeAggDown(protocol.CodecBinary, down)
 			if err != nil {
 				return protocol.AggDown{}, 0, false, err
 			}
@@ -246,8 +245,8 @@ func decide(agg protocol.Aggregate, round, pass, epoch int, epsilon float64) pro
 	if agg.Count == 0 {
 		// Every node dropped to the boundary: the step moves nothing and
 		// the spread over an empty set is zero — the broadcast reference
-		// reports convergence here (Avg stays 0 for JSON-safety; no node
-		// reads it on this path).
+		// reports convergence here (Avg stays 0, not NaN, which the wire
+		// rejects; no node reads it on this path).
 		down.Final, down.Converged, down.NoOp = true, true, true
 		return down
 	}

@@ -123,7 +123,7 @@ func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, ha
 		if target >= 0 {
 			sgHi, sgLo, wa = sgHi/2, sgLo/2, wa/2
 			sxHi, sxLo, wn = sxHi/2, sxLo/2, wn/2
-			sharePayload, err = protocol.EncodeGossipShare(e.cfg.codec, protocol.GossipShare{
+			sharePayload, err = protocol.EncodeGossipShare(protocol.GossipShare{
 				Round: round, Tick: tick, Epoch: e.cfg.epoch, Node: e.id,
 				SG: sgHi, SGC: sgLo, WA: wa,
 				SX: sxHi, SXC: sxLo, WN: wn,
@@ -134,7 +134,7 @@ func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, ha
 		}
 		extMsg := ext
 		extMsg.Round, extMsg.Tick, extMsg.Epoch = round, tick, e.cfg.epoch
-		extPayload, err := protocol.EncodeGossipExtrema(e.cfg.codec, extMsg)
+		extPayload, err := protocol.EncodeGossipExtrema(extMsg)
 		if err != nil {
 			return st, err
 		}

@@ -6,11 +6,9 @@ import (
 	"math"
 )
 
-// The binary wire codec. A binary payload is one length-prefixed frame:
+// The wire codec. Every peer message is one length-prefixed frame:
 //
-//	[0] magic 0xFB     — never the first byte of a JSON payload, so
-//	                     Decode auto-detects the codec per message and a
-//	                     JSON-only peer interoperates unchanged
+//	[0] magic 0xFB     — a payload without it is ErrBadMessage
 //	[1] version        — currently BinaryVersion; unknown versions are
 //	                     ErrBadMessage, not a guess
 //	[2] kind code      — one byte per Kind
@@ -18,41 +16,28 @@ import (
 //	[..]  body         — fields in declaration order: signed ints as
 //	                     zigzag varints, counts/ids-with-known-sign as
 //	                     uvarints, float64 as its IEEE-754 bit pattern in
-//	                     8 little-endian bytes (NaN and ±Inf round-trip,
-//	                     unlike JSON), bools as one byte, slices and
-//	                     strings as a uvarint count plus elements
+//	                     8 little-endian bytes, bools as one byte, slices
+//	                     and strings as a uvarint count plus elements
 //
 // The declared body length must match the frame exactly: truncated or
-// over-long frames are ErrBadMessage. The codec has no per-field tags —
-// both sides must agree on the version byte, which is the point of it.
+// over-long frames are ErrBadMessage. Non-finite floats (NaN, ±Inf) are
+// rejected on encode and on decode: no message kind has a meaning for
+// them, and reports received off the wire are checkpointed as JSON,
+// which cannot hold them. The codec has no per-field tags — both sides
+// must agree on the version byte, which is the point of it.
 const (
 	binMagic byte = 0xFB
 	// BinaryVersion is the codec version this build writes and accepts.
 	BinaryVersion byte = 1
 )
 
-// Codec selects a wire encoding for protocol messages. Decode accepts
-// either codec regardless of what the local side writes, so mixed
-// clusters interoperate; the codec choice only controls encoding.
+// Codec names a wire encoding. The binary frame above is the only one;
+// the type remains so EncodeAggUp and EncodeAggDown keep their
+// signatures, and any value but CodecBinary is ErrBadMessage.
 type Codec int
 
-const (
-	// CodecJSON is the original self-describing JSON envelope.
-	CodecJSON Codec = iota
-	// CodecBinary is the length-prefixed binary frame above.
-	CodecBinary
-)
-
-func (c Codec) String() string {
-	switch c {
-	case CodecJSON:
-		return "json"
-	case CodecBinary:
-		return "binary"
-	default:
-		return fmt.Sprintf("Codec(%d)", int(c))
-	}
-}
+// CodecBinary is the length-prefixed binary frame above.
+const CodecBinary Codec = 1
 
 // kind codes, one byte per Kind. Codes are part of the wire format:
 // never renumber, only append.
@@ -88,12 +73,6 @@ var kindToCode = map[Kind]byte{
 	KindGossipExtrema: codeGossipExtrema,
 }
 
-// IsBinary reports whether a payload carries the binary frame magic.
-// Transport layers use it to account codec mix without decoding.
-func IsBinary(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == binMagic
-}
-
 // EncodeBinary serializes an Envelope as one binary frame. Exactly one
 // payload field matching Kind must be non-nil, as with decoded envelopes.
 func EncodeBinary(e Envelope) ([]byte, error) {
@@ -101,7 +80,11 @@ func EncodeBinary(e Envelope) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadMessage, e.Kind)
 	}
-	var w binWriter
+	// The body is written after room for the longest header; the header
+	// then goes right-aligned into that room, so a frame costs one
+	// allocation.
+	const maxHeader = 3 + binary.MaxVarintLen64
+	w := binWriter{buf: make([]byte, maxHeader, 128)}
 	switch e.Kind {
 	case KindReport:
 		if e.Report == nil {
@@ -250,18 +233,26 @@ func EncodeBinary(e Envelope) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadMessage, e.Kind)
 	}
-	frame := make([]byte, 0, len(w.buf)+3+binary.MaxVarintLen64)
-	frame = append(frame, binMagic, BinaryVersion, code)
-	frame = binary.AppendUvarint(frame, uint64(len(w.buf)))
-	frame = append(frame, w.buf...)
+	if w.err != nil {
+		return nil, fmt.Errorf("protocol: encoding %s: %w", e.Kind, w.err)
+	}
+	var size [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(size[:], uint64(len(w.buf)-maxHeader))
+	frame := w.buf[maxHeader-3-n:]
+	frame[0], frame[1], frame[2] = binMagic, BinaryVersion, code
+	copy(frame[3:], size[:n])
 	return frame, nil
 }
 
-// decodeBinary parses one binary frame. The caller has already checked
-// the magic byte.
-func decodeBinary(payload []byte) (Envelope, error) {
+// Decode parses one wire payload, a frame written by EncodeBinary. A
+// payload that is not exactly one well-formed frame of a known version
+// and kind, or that carries a non-finite float, is ErrBadMessage.
+func Decode(payload []byte) (Envelope, error) {
 	if len(payload) < 3 {
-		return Envelope{}, fmt.Errorf("%w: binary frame truncated at %d bytes", ErrBadMessage, len(payload))
+		return Envelope{}, fmt.Errorf("%w: frame truncated at %d bytes", ErrBadMessage, len(payload))
+	}
+	if payload[0] != binMagic {
+		return Envelope{}, fmt.Errorf("%w: frame starts with %#x, not the magic %#x", ErrBadMessage, payload[0], binMagic)
 	}
 	if payload[1] != BinaryVersion {
 		return Envelope{}, fmt.Errorf("%w: binary frame version %d, want %d", ErrBadMessage, payload[1], BinaryVersion)
@@ -411,15 +402,19 @@ func decodeBinaryBody(code byte, r *binReader) (Envelope, error) {
 	}
 }
 
-// binWriter accumulates a frame body.
+// binWriter accumulates a frame body, latching the first error.
 type binWriter struct {
 	buf []byte
+	err error
 }
 
 func (w *binWriter) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
 func (w *binWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
 func (w *binWriter) float(v float64) {
+	if w.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		w.err = fmt.Errorf("%w: non-finite float %v", ErrBadMessage, v)
+	}
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
@@ -530,6 +525,10 @@ func (r *binReader) float() float64 {
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		r.err = fmt.Errorf("%w: non-finite float %v at byte %d", ErrBadMessage, v, r.off)
+		return 0
+	}
 	r.off += 8
 	return v
 }

@@ -2,20 +2,20 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 )
 
 // binarySeedEnvelopes covers every message kind with representative
 // values: negative ints, zero-length and multi-element slices, strings,
-// and (for float fields) NaN and ±Inf, which the JSON codec cannot carry
-// but the binary codec must.
+// and extreme finite floats. Non-finite floats are rejected; see
+// nonFiniteCases.
 func binarySeedEnvelopes() []Envelope {
 	return []Envelope{
 		{Kind: KindReport, Report: &Report{Round: 7, Node: 3, Marginal: -12.25, Alloc: 0.125, Curvature: -0.5, Planned: 0xDEADBEEF}},
-		{Kind: KindReport, Report: &Report{Round: 0, Node: 0, Marginal: math.NaN(), Alloc: math.Inf(1), Curvature: math.Inf(-1)}},
+		{Kind: KindReport, Report: &Report{Round: 0, Node: 0, Marginal: -math.MaxFloat64, Alloc: 5e-324, Curvature: math.Copysign(0, -1), Planned: 1 << 63}},
 		{Kind: KindUpdate, Update: &Update{Round: 9, Delta: []float64{0.1, -0.1, 0}, Done: true}},
 		{Kind: KindUpdate, Update: &Update{Round: -1, Delta: nil}},
 		{Kind: KindVectorReport, Vector: &VectorReport{Round: 3, Node: 1, Marginals: []float64{-1, -2}, Allocs: []float64{0.5, 0.5}}},
@@ -39,7 +39,7 @@ func binarySeedEnvelopes() []Envelope {
 }
 
 // envelopesBitEqual compares decoded envelopes through their canonical
-// binary encoding, so NaN payloads compare equal bit-for-bit.
+// binary encoding, so -0 and +0 payloads compare unequal.
 func envelopesBitEqual(t *testing.T, a, b Envelope) bool {
 	t.Helper()
 	ea, err := EncodeBinary(a)
@@ -53,15 +53,15 @@ func envelopesBitEqual(t *testing.T, a, b Envelope) bool {
 	return bytes.Equal(ea, eb)
 }
 
-// TestBinaryRoundTrip pins decode(encode(m)) == m for every kind,
-// including NaN/Inf float payloads.
+// TestBinaryRoundTrip pins decode(encode(m)) == m bit for bit for every
+// kind.
 func TestBinaryRoundTrip(t *testing.T) {
 	for _, env := range binarySeedEnvelopes() {
 		frame, err := EncodeBinary(env)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", env.Kind, err)
 		}
-		if !IsBinary(frame) {
+		if frame[0] != binMagic {
 			t.Fatalf("%s: encoded frame does not start with the binary magic", env.Kind)
 		}
 		got, err := Decode(frame)
@@ -133,75 +133,112 @@ func TestBinaryRejectsBadFrames(t *testing.T) {
 	}
 }
 
-// TestJSONBinaryCrossEquivalence pins codec interchangeability: for every
-// kind (with JSON-representable values), the JSON encoding and the binary
-// encoding of the same message decode to identical envelopes — so a
-// binary-speaking node and a JSON-speaking node see the same protocol.
-func TestJSONBinaryCrossEquivalence(t *testing.T) {
-	for _, env := range binarySeedEnvelopes() {
-		if !jsonRepresentable(env) {
-			continue
-		}
-		jsonBytes, err := marshal(CodecJSON, env)
-		if err != nil {
-			t.Fatalf("%s: JSON encode: %v", env.Kind, err)
-		}
-		binBytes, err := marshal(CodecBinary, env)
-		if err != nil {
-			t.Fatalf("%s: binary encode: %v", env.Kind, err)
-		}
-		if IsBinary(jsonBytes) {
-			t.Fatalf("%s: JSON payload detected as binary", env.Kind)
-		}
-		fromJSON, err := Decode(jsonBytes)
-		if err != nil {
-			t.Fatalf("%s: decoding JSON form: %v", env.Kind, err)
-		}
-		fromBin, err := Decode(binBytes)
-		if err != nil {
-			t.Fatalf("%s: decoding binary form: %v", env.Kind, err)
-		}
-		if !reflect.DeepEqual(fromJSON, fromBin) {
-			t.Errorf("%s: codecs disagree:\n  json:   %+v\n  binary: %+v", env.Kind, fromJSON, fromBin)
-		}
+// nonFiniteSentinel is a finite value that appears in no frame built by
+// nonFiniteCases except where a case puts it.
+const nonFiniteSentinel = 1234.5678
+
+// nonFiniteCases builds, for every kind with float fields, envelopes
+// whose one marked float field holds v.
+func nonFiniteCases() map[string]func(v float64) Envelope {
+	return map[string]func(v float64) Envelope{
+		"report marginal":  func(v float64) Envelope { return Envelope{Kind: KindReport, Report: &Report{Marginal: v}} },
+		"report alloc":     func(v float64) Envelope { return Envelope{Kind: KindReport, Report: &Report{Alloc: v}} },
+		"report curvature": func(v float64) Envelope { return Envelope{Kind: KindReport, Report: &Report{Curvature: v}} },
+		"update delta":     func(v float64) Envelope { return Envelope{Kind: KindUpdate, Update: &Update{Delta: []float64{0, v}}} },
+		"vector marginals": func(v float64) Envelope {
+			return Envelope{Kind: KindVectorReport, Vector: &VectorReport{Marginals: []float64{v}, Allocs: []float64{1}}}
+		},
+		"vector allocs": func(v float64) Envelope {
+			return Envelope{Kind: KindVectorReport, Vector: &VectorReport{Marginals: []float64{1}, Allocs: []float64{v}}}
+		},
+		"access t":    func(v float64) Envelope { return Envelope{Kind: KindAccess, Access: &Access{T: v}} },
+		"plan x":      func(v float64) Envelope { return Envelope{Kind: KindPlan, Plan: &Plan{X: []float64{v}}} },
+		"plan lambda": func(v float64) Envelope { return Envelope{Kind: KindPlan, Plan: &Plan{Lambda: v}} },
+		"plan q":      func(v float64) Envelope { return Envelope{Kind: KindPlan, Plan: &Plan{Q: v}} },
+		"ping t":      func(v float64) Envelope { return Envelope{Kind: KindPing, Ping: &Ping{T: v}} },
+		"pong rates":  func(v float64) Envelope { return Envelope{Kind: KindPong, Pong: &Pong{Rates: []float64{v}}} },
+		"agg-up sum":  func(v float64) Envelope { return Envelope{Kind: KindAggUp, AggUp: &AggUp{Agg: Aggregate{SumG: v}}} },
+		"agg-up ratio": func(v float64) Envelope {
+			return Envelope{Kind: KindAggUp, AggUp: &AggUp{Agg: Aggregate{MinRatio: v}}}
+		},
+		"agg-down avg":    func(v float64) Envelope { return Envelope{Kind: KindAggDown, AggDown: &AggDown{Avg: v}} },
+		"agg-down renorm": func(v float64) Envelope { return Envelope{Kind: KindAggDown, AggDown: &AggDown{Renorm: v}} },
+		"share sg":        func(v float64) Envelope { return Envelope{Kind: KindGossipShare, GossipShare: &GossipShare{SG: v}} },
+		"share wn":        func(v float64) Envelope { return Envelope{Kind: KindGossipShare, GossipShare: &GossipShare{WN: v}} },
+		"extrema int": func(v float64) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasInt: true, IntMinG: v}}
+		},
+		"extrema out": func(v float64) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasOut: true, OutG: v}}
+		},
 	}
 }
 
-// jsonRepresentable reports whether the envelope survives encoding/json
-// (which rejects NaN and ±Inf).
-func jsonRepresentable(env Envelope) bool {
-	_, err := encodeJSONEnvelope(env)
-	return err == nil
+// withFloat returns frame with the bytes of nonFiniteSentinel replaced
+// by the bit pattern of v.
+func withFloat(frame []byte, v float64) []byte {
+	return bytes.Replace(frame, floatBytes(nonFiniteSentinel), floatBytes(v), 1)
 }
 
-// TestGossipKindEncoders pins the per-kind gossip encoders and RoundOf
-// coverage of the new kinds in both codecs.
-func TestGossipKindEncoders(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		up, err := EncodeAggUp(codec, AggUp{Round: 11, Pass: 1, Node: 2, Agg: Aggregate{Count: 3, OutNode: -1}})
+func floatBytes(v float64) []byte {
+	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))
+}
+
+// TestBinaryRejectsNonFiniteFloats pins that NaN and ±Inf never cross
+// the wire in either direction: encoding one is ErrBadMessage, and so
+// is decoding a hand-built frame that carries one.
+func TestBinaryRejectsNonFiniteFloats(t *testing.T) {
+	sentinel := floatBytes(nonFiniteSentinel)
+	for name, build := range nonFiniteCases() {
+		good, err := EncodeBinary(build(nonFiniteSentinel))
 		if err != nil {
-			t.Fatalf("%v: EncodeAggUp: %v", codec, err)
+			t.Fatalf("%s: encoding the finite sentinel: %v", name, err)
 		}
-		down, err := EncodeAggDown(codec, AggDown{Round: 11, Pass: 1, Avg: -2, Count: 3, Readmit: -1})
-		if err != nil {
-			t.Fatalf("%v: EncodeAggDown: %v", codec, err)
+		if bytes.Count(good, sentinel) != 1 {
+			t.Fatalf("%s: sentinel appears %d times in the frame", name, bytes.Count(good, sentinel))
 		}
-		share, err := EncodeGossipShare(codec, GossipShare{Round: 11, Tick: 2, Node: 1, SG: -1, WA: 1, SX: 0.5, WN: 1})
-		if err != nil {
-			t.Fatalf("%v: EncodeGossipShare: %v", codec, err)
-		}
-		ext, err := EncodeGossipExtrema(codec, GossipExtrema{Round: 11, Tick: 2, Node: 1, OutNode: -1})
-		if err != nil {
-			t.Fatalf("%v: EncodeGossipExtrema: %v", codec, err)
-		}
-		for name, payload := range map[string][]byte{"agg-up": up, "agg-down": down, "share": share, "extrema": ext} {
-			round, ok := RoundOf(payload)
-			if !ok || round != 11 {
-				t.Errorf("%v %s: RoundOf = (%d, %v), want (11, true)", codec, name, round, ok)
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := EncodeBinary(build(bad)); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("%s: encoding %v: err=%v, want ErrBadMessage", name, bad, err)
+			}
+			if _, err := Decode(withFloat(good, bad)); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("%s: decoding %v: err=%v, want ErrBadMessage", name, bad, err)
 			}
 		}
 	}
-	if _, err := marshal(Codec(99), Envelope{Kind: KindPing, Ping: &Ping{}}); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("unknown codec: err=%v, want ErrBadMessage", err)
+}
+
+// TestGossipKindEncoders pins the per-kind gossip encoders and RoundOf
+// coverage of the aggregation kinds.
+func TestGossipKindEncoders(t *testing.T) {
+	up, err := EncodeAggUp(CodecBinary, AggUp{Round: 11, Pass: 1, Node: 2, Agg: Aggregate{Count: 3, OutNode: -1}})
+	if err != nil {
+		t.Fatalf("EncodeAggUp: %v", err)
+	}
+	down, err := EncodeAggDown(CodecBinary, AggDown{Round: 11, Pass: 1, Avg: -2, Count: 3, Readmit: -1})
+	if err != nil {
+		t.Fatalf("EncodeAggDown: %v", err)
+	}
+	share, err := EncodeGossipShare(GossipShare{Round: 11, Tick: 2, Node: 1, SG: -1, WA: 1, SX: 0.5, WN: 1})
+	if err != nil {
+		t.Fatalf("EncodeGossipShare: %v", err)
+	}
+	ext, err := EncodeGossipExtrema(GossipExtrema{Round: 11, Tick: 2, Node: 1, OutNode: -1})
+	if err != nil {
+		t.Fatalf("EncodeGossipExtrema: %v", err)
+	}
+	for name, payload := range map[string][]byte{"agg-up": up, "agg-down": down, "share": share, "extrema": ext} {
+		round, ok := RoundOf(payload)
+		if !ok || round != 11 {
+			t.Errorf("%s: RoundOf = (%d, %v), want (11, true)", name, round, ok)
+		}
+	}
+	for _, c := range []Codec{0, 2, 99} {
+		if _, err := EncodeAggUp(c, AggUp{}); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("EncodeAggUp with codec %d: err=%v, want ErrBadMessage", c, err)
+		}
+		if _, err := EncodeAggDown(c, AggDown{}); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("EncodeAggDown with codec %d: err=%v, want ErrBadMessage", c, err)
+		}
 	}
 }

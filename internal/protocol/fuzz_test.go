@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -40,8 +41,8 @@ func checkEnvelope(t *testing.T, env Envelope) {
 }
 
 // FuzzDecode feeds arbitrary bytes to the wire decoder: it must never
-// panic, and whatever it accepts — JSON envelope or binary frame — must
-// carry a consistent envelope.
+// panic, whatever it rejects must be ErrBadMessage, and whatever it
+// accepts must carry a consistent envelope.
 func FuzzDecode(f *testing.F) {
 	seed, err := EncodeReport(Report{Round: 1, Node: 2, Marginal: -3.5, Alloc: 0.25})
 	if err != nil {
@@ -72,6 +73,9 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		env, err := Decode(payload)
 		if err != nil {
+			if !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("decode failed with a non-ErrBadMessage error: %v", err)
+			}
 			return
 		}
 		checkEnvelope(t, env)
@@ -81,9 +85,8 @@ func FuzzDecode(f *testing.F) {
 // FuzzBinaryCodec is the binary round-trip target: arbitrary bytes must
 // never panic the decoder, every accepted frame must survive
 // decode→encode→decode with byte-identical canonical encoding (which
-// covers NaN/Inf payloads byte-for-byte, where reflect.DeepEqual cannot),
-// and every truncation of a valid frame must be rejected as
-// ErrBadMessage.
+// tells -0 from +0, where == cannot), and every truncation of a valid
+// frame must be rejected as ErrBadMessage.
 func FuzzBinaryCodec(f *testing.F) {
 	for _, env := range binarySeedEnvelopes() {
 		frame, err := EncodeBinary(env)
@@ -91,6 +94,13 @@ func FuzzBinaryCodec(f *testing.F) {
 			f.Fatalf("seeding %s: %v", env.Kind, err)
 		}
 		f.Add(frame)
+	}
+	for name, build := range nonFiniteCases() {
+		frame, err := EncodeBinary(build(nonFiniteSentinel))
+		if err != nil {
+			f.Fatalf("seeding %s: %v", name, err)
+		}
+		f.Add(withFloat(frame, math.NaN()))
 	}
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, BinaryVersion})
@@ -100,15 +110,12 @@ func FuzzBinaryCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		env, err := Decode(payload)
 		if err != nil {
-			if IsBinary(payload) && !errors.Is(err, ErrBadMessage) {
+			if !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("binary decode failed with a non-ErrBadMessage error: %v", err)
 			}
 			return
 		}
 		checkEnvelope(t, env)
-		if !IsBinary(payload) {
-			return
-		}
 		// Canonical round trip: re-encoding the decoded envelope must
 		// reproduce itself exactly.
 		enc1, err := EncodeBinary(env)

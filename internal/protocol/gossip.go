@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Aggregation-plane messages. The gossip package replaces the O(N²)
 // broadcast round with tree or gossip aggregation: the round's step only
@@ -13,7 +10,7 @@ import (
 // compensation) so the combined mean stays within 1 ulp of the exact
 // mean whatever the combine order; optional extrema travel with explicit
 // presence fields (BoundCount, OutNode, HasInt, ...) instead of ±Inf
-// sentinels so the JSON fallback encoding stays valid.
+// sentinels, because the wire codec rejects non-finite floats.
 const (
 	// KindAggUp carries a subtree's partial aggregate toward the root of
 	// the spanning tree.
@@ -156,58 +153,30 @@ type GossipExtrema struct {
 	OutNode int     `json:"out_node"`
 }
 
-// EncodeAggUp serializes an AggUp with the given codec.
+// EncodeAggUp serializes an AggUp; c must be CodecBinary.
 func EncodeAggUp(c Codec, m AggUp) ([]byte, error) {
-	return marshal(c, Envelope{Kind: KindAggUp, AggUp: &m})
+	return encodeWith(c, Envelope{Kind: KindAggUp, AggUp: &m})
 }
 
-// EncodeAggDown serializes an AggDown with the given codec.
+// EncodeAggDown serializes an AggDown; c must be CodecBinary.
 func EncodeAggDown(c Codec, m AggDown) ([]byte, error) {
-	return marshal(c, Envelope{Kind: KindAggDown, AggDown: &m})
+	return encodeWith(c, Envelope{Kind: KindAggDown, AggDown: &m})
 }
 
-// EncodeGossipShare serializes a GossipShare with the given codec.
-func EncodeGossipShare(c Codec, m GossipShare) ([]byte, error) {
-	return marshal(c, Envelope{Kind: KindGossipShare, GossipShare: &m})
+// EncodeGossipShare serializes a GossipShare.
+func EncodeGossipShare(m GossipShare) ([]byte, error) {
+	return EncodeBinary(Envelope{Kind: KindGossipShare, GossipShare: &m})
 }
 
-// EncodeGossipExtrema serializes a GossipExtrema with the given codec.
-func EncodeGossipExtrema(c Codec, m GossipExtrema) ([]byte, error) {
-	return marshal(c, Envelope{Kind: KindGossipExtrema, GossipExtrema: &m})
+// EncodeGossipExtrema serializes a GossipExtrema.
+func EncodeGossipExtrema(m GossipExtrema) ([]byte, error) {
+	return EncodeBinary(Envelope{Kind: KindGossipExtrema, GossipExtrema: &m})
 }
 
-// marshal dispatches on the codec.
-func marshal(c Codec, env Envelope) ([]byte, error) {
-	switch c {
-	case CodecBinary:
-		return EncodeBinary(env)
-	case CodecJSON:
-		return encodeJSONEnvelope(env)
-	default:
+// encodeWith checks the codec, then encodes.
+func encodeWith(c Codec, env Envelope) ([]byte, error) {
+	if c != CodecBinary {
 		return nil, fmt.Errorf("%w: unknown codec %d", ErrBadMessage, int(c))
 	}
-}
-
-// encodeJSONEnvelope serializes an Envelope in the JSON wire form.
-func encodeJSONEnvelope(e Envelope) ([]byte, error) {
-	b, err := json.Marshal(envelope{
-		Kind:          e.Kind,
-		Report:        e.Report,
-		Update:        e.Update,
-		Vector:        e.Vector,
-		Access:        e.Access,
-		AccessReply:   e.AccessReply,
-		Plan:          e.Plan,
-		PlanAck:       e.PlanAck,
-		Ping:          e.Ping,
-		Pong:          e.Pong,
-		AggUp:         e.AggUp,
-		AggDown:       e.AggDown,
-		GossipShare:   e.GossipShare,
-		GossipExtrema: e.GossipExtrema,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding %s: %w", e.Kind, err)
-	}
-	return b, nil
+	return EncodeBinary(env)
 }

@@ -8,7 +8,6 @@
 package protocol
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -78,25 +77,6 @@ type VectorReport struct {
 	Allocs    []float64 `json:"allocs"`
 }
 
-// envelope wraps a message with its kind for wire framing.
-type envelope struct {
-	Kind          Kind            `json:"kind"`
-	Report        *Report         `json:"report,omitempty"`
-	Update        *Update         `json:"update,omitempty"`
-	Vector        *VectorReport   `json:"vector,omitempty"`
-	Access        *Access         `json:"access,omitempty"`
-	AccessReply   *AccessReply    `json:"access_reply,omitempty"`
-	Plan          *Plan           `json:"plan,omitempty"`
-	PlanAck       *PlanAck        `json:"plan_ack,omitempty"`
-	Ping          *Ping           `json:"ping,omitempty"`
-	Pong          *Pong           `json:"pong,omitempty"`
-	AggUp         *AggUp          `json:"agg_up,omitempty"`
-	AggDown       *AggDown        `json:"agg_down,omitempty"`
-	GossipShare   *GossipShare    `json:"gossip_share,omitempty"`
-	GossipExtrema *GossipExtrema  `json:"gossip_extrema,omitempty"`
-	Extra         json.RawMessage `json:"extra,omitempty"`
-}
-
 // Envelope is a decoded wire message: exactly one of the payload fields
 // matching Kind is non-nil.
 type Envelope struct {
@@ -118,82 +98,17 @@ type Envelope struct {
 
 // EncodeReport serializes a Report.
 func EncodeReport(r Report) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindReport, Report: &r})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding report: %w", err)
-	}
-	return b, nil
+	return EncodeBinary(Envelope{Kind: KindReport, Report: &r})
 }
 
 // EncodeUpdate serializes an Update.
 func EncodeUpdate(u Update) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindUpdate, Update: &u})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding update: %w", err)
-	}
-	return b, nil
+	return EncodeBinary(Envelope{Kind: KindUpdate, Update: &u})
 }
 
 // EncodeVectorReport serializes a VectorReport.
 func EncodeVectorReport(v VectorReport) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindVectorReport, Vector: &v})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding vector report: %w", err)
-	}
-	return b, nil
-}
-
-// Decode parses a wire payload, auto-detecting the codec: a frame
-// starting with the binary magic byte is decoded binary, anything else
-// falls back to the JSON envelope. That per-message detection is the
-// negotiation story — a peer that only speaks JSON is understood without
-// configuration, whatever the local side writes.
-func Decode(payload []byte) (Envelope, error) {
-	if IsBinary(payload) {
-		return decodeBinary(payload)
-	}
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return Envelope{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
-	}
-	// Only the body matching Kind is kept: exactly one payload field of
-	// the result is non-nil.
-	out := Envelope{Kind: env.Kind}
-	var body bool
-	switch env.Kind {
-	case KindReport:
-		out.Report, body = env.Report, env.Report != nil
-	case KindUpdate:
-		out.Update, body = env.Update, env.Update != nil
-	case KindVectorReport:
-		out.Vector, body = env.Vector, env.Vector != nil
-	case KindAccess:
-		out.Access, body = env.Access, env.Access != nil
-	case KindAccessReply:
-		out.AccessReply, body = env.AccessReply, env.AccessReply != nil
-	case KindPlan:
-		out.Plan, body = env.Plan, env.Plan != nil
-	case KindPlanAck:
-		out.PlanAck, body = env.PlanAck, env.PlanAck != nil
-	case KindPing:
-		out.Ping, body = env.Ping, env.Ping != nil
-	case KindPong:
-		out.Pong, body = env.Pong, env.Pong != nil
-	case KindAggUp:
-		out.AggUp, body = env.AggUp, env.AggUp != nil
-	case KindAggDown:
-		out.AggDown, body = env.AggDown, env.AggDown != nil
-	case KindGossipShare:
-		out.GossipShare, body = env.GossipShare, env.GossipShare != nil
-	case KindGossipExtrema:
-		out.GossipExtrema, body = env.GossipExtrema, env.GossipExtrema != nil
-	default:
-		return Envelope{}, fmt.Errorf("%w: unknown kind %q", ErrBadMessage, env.Kind)
-	}
-	if !body {
-		return Envelope{}, fmt.Errorf("%w: %s envelope without body", ErrBadMessage, env.Kind)
-	}
-	return out, nil
+	return EncodeBinary(Envelope{Kind: KindVectorReport, Vector: &v})
 }
 
 // RoundOf extracts the round number carried by an encoded protocol

@@ -25,8 +25,8 @@ func TestReportRoundTrip(t *testing.T) {
 
 func TestReportFloatExactness(t *testing.T) {
 	// The protocol's determinism depends on float64 values surviving the
-	// wire bit-exactly; Go's JSON encoder guarantees shortest
-	// round-tripping representations.
+	// wire bit-exactly; the codec carries each one as its IEEE-754 bit
+	// pattern.
 	values := []float64{
 		-2.9387528349794507,
 		1.0 / 3,

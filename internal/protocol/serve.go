@@ -1,10 +1,5 @@
 package protocol
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
 // Serving-plane messages. The batch protocol (report/update) computes an
 // allocation once; these kinds keep a converged cluster *serving*: access
 // requests routed by the current plan, heartbeats feeding a failure
@@ -99,56 +94,32 @@ type Pong struct {
 
 // EncodeAccess serializes an Access.
 func EncodeAccess(a Access) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindAccess, Access: &a})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding access: %w", err)
-	}
-	return b, nil
+	return EncodeBinary(Envelope{Kind: KindAccess, Access: &a})
 }
 
 // EncodeAccessReply serializes an AccessReply.
 func EncodeAccessReply(a AccessReply) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindAccessReply, AccessReply: &a})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding access reply: %w", err)
-	}
-	return b, nil
+	return EncodeBinary(Envelope{Kind: KindAccessReply, AccessReply: &a})
 }
 
 // EncodePlan serializes a Plan.
 func EncodePlan(p Plan) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindPlan, Plan: &p})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding plan: %w", err)
-	}
-	return b, nil
+	return EncodeBinary(Envelope{Kind: KindPlan, Plan: &p})
 }
 
 // EncodePlanAck serializes a PlanAck.
-func EncodePlanAck(a PlanAck) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindPlanAck, PlanAck: &a})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding plan ack: %w", err)
-	}
-	return b, nil
+func EncodePlanAck(p PlanAck) ([]byte, error) {
+	return EncodeBinary(Envelope{Kind: KindPlanAck, PlanAck: &p})
 }
 
 // EncodePing serializes a Ping.
 func EncodePing(p Ping) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindPing, Ping: &p})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding ping: %w", err)
-	}
-	return b, nil
+	return EncodeBinary(Envelope{Kind: KindPing, Ping: &p})
 }
 
 // EncodePong serializes a Pong.
 func EncodePong(p Pong) ([]byte, error) {
-	b, err := json.Marshal(envelope{Kind: KindPong, Pong: &p})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: encoding pong: %w", err)
-	}
-	return b, nil
+	return EncodeBinary(Envelope{Kind: KindPong, Pong: &p})
 }
 
 // ReplyIDOf extracts the correlation ID from an encoded *reply* payload

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,5 +72,58 @@ func TestCheckpointFileFormatPinned(t *testing.T) {
 				t.Errorf("MemStore checkpoint %s differs from the Store file %s", mb, b)
 			}
 		})
+	}
+}
+
+// TestEarlyReportsSurviveWireAndCheckpoint covers the one place where
+// JSON still meets the wire: reports decoded off the wire are kept as a
+// checkpoint's early reports. For finite values, the path wire bytes →
+// protocol.Decode → Checkpoint.Early → Store file →
+// Checkpoint.State().Early must return every report bit for bit.
+// Curvature is omitempty in JSON, so a -0 there would reload as +0;
+// -0 is therefore placed in the fields that always encode.
+func TestEarlyReportsSurviveWireAndCheckpoint(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sent := []protocol.Report{
+		{Round: 7, Node: 0, Marginal: 5e-324, Alloc: negZero, Curvature: 1.0 / 3, Planned: 1<<63 | 0b1011},
+		{Round: 7, Node: 2, Marginal: negZero, Alloc: 1.0 / 3, Curvature: 5e-324, Planned: 1 << 63},
+		{Round: 7, Node: 3, Marginal: -1.0 / 3, Alloc: 5e-324, Curvature: -5e-324, Planned: math.MaxUint64},
+	}
+	var early []protocol.Report
+	for _, r := range sent {
+		wire, err := protocol.EncodeReport(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := protocol.Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		early = append(early, *env.Report)
+	}
+	s, err := NewStore(t.TempDir(), 1, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := []float64{0.25, 0.25, 0.25, 0.25}
+	st := agent.RoundState{Round: 7, X: 0.25, FullX: xs, Alive: []bool{true, true, true, true}, Planned: 0b1111, Early: early}
+	if err := s.SaveRound(st); err != nil {
+		t.Fatal(err)
+	}
+	c, ok, err := s.Latest()
+	if err != nil || !ok {
+		t.Fatalf("Latest = ok %v, err %v", ok, err)
+	}
+	got := c.State().Early
+	if len(got) != len(sent) {
+		t.Fatalf("restored %d early reports, want %d", len(got), len(sent))
+	}
+	bits := math.Float64bits
+	for i, w := range sent {
+		g := got[i]
+		if g.Round != w.Round || g.Node != w.Node || g.Planned != w.Planned ||
+			bits(g.Marginal) != bits(w.Marginal) || bits(g.Alloc) != bits(w.Alloc) || bits(g.Curvature) != bits(w.Curvature) {
+			t.Errorf("report %d: restored %+v, want %+v bit for bit", i, g, w)
+		}
 	}
 }

@@ -7,12 +7,11 @@ import (
 	"sync"
 )
 
-// batchMagic marks a coalesced batch payload. It collides with neither
-// the JSON wire form (first byte '{') nor the protocol binary codec's
-// magic (0xFB), so a Coalescer's Recv can split batches while passing
-// single messages through untouched — and a plain endpoint on the far
-// side of a non-coalescing peer never sees the batch form at all unless
-// both sides agreed to wrap.
+// batchMagic marks a coalesced batch payload. It differs from the
+// protocol codec's magic (0xFB), so a Coalescer's Recv can split batches
+// while passing single messages through untouched — and a plain endpoint
+// on the far side of a non-coalescing peer never sees the batch form at
+// all unless both sides agreed to wrap.
 const batchMagic = 0xFA
 
 // maxBatchParts bounds how many sub-messages one batch may claim,

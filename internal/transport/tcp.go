@@ -3,9 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,25 +16,16 @@ import (
 // goroutines block (exerting TCP back-pressure) when it is full.
 const tcpInboxSize = 1024
 
-// defaultMaxFrameBytes bounds a single frame on the wire (JSON line or
-// binary body).
+// defaultMaxFrameBytes bounds a single frame body on the wire.
 const defaultMaxFrameBytes = 16 * 1024 * 1024
 
-// tcpBinMagic opens a length-prefixed binary wire frame. It can never be
-// the first byte of a JSON-line frame ('{'), so a reader peeking one
-// byte can demultiplex the two framings on the same connection.
-const tcpBinMagic = 0xFD
-
-// wireFrame is one JSON line on a TCP connection.
-type wireFrame struct {
-	From    int    `json:"from"`
-	Payload string `json:"payload"` // base64
-}
+// tcpFrameMagic opens every wire frame.
+const tcpFrameMagic = 0xFD
 
 // tcpConn pairs a cached outgoing connection with a write mutex so that
 // concurrent Sends to the same peer emit whole frames: net.Conn.Write is
 // goroutine-safe but gives no atomicity across calls, and an interleaved
-// JSON line corrupts the stream for every later message.
+// frame corrupts the stream for every later message.
 type tcpConn struct {
 	mu sync.Mutex
 	c  net.Conn
@@ -60,22 +49,14 @@ func WithMaxFrameBytes(n int) TCPOption {
 	return func(e *TCPEndpoint) { e.maxFrameBytes = n }
 }
 
-// WithBinaryFraming makes the endpoint prefer length-prefixed binary
-// wire frames over JSON lines. Negotiation is per peer: on dialing a
-// peer the endpoint announces itself with a binary hello frame, and it
-// upgrades its own sends to a peer only after that peer has demonstrated
-// binary framing on an inbound connection. Until then — and against
-// endpoints that never speak binary — every send falls back to the
-// JSON-line framing, so mixed clusters interoperate frame by frame.
-func WithBinaryFraming() TCPOption {
-	return func(e *TCPEndpoint) { e.preferBinary = true }
-}
-
 // TCPEndpoint connects one node of the allocation protocol to its peers
-// over TCP. Two framings share each connection, demultiplexed by the
-// first byte: legacy JSON lines and length-prefixed binary frames (see
-// WithBinaryFraming). Outgoing connections are dialed lazily and cached;
-// every accepted connection feeds a shared inbox.
+// over TCP. Every message travels as one length-prefixed frame,
+// [0xFD][uvarint len][uvarint from][payload], where len counts the
+// sender id and the payload. Outgoing connections are dialed lazily and
+// cached; every accepted connection feeds a shared inbox. A malformed
+// frame cannot be skipped, because its length prefix cannot be trusted:
+// the reader drops that connection and reports the error to the
+// WithReadErrorHook callback, while other connections keep delivering.
 type TCPEndpoint struct {
 	id    int
 	addrs []string
@@ -83,12 +64,10 @@ type TCPEndpoint struct {
 
 	maxFrameBytes int
 	readErrHook   func(remote string, err error)
-	preferBinary  bool
 
-	mu       sync.Mutex
-	conns    map[int]*tcpConn
-	binPeers map[int]bool
-	wg       sync.WaitGroup
+	mu    sync.Mutex
+	conns map[int]*tcpConn
+	wg    sync.WaitGroup
 
 	inbox chan Message
 
@@ -111,7 +90,6 @@ func ListenTCP(id int, addrs []string, opts ...TCPOption) (*TCPEndpoint, error) 
 		addrs:         append([]string(nil), addrs...),
 		maxFrameBytes: defaultMaxFrameBytes,
 		conns:         make(map[int]*tcpConn),
-		binPeers:      make(map[int]bool),
 		inbox:         make(chan Message, tcpInboxSize),
 		done:          make(chan struct{}),
 	}
@@ -169,51 +147,25 @@ func (e *TCPEndpoint) acceptLoop() {
 func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer conn.Close() //fap:ignore errdrop best-effort close of a read-side socket
-	// Close the connection when the endpoint shuts down so the scanner
+	// Close the connection when the endpoint shuts down so the reader
 	// unblocks.
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
 		select {
 		case <-e.done:
-			conn.Close() //fap:ignore errdrop best-effort close that unblocks the scanner below
+			conn.Close() //fap:ignore errdrop best-effort close that unblocks the reader below
 		case <-stop:
 		}
 	}()
 
-	// Mixed-framing read loop: peek one byte to tell a binary frame
-	// (tcpBinMagic) from a JSON line ('{' or anything else), then consume
-	// exactly one frame of that kind. Both framings may interleave freely
-	// on one connection, so a peer can upgrade mid-stream.
 	r := bufio.NewReader(conn)
 	var readErr error
 	for {
-		head, err := r.Peek(1)
+		from, payload, err := readFrame(r, e.maxFrameBytes, len(e.addrs))
 		if err != nil {
 			readErr = err
 			break
-		}
-		var from int
-		var payload []byte
-		if head[0] == tcpBinMagic {
-			from, payload, err = e.readBinaryFrame(r)
-			if err != nil {
-				readErr = err
-				break
-			}
-			e.markBinaryPeer(from)
-			if payload == nil {
-				continue // hello frame: capability announcement only
-			}
-		} else {
-			from, payload, err = e.readJSONFrame(r)
-			if err != nil {
-				readErr = err
-				break
-			}
-			if payload == nil {
-				continue // malformed line skipped; rounds are idempotent per peer
-			}
 		}
 		select {
 		case e.inbox <- Message{From: from, Payload: payload}:
@@ -221,10 +173,11 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 			return
 		}
 	}
-	// A read error (oversized frame, mid-stream failure) means this
-	// peer's messages silently stop arriving; surface it so the operator
-	// sees more than an eventual round timeout. EOF and shutdown close
-	// the connection deliberately — not errors worth reporting.
+	// A read error (malformed or oversized frame, mid-stream failure)
+	// means this peer's messages silently stop arriving; surface it so
+	// the operator sees more than an eventual round timeout. EOF and
+	// shutdown close the connection deliberately — not errors worth
+	// reporting.
 	if readErr != nil && !errors.Is(readErr, io.EOF) && e.readErrHook != nil {
 		select {
 		case <-e.done:
@@ -234,81 +187,38 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// readBinaryFrame consumes one [magic][uvarint len][uvarint from][payload]
-// frame. A frame whose body is just the sender id is a hello: it returns
-// a nil payload. Frame-shape violations are errors (the stream cannot be
-// resynchronized after a bad length prefix).
-func (e *TCPEndpoint) readBinaryFrame(r *bufio.Reader) (int, []byte, error) {
-	if _, err := r.ReadByte(); err != nil { // magic, already peeked
+// readFrame consumes one [magic][uvarint len][uvarint from][payload]
+// frame. The length is checked against limit before the body is
+// allocated, and the sender id against peers. io.EOF at a frame boundary
+// is a clean close; anything else wrong with the frame is an error.
+func readFrame(r *bufio.Reader, limit, peers int) (int, []byte, error) {
+	magic, err := r.ReadByte()
+	if err != nil {
 		return 0, nil, err
+	}
+	if magic != tcpFrameMagic {
+		return 0, nil, fmt.Errorf("transport: frame starts with %#x, not %#x", magic, tcpFrameMagic)
 	}
 	size, err := binary.ReadUvarint(r)
+	if err == nil && size > uint64(limit) {
+		return 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit %d: %w", size, limit, bufio.ErrTooLong)
+	}
+	var body []byte
+	if err == nil {
+		body = make([]byte, size)
+		_, err = io.ReadFull(r, body)
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the magic was read, so the frame is cut short
+	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("transport: reading binary frame length: %w", err)
-	}
-	if size == 0 || size > uint64(e.maxFrameBytes) {
-		return 0, nil, fmt.Errorf("transport: binary frame of %d bytes exceeds limit %d", size, e.maxFrameBytes)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("transport: reading binary frame body: %w", err)
+		return 0, nil, fmt.Errorf("transport: reading frame: %w", err)
 	}
 	from, n := binary.Uvarint(body)
-	if n <= 0 || from >= uint64(len(e.addrs)) {
-		return 0, nil, fmt.Errorf("transport: binary frame with bad sender id")
-	}
-	if int(size) == n {
-		return int(from), nil, nil // hello
+	if n <= 0 || from >= uint64(peers) {
+		return 0, nil, fmt.Errorf("transport: frame with bad sender id")
 	}
 	return int(from), body[n:], nil
-}
-
-// readJSONFrame consumes one newline-terminated JSON frame. Malformed
-// lines return a nil payload (skipped, stream stays aligned on the next
-// newline); an over-long line is an error because the reader cannot skip
-// what it refuses to buffer.
-func (e *TCPEndpoint) readJSONFrame(r *bufio.Reader) (int, []byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		// Accumulate up to the frame limit, then give up.
-		buf := append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull && len(buf) <= e.maxFrameBytes {
-			line, err = r.ReadSlice('\n')
-			buf = append(buf, line...)
-		}
-		if len(buf) > e.maxFrameBytes {
-			return 0, nil, fmt.Errorf("transport: JSON frame exceeds limit %d: %w", e.maxFrameBytes, bufio.ErrTooLong)
-		}
-		line = buf
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	var frame wireFrame
-	if err := json.Unmarshal(line, &frame); err != nil {
-		return 0, nil, nil
-	}
-	payload, err := base64.StdEncoding.DecodeString(frame.Payload)
-	if err != nil {
-		return 0, nil, nil
-	}
-	return frame.From, payload, nil
-}
-
-// markBinaryPeer records that a peer demonstrated binary framing.
-func (e *TCPEndpoint) markBinaryPeer(from int) {
-	e.mu.Lock()
-	e.binPeers[from] = true
-	e.mu.Unlock()
-}
-
-// SpeaksBinary reports whether peer `to` has demonstrated binary framing
-// on an inbound connection (and will therefore be sent binary frames,
-// when this endpoint prefers them).
-func (e *TCPEndpoint) SpeaksBinary(to int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.binPeers[to]
 }
 
 // Send implements Endpoint. The first send to a peer dials it; the
@@ -327,19 +237,7 @@ func (e *TCPEndpoint) Send(ctx context.Context, to int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	var frame []byte
-	if e.preferBinary && e.SpeaksBinary(to) {
-		frame = e.binaryFrame(payload)
-	} else {
-		frame, err = json.Marshal(wireFrame{
-			From:    e.id,
-			Payload: base64.StdEncoding.EncodeToString(payload),
-		})
-		if err != nil {
-			return fmt.Errorf("transport: encoding frame: %w", err)
-		}
-		frame = append(frame, '\n')
-	}
+	frame := encodeFrame(e.id, payload)
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	// Always (re)set the write deadline: a context without one must clear
@@ -410,26 +308,18 @@ func (e *TCPEndpoint) conn(ctx context.Context, to int) (*tcpConn, error) {
 	tc := &tcpConn{c: c}
 	e.conns[to] = tc
 	e.mu.Unlock()
-	if e.preferBinary {
-		// Announce binary capability so the peer can upgrade its sends
-		// back to us. Best-effort: a failed hello only delays the upgrade.
-		tc.mu.Lock()
-		_, _ = tc.c.Write(e.binaryFrame(nil)) // hello is a capability hint, not protocol state
-		tc.mu.Unlock()
-	}
 	return tc, nil
 }
 
-// binaryFrame wraps payload in the length-prefixed binary wire framing:
-// [magic][uvarint bodyLen][uvarint from][payload]. A nil payload encodes
-// the hello frame.
-func (e *TCPEndpoint) binaryFrame(payload []byte) []byte {
-	var from [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(from[:], uint64(e.id))
+// encodeFrame wraps payload in the wire frame of a message from node
+// from: [magic][uvarint len][uvarint from][payload].
+func encodeFrame(from int, payload []byte) []byte {
+	var id [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(id[:], uint64(from))
 	frame := make([]byte, 0, 1+binary.MaxVarintLen64+n+len(payload))
-	frame = append(frame, tcpBinMagic)
+	frame = append(frame, tcpFrameMagic)
 	frame = binary.AppendUvarint(frame, uint64(n+len(payload)))
-	frame = append(frame, from[:n]...)
+	frame = append(frame, id[:n]...)
 	return append(frame, payload...)
 }
 

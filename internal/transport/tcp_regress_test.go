@@ -15,7 +15,7 @@ import (
 
 // tcpPair builds two connected endpoints on ephemeral ports and returns
 // them with their address books exchanged.
-func tcpPair(t *testing.T, opts ...TCPOption) (*TCPEndpoint, *TCPEndpoint) {
+func tcpPair(t testing.TB, opts ...TCPOption) (*TCPEndpoint, *TCPEndpoint) {
 	t.Helper()
 	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
 	a, err := ListenTCP(0, addrs, opts...)
@@ -70,8 +70,8 @@ func TestTCPSendClearsStaleWriteDeadline(t *testing.T) {
 }
 
 // Regression: concurrent Sends to one peer used to hit the net.Conn with
-// unserialized writes, letting JSON-line frames interleave and corrupt
-// the stream. Large payloads force multi-chunk writes; run with -race.
+// unserialized writes, letting frames interleave and corrupt the
+// stream. Large payloads force multi-chunk writes; run with -race.
 func TestTCPConcurrentSendsDeliverWholeFrames(t *testing.T) {
 	a, b := tcpPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

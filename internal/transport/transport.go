@@ -3,9 +3,8 @@
 // between the numbered nodes of a cluster. Two implementations are
 // provided: an in-memory channel network (with deterministic failure
 // injection for tests) and a TCP mesh for running the protocol across
-// real processes, speaking JSON-line framing with a per-peer negotiated
-// upgrade to length-prefixed binary frames. A Coalescer wrapper batches
-// multiple messages to the same peer into one wire frame.
+// real processes, speaking length-prefixed binary frames. A Coalescer
+// wrapper batches multiple messages to the same peer into one wire frame.
 package transport
 
 import (

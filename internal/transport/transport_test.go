@@ -2,10 +2,7 @@ package transport
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -270,41 +267,6 @@ func TestTCPEndpointValidation(t *testing.T) {
 func TestNewMemoryNetworkValidation(t *testing.T) {
 	if _, err := NewMemoryNetwork(0); err == nil {
 		t.Error("zero-node network accepted")
-	}
-}
-
-func TestTCPSkipsMalformedFrames(t *testing.T) {
-	// Garbage lines on the wire must be skipped, not kill the reader;
-	// subsequent valid frames still arrive.
-	a, err := ListenTCP(0, []string{"127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	conn, err := net.Dial("tcp", a.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n{\"from\":0,\"payload\":\"!!!notbase64\"}\n")); err != nil {
-		t.Fatal(err)
-	}
-	valid, err := json.Marshal(wireFrame{From: 0, Payload: base64.StdEncoding.EncodeToString([]byte("ok"))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(append(valid, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	msg, err := a.Recv(ctx)
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	if string(msg.Payload) != "ok" {
-		t.Errorf("payload = %q", msg.Payload)
 	}
 }
 
