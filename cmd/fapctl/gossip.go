@@ -135,10 +135,9 @@ func runGossip(args []string, w io.Writer) error {
 	broadcast := float64(gossip.BroadcastMessages(*n))
 	if *n <= broadcastMeasureLimit && *churn == 0 {
 		ref, err := agent.RunCluster(context.Background(), agent.ClusterConfig{
+			Agent:  agent.Config{Alpha: *alpha, Epsilon: *epsilon, MaxRounds: *maxRounds},
 			Models: models,
 			Init:   init,
-			Alpha:  *alpha, Epsilon: *epsilon, MaxRounds: *maxRounds,
-			Mode: agent.Broadcast,
 		})
 		if err != nil {
 			return fmt.Errorf("broadcast reference: %w", err)

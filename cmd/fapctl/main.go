@@ -57,7 +57,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"filealloc/internal/agent"
@@ -130,28 +129,19 @@ func run(args []string, w io.Writer) error {
 		init[2] = 0.1
 	}
 
-	start := time.Now()
-	var (
-		finalX    []float64
-		rounds    int
-		converged bool
-		messages  int
-	)
-	if *useTCP {
-		finalX, rounds, converged, messages, err = runTCP(model, init, *alpha, *epsilon, agentMode)
-	} else {
-		var res agent.ClusterResult
-		res, err = agent.RunCluster(context.Background(), agent.ClusterConfig{
-			Models:  agent.ModelsFromSingleFile(model),
-			Init:    init,
-			Alpha:   *alpha,
-			Epsilon: *epsilon,
-			Mode:    agentMode,
-		})
-		if err == nil {
-			finalX, rounds, converged, messages = res.X, res.Rounds, res.Converged, res.Messages
-		}
+	cfg := agent.ClusterConfig{
+		Agent:  agent.Config{Alpha: *alpha, Epsilon: *epsilon, Mode: agentMode},
+		Models: agent.ModelsFromSingleFile(model),
+		Init:   init,
 	}
+	if *useTCP {
+		if cfg.Endpoints, err = transport.ListenLoopback(*n); err != nil {
+			return err
+		}
+		defer transport.CloseAll(cfg.Endpoints)
+	}
+	start := time.Now()
+	res, err := agent.RunCluster(context.Background(), cfg)
 	if err != nil {
 		return err
 	}
@@ -165,6 +155,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	finalX := res.X
 	distCost, err := model.Cost(finalX)
 	if err != nil {
 		return err
@@ -180,7 +171,7 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "cluster: n=%d topology=%s mode=%s transport=%s\n", *n, *topo, *mode, transportName)
 	fmt.Fprintf(w, "distributed: rounds=%d converged=%v messages=%d cost=%.6f elapsed=%s\n",
-		rounds, converged, messages, distCost, elapsed.Round(time.Millisecond))
+		res.Rounds, res.Converged, res.Messages, distCost, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "centralized: iterations=%d cost=%.6f\n", centralRes.Iterations, -centralRes.Utility)
 	fmt.Fprintf(w, "best integral placement: node=%d cost=%.6f (fragmentation saves %.1f%%)\n",
 		integral.Node, integral.Cost, 100*(integral.Cost-distCost)/integral.Cost)
@@ -356,69 +347,6 @@ func runPlacements(args []string, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func runTCP(model *costmodel.SingleFile, init []float64, alpha, epsilon float64, mode agent.Mode) (x []float64, rounds int, converged bool, messages int, err error) {
-	n := model.Dim()
-	placeholder := make([]string, n)
-	for i := range placeholder {
-		placeholder[i] = "127.0.0.1:0"
-	}
-	eps := make([]*transport.TCPEndpoint, n)
-	defer func() {
-		for _, ep := range eps {
-			if ep != nil {
-				ep.Close() //nolint:errcheck // shutdown path
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		ep, lerr := transport.ListenTCP(i, placeholder)
-		if lerr != nil {
-			return nil, 0, false, 0, lerr
-		}
-		eps[i] = ep
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if err := eps[i].SetPeerAddr(j, eps[j].Addr()); err != nil {
-				return nil, 0, false, 0, err
-			}
-		}
-	}
-	models := agent.ModelsFromSingleFile(model)
-	outcomes := make([]agent.Outcome, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outcomes[i], errs[i] = agent.Run(context.Background(), agent.Config{
-				Endpoint: eps[i],
-				Model:    models[i],
-				Init:     init[i],
-				Alpha:    alpha,
-				Epsilon:  epsilon,
-				Mode:     mode,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			return nil, 0, false, 0, fmt.Errorf("node %d: %w", i, e)
-		}
-	}
-	x = make([]float64, n)
-	for i, out := range outcomes {
-		x[i] = out.X
-		messages += out.MessagesSent
-	}
-	return x, outcomes[0].Rounds, outcomes[0].Converged, messages, nil
 }
 
 func buildModel(topo string, n int, linkCost, lambda, mu, k float64) (*costmodel.SingleFile, error) {

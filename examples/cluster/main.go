@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
 	"time"
 
 	"filealloc/internal/agent"
@@ -48,69 +47,37 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Bind one TCP endpoint per agent on an ephemeral loopback port,
-	// then exchange the address book — the same bootstrap a real
-	// deployment would do through its configuration system.
-	placeholder := make([]string, n)
-	for i := range placeholder {
-		placeholder[i] = "127.0.0.1:0"
+	// Bind one TCP endpoint per agent on an ephemeral loopback port and
+	// exchange the address book — the same bootstrap a real deployment
+	// would do through its configuration system — then run one agent per
+	// endpoint.
+	endpoints, err := transport.ListenLoopback(n)
+	if err != nil {
+		log.Fatal(err)
 	}
-	endpoints := make([]*transport.TCPEndpoint, n)
-	for i := 0; i < n; i++ {
-		ep, err := transport.ListenTCP(i, placeholder)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ep.Close()
-		endpoints[i] = ep
+	defer transport.CloseAll(endpoints)
+	init := make([]float64, n)
+	for i := range init {
+		init[i] = 1.0 / n
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				if err := endpoints[i].SetPeerAddr(j, endpoints[j].Addr()); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-	}
-
-	models := agent.ModelsFromSingleFile(model)
-	outcomes := make([]agent.Outcome, n)
-	errs := make([]error, n)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outcomes[i], errs[i] = agent.Run(context.Background(), agent.Config{
-				Endpoint: endpoints[i],
-				Model:    models[i],
-				Init:     1.0 / n,
-				Alpha:    0.2,
-				Epsilon:  1e-6,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			log.Fatalf("agent %d: %v", i, err)
-		}
+	res, err := agent.RunCluster(context.Background(), agent.ClusterConfig{
+		Agent:     agent.Config{Alpha: 0.2, Epsilon: 1e-6},
+		Models:    agent.ModelsFromSingleFile(model),
+		Init:      init,
+		Endpoints: endpoints,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	x := make([]float64, n)
-	messages := 0
-	for i, out := range outcomes {
-		x[i] = out.X
-		messages += out.MessagesSent
-	}
+	x := res.X
 	cost, err := model.Cost(x)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("negotiated in %d rounds (%d TCP messages, %s)\n",
-		outcomes[0].Rounds, messages, time.Since(start).Round(time.Millisecond))
+		res.Rounds, res.Messages, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("allocation: %.4v\n", x)
 	fmt.Printf("expected cost per access: %.4f\n", cost)
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -77,11 +76,9 @@ func TestBroadcastClusterMatchesCentralizedExactly(t *testing.T) {
 	for _, alpha := range []float64{0.3, 0.08} {
 		central := runCentral(t, m, init, alpha, 1e-3)
 		res, err := RunCluster(context.Background(), ClusterConfig{
-			Models:  ModelsFromSingleFile(m),
-			Init:    init,
-			Alpha:   alpha,
-			Epsilon: 1e-3,
-			Mode:    Broadcast,
+			Agent:  Config{Alpha: alpha, Epsilon: 1e-3, Mode: Broadcast},
+			Models: ModelsFromSingleFile(m),
+			Init:   init,
 		})
 		if err != nil {
 			t.Fatalf("alpha %g: RunCluster: %v", alpha, err)
@@ -105,12 +102,9 @@ func TestCoordinatorClusterMatchesCentralized(t *testing.T) {
 	init := []float64{0.8, 0.1, 0.1, 0}
 	central := runCentral(t, m, init, 0.3, 1e-3)
 	res, err := RunCluster(context.Background(), ClusterConfig{
-		Models:        ModelsFromSingleFile(m),
-		Init:          init,
-		Alpha:         0.3,
-		Epsilon:       1e-3,
-		Mode:          Coordinator,
-		CoordinatorID: 2,
+		Agent:  Config{Alpha: 0.3, Epsilon: 1e-3, Mode: Coordinator, CoordinatorID: 2},
+		Models: ModelsFromSingleFile(m),
+		Init:   init,
 	})
 	if err != nil {
 		t.Fatalf("RunCluster: %v", err)
@@ -135,13 +129,15 @@ func TestMessageCountsBroadcastVsCoordinator(t *testing.T) {
 	m := fig3Model(t)
 	init := []float64{0.8, 0.1, 0.1, 0}
 	bro, err := RunCluster(context.Background(), ClusterConfig{
-		Models: ModelsFromSingleFile(m), Init: init, Alpha: 0.3, Epsilon: 1e-3, Mode: Broadcast,
+		Agent:  Config{Alpha: 0.3, Epsilon: 1e-3, Mode: Broadcast},
+		Models: ModelsFromSingleFile(m), Init: init,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord, err := RunCluster(context.Background(), ClusterConfig{
-		Models: ModelsFromSingleFile(m), Init: init, Alpha: 0.3, Epsilon: 1e-3, Mode: Coordinator,
+		Agent:  Config{Alpha: 0.3, Epsilon: 1e-3, Mode: Coordinator},
+		Models: ModelsFromSingleFile(m), Init: init,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,71 +158,54 @@ func TestMessageCountsBroadcastVsCoordinator(t *testing.T) {
 	}
 }
 
+// loopbackEndpoints binds an n-node loopback TCP cluster that is closed
+// when the test ends.
+func loopbackEndpoints(t *testing.T, n int) []transport.Endpoint {
+	t.Helper()
+	eps, err := transport.ListenLoopback(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { transport.CloseAll(eps) })
+	return eps
+}
+
 func TestClusterOverTCP(t *testing.T) {
-	// The same protocol over real TCP sockets on loopback.
+	// The same protocol over real TCP sockets on loopback: in both modes
+	// the run is bit-identical to the in-memory one.
 	m := fig3Model(t)
 	init := []float64{0.8, 0.1, 0.1, 0}
-	n := 4
-
-	// Bind all endpoints on ephemeral ports, then exchange the address
-	// book.
-	eps := make([]*transport.TCPEndpoint, n)
-	placeholder := make([]string, n)
-	for i := range placeholder {
-		placeholder[i] = "127.0.0.1:0"
-	}
-	for i := 0; i < n; i++ {
-		ep, err := transport.ListenTCP(i, placeholder)
-		if err != nil {
-			t.Fatalf("ListenTCP(%d): %v", i, err)
-		}
-		defer ep.Close()
-		eps[i] = ep
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if err := eps[i].SetPeerAddr(j, eps[j].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	models := ModelsFromSingleFile(m)
-	outcomes := make([]Outcome, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outcomes[i], errs[i] = Run(ctx, Config{
-				Endpoint: eps[i],
-				Model:    models[i],
-				Init:     init[i],
-				Alpha:    0.3,
-				Epsilon:  1e-3,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
 	central := runCentral(t, m, init, 0.3, 1e-3)
-	for i, out := range outcomes {
-		if !out.Converged {
-			t.Errorf("node %d did not converge", i)
-		}
-		if out.X != central.X[i] {
-			t.Errorf("node %d: x = %v vs central %v", i, out.X, central.X[i])
-		}
+	for _, mode := range []Mode{Broadcast, Coordinator} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := ClusterConfig{
+				Agent:  Config{Alpha: 0.3, Epsilon: 1e-3, Mode: mode},
+				Models: ModelsFromSingleFile(m),
+				Init:   init,
+			}
+			mem, err := RunCluster(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("memory: %v", err)
+			}
+			cfg.Endpoints = loopbackEndpoints(t, len(init))
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			tcp, err := RunCluster(ctx, cfg)
+			if err != nil {
+				t.Fatalf("tcp: %v", err)
+			}
+			if !tcp.Converged {
+				t.Error("tcp cluster did not converge")
+			}
+			if tcp.Rounds != mem.Rounds || tcp.Messages != mem.Messages {
+				t.Errorf("tcp: %d rounds, %d messages; memory: %d rounds, %d messages", tcp.Rounds, tcp.Messages, mem.Rounds, mem.Messages)
+			}
+			for i, x := range tcp.X {
+				if x != central.X[i] || x != mem.X[i] {
+					t.Errorf("node %d: tcp x = %v, memory %v, central %v", i, x, mem.X[i], central.X[i])
+				}
+			}
+		})
 	}
 }
 
@@ -235,9 +214,9 @@ func TestClusterSurvivesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunCluster(ctx, ClusterConfig{
+		Agent:  Config{Alpha: 0.0001}, // would need many rounds
 		Models: ModelsFromSingleFile(m),
 		Init:   []float64{0.8, 0.1, 0.1, 0},
-		Alpha:  0.0001, // would need many rounds
 	})
 	if err == nil {
 		t.Error("expected error from canceled cluster")
@@ -266,11 +245,9 @@ func TestDynamicAlphaClusterMatchesCentralized(t *testing.T) {
 		t.Fatalf("central dynamic-α did not converge: %v", centralRes.Reason)
 	}
 	res, err := RunCluster(context.Background(), ClusterConfig{
-		Models:             ModelsFromSingleFile(m),
-		Init:               init,
-		Alpha:              0.1,
-		Epsilon:            1e-6,
-		DynamicAlphaSafety: 0.5,
+		Agent:  Config{Alpha: 0.1, Epsilon: 1e-6, DynamicAlphaSafety: 0.5},
+		Models: ModelsFromSingleFile(m),
+		Init:   init,
 	})
 	if err != nil {
 		t.Fatalf("RunCluster: %v", err)
@@ -346,10 +323,9 @@ func TestSecondOrderClusterMatchesCentralized(t *testing.T) {
 		t.Fatalf("central second-order did not converge: %v", centralRes.Reason)
 	}
 	res, err := RunCluster(context.Background(), ClusterConfig{
-		Models:      ModelsFromSingleFile(m),
-		Init:        init,
-		Epsilon:     1e-6,
-		SecondOrder: true,
+		Agent:  Config{Epsilon: 1e-6, SecondOrder: true},
+		Models: ModelsFromSingleFile(m),
+		Init:   init,
 	})
 	if err != nil {
 		t.Fatalf("RunCluster: %v", err)
@@ -406,11 +382,9 @@ func TestClusterSurvivesLossyNetworkWithRetries(t *testing.T) {
 	init := []float64{0.8, 0.1, 0.1, 0}
 	central := runCentral(t, m, init, 0.3, 1e-3)
 	res, err := RunCluster(context.Background(), ClusterConfig{
-		Models:      ModelsFromSingleFile(m),
-		Init:        init,
-		Alpha:       0.3,
-		Epsilon:     1e-3,
-		SendRetries: 20,
+		Agent:  Config{Alpha: 0.3, Epsilon: 1e-3, SendRetries: 20},
+		Models: ModelsFromSingleFile(m),
+		Init:   init,
 		Faults: &transport.FaultConfig{
 			Seed: 99,
 			Rules: []transport.FaultRule{{
@@ -437,11 +411,9 @@ func TestClusterFailsFastOnLossWithoutRetries(t *testing.T) {
 	// through wait out the round timeout for the dead node's report.
 	m := fig3Model(t)
 	_, err := RunCluster(context.Background(), ClusterConfig{
-		Models:       ModelsFromSingleFile(m),
-		Init:         []float64{0.8, 0.1, 0.1, 0},
-		Alpha:        0.3,
-		Epsilon:      1e-3,
-		RoundTimeout: 500 * time.Millisecond,
+		Agent:  Config{Alpha: 0.3, Epsilon: 1e-3, RoundTimeout: 500 * time.Millisecond},
+		Models: ModelsFromSingleFile(m),
+		Init:   []float64{0.8, 0.1, 0.1, 0},
 		Faults: &transport.FaultConfig{
 			Seed: 7,
 			Rules: []transport.FaultRule{{
@@ -506,17 +478,36 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRunClusterValidation(t *testing.T) {
-	if _, err := RunCluster(context.Background(), ClusterConfig{
-		Models: []LocalModel{{AccessCost: 1, ServiceRate: 2, Lambda: 1}},
-		Init:   []float64{1},
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("single node: error = %v, want ErrBadConfig", err)
+	// Every bad shape is rejected before a node starts: the Run hook and
+	// the observer must stay untouched.
+	models := make([]LocalModel, 3)
+	init := []float64{0.5, 0.5, 0}
+	tcp := loopbackEndpoints(t, 3)
+	tests := []struct {
+		name string
+		cfg  ClusterConfig
+	}{
+		{"single node", ClusterConfig{Models: []LocalModel{{AccessCost: 1, ServiceRate: 2, Lambda: 1}}, Init: []float64{1}}},
+		{"length mismatch", ClusterConfig{Models: models, Init: []float64{1}}},
+		{"short alive set", ClusterConfig{Agent: Config{Quorum: 2}, Models: models, Init: init, InitAlive: []bool{true, true}}},
+		{"endpoint count", ClusterConfig{Models: models, Init: init, Endpoints: tcp[:2]}},
+		{"endpoint order", ClusterConfig{Models: models, Init: init, Endpoints: []transport.Endpoint{tcp[1], tcp[0], tcp[2]}}},
 	}
-	if _, err := RunCluster(context.Background(), ClusterConfig{
-		Models: make([]LocalModel, 3),
-		Init:   []float64{1},
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("length mismatch: error = %v, want ErrBadConfig", err)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			obs := &CounterObserver{}
+			tt.cfg.Agent.Observer = obs
+			tt.cfg.Run = func(context.Context, Config) (Outcome, error) {
+				t.Error("a node started")
+				return Outcome{}, nil
+			}
+			if _, err := RunCluster(context.Background(), tt.cfg); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("error = %v, want ErrBadConfig", err)
+			}
+			if got := obs.Counters().RecoveryByKind; len(got) != 0 {
+				t.Errorf("recovery events %v before validation", got)
+			}
+		})
 	}
 }
 

@@ -3,11 +3,9 @@ package agent
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
-	"filealloc/internal/protocol"
 	"filealloc/internal/transport"
 )
 
@@ -23,17 +21,18 @@ func runChaosCluster(t *testing.T, mode Mode, faults *transport.FaultConfig, obs
 	t.Helper()
 	m := fig3Model(t)
 	return RunCluster(context.Background(), ClusterConfig{
-		Models:        ModelsFromSingleFile(m),
-		Init:          []float64{0.8, 0.1, 0.1, 0},
-		Alpha:         0.3,
-		Epsilon:       1e-3,
-		MaxRounds:     500,
-		Mode:          mode,
-		CoordinatorID: 0,
-		SendRetries:   retries,
-		RoundTimeout:  timeout,
-		Observer:      obs,
-		Faults:        faults,
+		Agent: Config{
+			Alpha:        0.3,
+			Epsilon:      1e-3,
+			MaxRounds:    500,
+			Mode:         mode,
+			SendRetries:  retries,
+			RoundTimeout: timeout,
+			Observer:     obs,
+		},
+		Models: ModelsFromSingleFile(m),
+		Init:   []float64{0.8, 0.1, 0.1, 0},
+		Faults: faults,
 	})
 }
 
@@ -172,8 +171,7 @@ func TestChaosPartitionFailsLoudly(t *testing.T) {
 	for _, mode := range chaosModes {
 		obs := &CounterObserver{}
 		faults := &transport.FaultConfig{
-			Seed:    1986,
-			RoundOf: protocol.RoundOf,
+			Seed: 1986,
 			Rules: []transport.FaultRule{{
 				Kind: transport.FaultPartition, Direction: transport.DirSend,
 				Nodes: []int{3}, FromRound: 2,
@@ -206,8 +204,7 @@ func TestChaosFullPartitionFailsLoudly(t *testing.T) {
 	// time out, not deadlock.
 	for _, mode := range chaosModes {
 		faults := &transport.FaultConfig{
-			Seed:    1986,
-			RoundOf: protocol.RoundOf,
+			Seed: 1986,
 			Rules: []transport.FaultRule{{
 				Kind: transport.FaultPartition, Direction: transport.DirSend, FromRound: 1,
 			}},
@@ -223,77 +220,26 @@ func TestChaosFullPartitionFailsLoudly(t *testing.T) {
 // lossy links plus retries still reproduce the fault-free allocation.
 func TestChaosOverTCP(t *testing.T) {
 	m := fig3Model(t)
-	models := ModelsFromSingleFile(m)
-	init := []float64{0.8, 0.1, 0.1, 0}
 	want := faultFree(t, Broadcast)
-
-	n := len(models)
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
+	res, err := RunCluster(context.Background(), ClusterConfig{
+		Agent:     Config{Alpha: 0.3, Epsilon: 1e-3, Mode: Broadcast, SendRetries: 25},
+		Models:    ModelsFromSingleFile(m),
+		Init:      []float64{0.8, 0.1, 0.1, 0},
+		Endpoints: loopbackEndpoints(t, 4),
+		Faults: &transport.FaultConfig{
+			Seed: 7,
+			Rules: []transport.FaultRule{{
+				Kind: transport.FaultDrop, Direction: transport.DirSend, Probability: 0.15,
+			}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	eps := make([]*transport.TCPEndpoint, n)
-	for i := range eps {
-		ep, err := transport.ListenTCP(i, addrs)
-		if err != nil {
-			t.Fatalf("ListenTCP(%d): %v", i, err)
-		}
-		defer ep.Close()
-		eps[i] = ep
-	}
-	for i, ep := range eps {
-		for j, other := range eps {
-			if i != j {
-				if err := ep.SetPeerAddr(j, other.Addr()); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-
-	faults := transport.FaultConfig{
-		Seed: 7,
-		Rules: []transport.FaultRule{{
-			Kind: transport.FaultDrop, Direction: transport.DirSend, Probability: 0.15,
-		}},
-	}
-	outcomes := make([]Outcome, n)
-	errs := make([]error, n)
-	var dropped int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		fep, err := transport.NewFaultEndpoint(eps[i], faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, fep *transport.FaultEndpoint) {
-			defer wg.Done()
-			outcomes[i], errs[i] = Run(context.Background(), Config{
-				Endpoint:    fep,
-				Model:       models[i],
-				Init:        init[i],
-				Alpha:       0.3,
-				Epsilon:     1e-3,
-				Mode:        Broadcast,
-				SendRetries: 25,
-			})
-			mu.Lock()
-			dropped += fep.Stats().SendDropped
-			mu.Unlock()
-		}(i, fep)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-	if dropped == 0 {
+	if res.Faults.SendDropped == 0 {
 		t.Error("no drops injected over TCP at p=0.15")
 	}
-	for i, out := range outcomes {
+	for i, out := range res.Outcomes {
 		if !out.Converged {
 			t.Fatalf("node %d did not converge", i)
 		}

@@ -33,11 +33,9 @@ func TestMetricsObserverRecordsRun(t *testing.T) {
 	const n = 4
 	reg := metrics.New()
 	res, err := RunCluster(context.Background(), ClusterConfig{
-		Models:   metricsTestModel(t, n),
-		Init:     []float64{0.7, 0.1, 0.1, 0.1},
-		Alpha:    0.3,
-		Epsilon:  1e-3,
-		Observer: NewMetricsObserver(reg),
+		Agent:  Config{Alpha: 0.3, Epsilon: 1e-3, Observer: NewMetricsObserver(reg)},
+		Models: metricsTestModel(t, n),
+		Init:   []float64{0.7, 0.1, 0.1, 0.1},
 	})
 	if err != nil {
 		t.Fatalf("RunCluster: %v", err)

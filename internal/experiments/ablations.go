@@ -118,12 +118,9 @@ func AblationDecentralized(ctx context.Context, obs agent.Observer) ([]Decentral
 	err = sweep.Run(ctx, len(modes), sweep.WorkersFrom(ctx), func(ctx context.Context, i int) error {
 		mode := modes[i]
 		res, err := agent.RunCluster(ctx, agent.ClusterConfig{
-			Models:   agent.ModelsFromSingleFile(m),
-			Init:     start,
-			Alpha:    0.3,
-			Epsilon:  Epsilon,
-			Mode:     mode,
-			Observer: obs,
+			Agent:  agent.Config{Alpha: 0.3, Epsilon: Epsilon, Mode: mode, Observer: obs},
+			Models: agent.ModelsFromSingleFile(m),
+			Init:   start,
 		})
 		if err != nil {
 			return fmt.Errorf("%w: %v cluster: %w", ErrExperiment, mode, err)

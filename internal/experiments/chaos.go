@@ -9,7 +9,6 @@ import (
 
 	"filealloc/internal/agent"
 	"filealloc/internal/core"
-	"filealloc/internal/protocol"
 	"filealloc/internal/sweep"
 	"filealloc/internal/transport"
 )
@@ -104,8 +103,7 @@ func chaosScenarios() []chaosScenario {
 		{
 			name: "partition",
 			faults: &transport.FaultConfig{
-				Seed:    1986,
-				RoundOf: protocol.RoundOf,
+				Seed: 1986,
 				Rules: []transport.FaultRule{{
 					Kind: transport.FaultPartition, Direction: transport.DirSend,
 					Nodes: []int{3}, FromRound: 2,
@@ -158,17 +156,18 @@ func Chaos(ctx context.Context, obs agent.Observer) ([]ChaosRow, error) {
 				shared = agent.MultiObserver{counters, obs}
 			}
 			res, err := agent.RunCluster(ctx, agent.ClusterConfig{
-				Models:        agent.ModelsFromSingleFile(m),
-				Init:          start,
-				Alpha:         0.3,
-				Epsilon:       Epsilon,
-				MaxRounds:     500,
-				Mode:          mode,
-				CoordinatorID: 0,
-				SendRetries:   sc.retries,
-				RoundTimeout:  sc.timeout,
-				Observer:      shared,
-				Faults:        sc.faults,
+				Agent: agent.Config{
+					Alpha:        0.3,
+					Epsilon:      Epsilon,
+					MaxRounds:    500,
+					Mode:         mode,
+					SendRetries:  sc.retries,
+					RoundTimeout: sc.timeout,
+					Observer:     shared,
+				},
+				Models: agent.ModelsFromSingleFile(m),
+				Init:   start,
+				Faults: sc.faults,
 			})
 			c := counters.Counters()
 			row := ChaosRow{

@@ -99,8 +99,8 @@ func churnScenarios() []churnScenario {
 }
 
 // churnBase assembles the matrix's shared cluster configuration over the
-// figure-3 system.
-func churnBase(m *costmodel.SingleFile, counters *agent.CounterObserver, obs agent.Observer, reg *metrics.Registry) recovery.ChurnClusterConfig {
+// figure-3 system and its supervisor policy.
+func churnBase(m *costmodel.SingleFile, counters *agent.CounterObserver, obs agent.Observer, reg *metrics.Registry) (agent.ClusterConfig, recovery.SupervisorConfig) {
 	var shared agent.Observer = counters
 	if obs != nil {
 		shared = agent.MultiObserver{counters, obs}
@@ -108,23 +108,26 @@ func churnBase(m *costmodel.SingleFile, counters *agent.CounterObserver, obs age
 	if reg != nil {
 		shared = agent.MultiObserver{shared, agent.NewMetricsObserver(reg)}
 	}
-	return recovery.ChurnClusterConfig{
-		Models:      agent.ModelsFromSingleFile(m),
-		Init:        PaperStart(4),
-		Alpha:       0.3,
-		Epsilon:     Epsilon,
-		MaxRounds:   500,
-		Quorum:      3,
-		DepartAfter: 2,
-		Supervisor: recovery.SupervisorConfig{
-			MaxRestarts: 3,
-			BackoffBase: time.Millisecond,
-			BackoffCap:  4 * time.Millisecond,
-			Seed:        1986,
+	cfg := agent.ClusterConfig{
+		Agent: agent.Config{
+			Alpha:       0.3,
+			Epsilon:     Epsilon,
+			MaxRounds:   500,
+			Quorum:      3,
+			DepartAfter: 2,
+			Observer:    shared,
 		},
-		Observer: shared,
-		Metrics:  reg,
+		Models:  agent.ModelsFromSingleFile(m),
+		Init:    PaperStart(4),
+		Metrics: reg,
 	}
+	sup := recovery.SupervisorConfig{
+		MaxRestarts: 3,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  4 * time.Millisecond,
+		Seed:        1986,
+	}
+	return cfg, sup
 }
 
 // reducedKKTGap certifies a surviving allocation against the exact KKT
@@ -176,7 +179,7 @@ func churnRow(name string, m *costmodel.SingleFile, res recovery.ChurnResult, c 
 		Rejoins:   c.RecoveryByKind["rejoin"],
 	}
 	for _, s := range res.Survivors {
-		row.Restarts += res.Outcomes[s].Restarts
+		row.Restarts += res.Restarts[s]
 	}
 	if !res.Converged {
 		return row, fmt.Errorf("%w: %s: survivors did not converge", ErrExperiment, name)
@@ -211,15 +214,15 @@ func ChaosChurn(ctx context.Context, obs agent.Observer, reg *metrics.Registry) 
 	var rows []ChurnRow
 	for _, sc := range churnScenarios() {
 		counters := &agent.CounterObserver{}
-		cfg := churnBase(m, counters, obs, reg)
-		cfg.Faults = sc.faults
+		cfg, sup := churnBase(m, counters, obs, reg)
+		cfg.Faults = &sc.faults
 		if sc.maxRestarts != 0 {
-			cfg.Supervisor.MaxRestarts = sc.maxRestarts
+			sup.MaxRestarts = sc.maxRestarts
 		}
 		if sc.timeout > 0 {
-			cfg.RoundTimeout = sc.timeout
+			cfg.Agent.RoundTimeout = sc.timeout
 		}
-		res, err := recovery.RunChurnCluster(ctx, cfg)
+		res, err := recovery.RunChurnCluster(ctx, cfg, sup)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %w", ErrExperiment, sc.name, err)
 		}
@@ -243,14 +246,14 @@ func ChaosChurn(ctx context.Context, obs agent.Observer, reg *metrics.Registry) 
 	// depart-rejoin: replay the crash-departure epoch, then re-admit the
 	// dead node with a zero fragment and let it climb back in.
 	counters := &agent.CounterObserver{}
-	cfg := churnBase(m, counters, obs, reg)
-	cfg.Supervisor.MaxRestarts = -1
-	cfg.RoundTimeout = 200 * time.Millisecond
-	cfg.Faults = transport.FaultConfig{Rules: []transport.FaultRule{{
+	cfg, sup := churnBase(m, counters, obs, reg)
+	sup.MaxRestarts = -1
+	cfg.Agent.RoundTimeout = 200 * time.Millisecond
+	cfg.Faults = &transport.FaultConfig{Rules: []transport.FaultRule{{
 		Kind: transport.FaultCrash, Direction: transport.DirSend,
 		Nodes: []int{3}, FromRound: 4,
 	}}}
-	epoch1, err := recovery.RunChurnCluster(ctx, cfg)
+	epoch1, err := recovery.RunChurnCluster(ctx, cfg, sup)
 	if err != nil {
 		return nil, fmt.Errorf("%w: depart-rejoin epoch 1: %w", ErrExperiment, err)
 	}
@@ -261,10 +264,10 @@ func ChaosChurn(ctx context.Context, obs agent.Observer, reg *metrics.Registry) 
 	if err != nil {
 		return nil, fmt.Errorf("%w: depart-rejoin: %w", ErrExperiment, err)
 	}
-	cfg2 := churnBase(m, counters, obs, reg)
+	cfg2, sup2 := churnBase(m, counters, obs, reg)
 	cfg2.Init = init2
 	cfg2.InitAlive = alive2
-	epoch2, err := recovery.RunChurnCluster(ctx, cfg2)
+	epoch2, err := recovery.RunChurnCluster(ctx, cfg2, sup2)
 	if err != nil {
 		return nil, fmt.Errorf("%w: depart-rejoin epoch 2: %w", ErrExperiment, err)
 	}

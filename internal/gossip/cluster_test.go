@@ -68,10 +68,9 @@ func TestTreeClusterMatchesBroadcast(t *testing.T) {
 	}
 
 	ref, err := agent.RunCluster(ctx, agent.ClusterConfig{
+		Agent:  agent.Config{Alpha: 0.1, Epsilon: 1e-4, MaxRounds: 5000, Mode: agent.Broadcast},
 		Models: models,
 		Init:   init,
-		Alpha:  0.1, Epsilon: 1e-4, MaxRounds: 5000,
-		Mode: agent.Broadcast,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -191,10 +191,9 @@ func TestPropertyTreeTrajectoryMatchesBroadcast(t *testing.T) {
 		}
 
 		ref, err := agent.RunCluster(ctx, agent.ClusterConfig{
+			Agent:  agent.Config{Alpha: alpha, Epsilon: 1e-3, MaxRounds: 4000, Mode: agent.Broadcast},
 			Models: models,
 			Init:   init,
-			Alpha:  alpha, Epsilon: 1e-3, MaxRounds: 4000,
-			Mode: agent.Broadcast,
 		})
 		if err != nil {
 			t.Fatalf("instance %d: broadcast reference: %v", inst, err)

@@ -40,19 +40,29 @@ func ringModel(t *testing.T) *costmodel.SingleFile {
 	return m
 }
 
+// churnCase is a cluster configuration plus the supervisor policy every
+// node runs under.
+type churnCase struct {
+	agent.ClusterConfig
+	Supervisor SupervisorConfig
+}
+
 // churnConfig assembles the suite's shared base configuration.
-func churnConfig(t *testing.T, m *costmodel.SingleFile) ChurnClusterConfig {
+func churnConfig(t *testing.T, m *costmodel.SingleFile) churnCase {
 	t.Helper()
-	return ChurnClusterConfig{
-		Models:      agent.ModelsFromSingleFile(m),
-		Init:        []float64{0.8, 0.1, 0.1, 0},
-		Alpha:       0.3,
-		Epsilon:     1e-3,
-		MaxRounds:   500,
-		Quorum:      3,
-		DepartAfter: 2,
-		Supervisor:  SupervisorConfig{MaxRestarts: 3, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond, Seed: 1986},
+	return churnCase{
+		ClusterConfig: agent.ClusterConfig{
+			Agent:  agent.Config{Alpha: 0.3, Epsilon: 1e-3, MaxRounds: 500, Quorum: 3, DepartAfter: 2},
+			Models: agent.ModelsFromSingleFile(m),
+			Init:   []float64{0.8, 0.1, 0.1, 0},
+		},
+		Supervisor: SupervisorConfig{MaxRestarts: 3, BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond, Seed: 1986},
 	}
+}
+
+// runChurn runs c through RunChurnCluster.
+func runChurn(c churnCase) (ChurnResult, error) {
+	return RunChurnCluster(context.Background(), c.ClusterConfig, c.Supervisor)
 }
 
 // assertSumInvariant requires Σ FullX = 1 on every checkpoint after the
@@ -118,16 +128,14 @@ func assertNearOptimum(t *testing.T, m *costmodel.SingleFile, x []float64, alive
 func TestChurnFaultFreeMatchesPlainCluster(t *testing.T) {
 	m := ringModel(t)
 	plain, err := agent.RunCluster(context.Background(), agent.ClusterConfig{
-		Models:    agent.ModelsFromSingleFile(m),
-		Init:      []float64{0.8, 0.1, 0.1, 0},
-		Alpha:     0.3,
-		Epsilon:   1e-3,
-		MaxRounds: 500,
+		Agent:  agent.Config{Alpha: 0.3, Epsilon: 1e-3, MaxRounds: 500},
+		Models: agent.ModelsFromSingleFile(m),
+		Init:   []float64{0.8, 0.1, 0.1, 0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunChurnCluster(context.Background(), churnConfig(t, m))
+	res, err := runChurn(churnConfig(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +157,7 @@ func TestChurnFaultFreeMatchesPlainCluster(t *testing.T) {
 // checkpoint history.
 func TestCrashResumeBitIdentical(t *testing.T) {
 	m := ringModel(t)
-	baseline, err := RunChurnCluster(context.Background(), churnConfig(t, m))
+	baseline, err := runChurn(churnConfig(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +167,14 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 
 	cfg := churnConfig(t, m)
 	obs := &agent.CounterObserver{}
-	cfg.Observer = obs
-	cfg.Faults = transport.FaultConfig{
+	cfg.Agent.Observer = obs
+	cfg.Faults = &transport.FaultConfig{
 		Rules: []transport.FaultRule{{
 			Kind: transport.FaultCrash, Direction: transport.DirSend,
 			Nodes: []int{2}, FromRound: 5, ToRound: 5,
 		}},
 	}
-	res, err := RunChurnCluster(context.Background(), cfg)
+	res, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +183,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 			t.Fatalf("node %d failed: %v", i, e)
 		}
 	}
-	if got := res.Outcomes[2].Restarts; got != 1 {
+	if got := res.Restarts[2]; got != 1 {
 		t.Errorf("node 2 restarts = %d, want 1", got)
 	}
 	if res.Faults.Crashes != 1 {
@@ -242,18 +250,18 @@ func TestCrashResumeInRoundZero(t *testing.T) {
 	// X: re-sending a report with any other allocation would conflict
 	// with the one the peers hold.
 	m := ringModel(t)
-	baseline, err := RunChurnCluster(context.Background(), churnConfig(t, m))
+	baseline, err := runChurn(churnConfig(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := churnConfig(t, m)
-	cfg.Faults = transport.FaultConfig{
+	cfg.Faults = &transport.FaultConfig{
 		Rules: []transport.FaultRule{{
 			Kind: transport.FaultCrash, Direction: transport.DirSend,
 			Nodes: []int{2}, Peers: []int{3},
 		}},
 	}
-	res, err := RunChurnCluster(context.Background(), cfg)
+	res, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +270,7 @@ func TestCrashResumeInRoundZero(t *testing.T) {
 			t.Fatalf("node %d failed: %v", i, e)
 		}
 	}
-	if got := res.Outcomes[2].Restarts; got != 1 {
+	if got := res.Restarts[2]; got != 1 {
 		t.Errorf("node 2 restarts = %d, want 1", got)
 	}
 	if !res.Converged || res.Rounds != baseline.Rounds {
@@ -277,7 +285,7 @@ func TestCrashResumeInRoundZero(t *testing.T) {
 
 func TestCrashResumeRestoresEarlyReports(t *testing.T) {
 	m := ringModel(t)
-	baseline, err := RunChurnCluster(context.Background(), churnConfig(t, m))
+	baseline, err := runChurn(churnConfig(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +293,8 @@ func TestCrashResumeRestoresEarlyReports(t *testing.T) {
 	cfg := churnConfig(t, m)
 	// Bounds the wait of a resume that lost its early reports, so the
 	// failure surfaces as a quorum desync rather than a long stall.
-	cfg.RoundTimeout = 2 * time.Second
-	cfg.Faults = transport.FaultConfig{Rules: []transport.FaultRule{
+	cfg.Agent.RoundTimeout = 2 * time.Second
+	cfg.Faults = &transport.FaultConfig{Rules: []transport.FaultRule{
 		{
 			Kind: transport.FaultDelay, Direction: transport.DirSend,
 			Nodes: []int{3}, Peers: []int{2}, FromRound: 4, ToRound: 4,
@@ -297,7 +305,7 @@ func TestCrashResumeRestoresEarlyReports(t *testing.T) {
 			Nodes: []int{2}, FromRound: 5, ToRound: 5,
 		},
 	}}
-	res, err := RunChurnCluster(context.Background(), cfg)
+	res, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,16 +348,16 @@ func TestCrashDepartRedistributes(t *testing.T) {
 	m := ringModel(t)
 	cfg := churnConfig(t, m)
 	obs := &agent.CounterObserver{}
-	cfg.Observer = obs
-	cfg.RoundTimeout = 200 * time.Millisecond
+	cfg.Agent.Observer = obs
+	cfg.Agent.RoundTimeout = 200 * time.Millisecond
 	cfg.Supervisor.MaxRestarts = -1 // a permanently dead process
-	cfg.Faults = transport.FaultConfig{
+	cfg.Faults = &transport.FaultConfig{
 		Rules: []transport.FaultRule{{
 			Kind: transport.FaultCrash, Direction: transport.DirSend,
 			Nodes: []int{3}, FromRound: 4,
 		}},
 	}
-	res, err := RunChurnCluster(context.Background(), cfg)
+	res, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,14 +391,14 @@ func TestCrashDepartRedistributes(t *testing.T) {
 func TestPartitionDepart(t *testing.T) {
 	m := ringModel(t)
 	cfg := churnConfig(t, m)
-	cfg.RoundTimeout = 200 * time.Millisecond
-	cfg.Faults = transport.FaultConfig{
+	cfg.Agent.RoundTimeout = 200 * time.Millisecond
+	cfg.Faults = &transport.FaultConfig{
 		Rules: []transport.FaultRule{{
 			Kind: transport.FaultPartition, Direction: transport.DirBoth,
 			Nodes: []int{1}, FromRound: 6,
 		}},
 	}
-	res, err := RunChurnCluster(context.Background(), cfg)
+	res, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,15 +421,15 @@ func TestPartitionDepart(t *testing.T) {
 func TestDepartRejoin(t *testing.T) {
 	m := ringModel(t)
 	cfg := churnConfig(t, m)
-	cfg.RoundTimeout = 200 * time.Millisecond
+	cfg.Agent.RoundTimeout = 200 * time.Millisecond
 	cfg.Supervisor.MaxRestarts = -1
-	cfg.Faults = transport.FaultConfig{
+	cfg.Faults = &transport.FaultConfig{
 		Rules: []transport.FaultRule{{
 			Kind: transport.FaultCrash, Direction: transport.DirSend,
 			Nodes: []int{3}, FromRound: 4,
 		}},
 	}
-	epoch1, err := RunChurnCluster(context.Background(), cfg)
+	epoch1, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,8 +448,8 @@ func TestDepartRejoin(t *testing.T) {
 	cfg2 := churnConfig(t, m)
 	cfg2.Init = init2
 	cfg2.InitAlive = alive2
-	cfg2.Observer = obs
-	epoch2, err := RunChurnCluster(context.Background(), cfg2)
+	cfg2.Agent.Observer = obs
+	epoch2, err := runChurn(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,18 +476,18 @@ func TestDepartRejoin(t *testing.T) {
 // trajectory bit for bit.
 func TestDoubleCrashResume(t *testing.T) {
 	m := ringModel(t)
-	baseline, err := RunChurnCluster(context.Background(), churnConfig(t, m))
+	baseline, err := runChurn(churnConfig(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := churnConfig(t, m)
-	cfg.Faults = transport.FaultConfig{
+	cfg.Faults = &transport.FaultConfig{
 		Rules: []transport.FaultRule{
 			{Kind: transport.FaultCrash, Direction: transport.DirSend, Nodes: []int{1}, FromRound: 4, ToRound: 4},
 			{Kind: transport.FaultCrash, Direction: transport.DirSend, Nodes: []int{2}, FromRound: 7, ToRound: 7},
 		},
 	}
-	res, err := RunChurnCluster(context.Background(), cfg)
+	res, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,8 +496,8 @@ func TestDoubleCrashResume(t *testing.T) {
 			t.Fatalf("node %d failed: %v", i, e)
 		}
 	}
-	if res.Outcomes[1].Restarts != 1 || res.Outcomes[2].Restarts != 1 {
-		t.Errorf("restarts = %d/%d, want 1/1", res.Outcomes[1].Restarts, res.Outcomes[2].Restarts)
+	if res.Restarts[1] != 1 || res.Restarts[2] != 1 {
+		t.Errorf("restarts = %d/%d, want 1/1", res.Restarts[1], res.Restarts[2])
 	}
 	if res.Faults.Crashes != 2 {
 		t.Errorf("injected crashes = %d, want 2", res.Faults.Crashes)

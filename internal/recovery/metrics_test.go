@@ -1,7 +1,6 @@
 package recovery
 
 import (
-	"context"
 	"testing"
 
 	"filealloc/internal/agent"
@@ -21,15 +20,15 @@ func TestChurnMetricsSurviveRestart(t *testing.T) {
 	cfg := churnConfig(t, m)
 	reg := metrics.New()
 	obs := &agent.CounterObserver{}
-	cfg.Observer = obs
+	cfg.Agent.Observer = obs
 	cfg.Metrics = reg
-	cfg.Faults = transport.FaultConfig{
+	cfg.Faults = &transport.FaultConfig{
 		Rules: []transport.FaultRule{{
 			Kind: transport.FaultCrash, Direction: transport.DirSend,
 			Nodes: []int{2}, FromRound: 5, ToRound: 5,
 		}},
 	}
-	res, err := RunChurnCluster(context.Background(), cfg)
+	res, err := runChurn(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestChurnMetricsSurviveRestart(t *testing.T) {
 			t.Fatalf("node %d failed: %v", i, e)
 		}
 	}
-	if got := res.Outcomes[2].Restarts; got != 1 {
+	if got := res.Restarts[2]; got != 1 {
 		t.Fatalf("node 2 restarts = %d, want 1 (fault rule did not fire)", got)
 	}
 

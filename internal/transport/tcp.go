@@ -124,6 +124,45 @@ func (e *TCPEndpoint) SetPeerAddr(id int, addr string) error {
 	return nil
 }
 
+// ListenLoopback binds n endpoints on ephemeral loopback ports and
+// installs every peer's address on every endpoint: a whole TCP cluster
+// inside one process, for tests and single-host runs. The caller closes
+// the endpoints (CloseAll); on error none is left open.
+func ListenLoopback(n int, opts ...TCPOption) ([]Endpoint, error) {
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = "127.0.0.1:0"
+	}
+	tcps := make([]*TCPEndpoint, n)
+	eps := make([]Endpoint, 0, n)
+	for i := range tcps {
+		ep, err := ListenTCP(i, addrs, opts...)
+		if err != nil {
+			CloseAll(eps)
+			return nil, err
+		}
+		tcps[i] = ep
+		eps = append(eps, ep)
+	}
+	for _, ep := range tcps {
+		ep.mu.Lock()
+		for j, peer := range tcps {
+			ep.addrs[j] = peer.Addr()
+		}
+		ep.mu.Unlock()
+	}
+	return eps, nil
+}
+
+// CloseAll closes every endpoint and joins their errors.
+func CloseAll(eps []Endpoint) error {
+	var errs []error
+	for _, ep := range eps {
+		errs = append(errs, ep.Close())
+	}
+	return errors.Join(errs...)
+}
+
 // ID implements Endpoint.
 func (e *TCPEndpoint) ID() int { return e.id }
 

@@ -7,6 +7,20 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# require_tests PATTERN PKG...: fail unless every listed package has at
+# least one test matching the -run PATTERN, so a targeted gate cannot pass
+# by running nothing after its tests move or are renamed.
+require_tests() {
+	pattern=$1
+	shift
+	for pkg in "$@"; do
+		if ! go test -list "$pattern" "$pkg" | grep -q '^Test'; then
+			echo "no test in $pkg matches -run '$pattern'" >&2
+			exit 1
+		fi
+	done
+}
+
 echo "== gofmt -l"
 UNFORMATTED="$(gofmt -l . 2>&1 | grep -v '^internal/lint/testdata/' || true)"
 if [ -n "$UNFORMATTED" ]; then
@@ -48,10 +62,12 @@ go test -race ./...
 echo "== chaos-churn matrix under -race"
 # The crash-recovery and membership-churn scenarios are the tests most
 # sensitive to scheduling; run them explicitly under the race detector so
-# a cached ./... pass cannot mask them.
-go test -race -count 1 \
-	-run 'TestChaosChurnContract|TestChurn|TestCrash|TestDoubleCrash|TestPartitionDepart|TestDepartRejoin|TestSupervise|TestFaultCrash' \
-	./internal/experiments/ ./internal/recovery/ ./internal/transport/
+# a cached ./... pass cannot mask them. The agent package holds the
+# cluster harness those scenarios run through.
+CHURN_RUN='TestChaosChurnContract|TestChurn|TestCrash|TestDoubleCrash|TestPartitionDepart|TestDepartRejoin|TestSupervise|TestFaultCrash|TestRunClusterValidation|TestClusterOverTCP|TestChaosOverTCP'
+CHURN_PKGS='./internal/experiments/ ./internal/recovery/ ./internal/transport/ ./internal/agent/'
+require_tests "$CHURN_RUN" $CHURN_PKGS
+go test -race -count 1 -run "$CHURN_RUN" $CHURN_PKGS
 
 echo "== gossip chaos + property battery under -race"
 # The thousand-node aggregation contract: under injected faults a run
@@ -60,9 +76,9 @@ echo "== gossip chaos + property battery under -race"
 # (node goroutines, fault timing), so run them uncached under the race
 # detector; -short keeps the property instances at smoke size here —
 # the plain ./... pass above runs the full 1000 instances.
-go test -race -count 1 -short \
-	-run 'TestChaosMatrix|TestProperty|TestGossipCommandWorkersByteIdentical' \
-	./internal/gossip/ ./cmd/fapctl/
+GOSSIP_RUN='TestChaosMatrix|TestProperty|TestGossipCommandWorkersByteIdentical'
+require_tests "$GOSSIP_RUN" ./internal/gossip/ ./cmd/fapctl/
+go test -race -count 1 -short -run "$GOSSIP_RUN" ./internal/gossip/ ./cmd/fapctl/
 
 echo "== closed-loop serving smoke under -race"
 # The fapload gate: a steady phase then a crash phase over a live 5-node
@@ -70,17 +86,17 @@ echo "== closed-loop serving smoke under -race"
 # asserts the contract — zero failed requests through the crash, a
 # certified degraded re-plan within the convergence-lag ceiling, and no
 # stale-plan errors — so a bare pass here is the acceptance bar.
-go test -race -count 1 \
-	-run 'TestClosedLoopSmoke|TestPhaseReportDeterministicAcrossWorkers' \
-	./internal/loadgen/
+LOOP_RUN='TestClosedLoopSmoke|TestPhaseReportDeterministicAcrossWorkers'
+require_tests "$LOOP_RUN" ./internal/loadgen/
+go test -race -count 1 -run "$LOOP_RUN" ./internal/loadgen/
 
 echo "== catalog determinism under -race"
 # The catalog batch-solves shards across sweep workers; its byte-identical
 # determinism pin is exactly the kind of contract a data race would break
 # silently, so run it explicitly under the race detector too.
-go test -race -count 1 \
-	-run 'TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle' \
-	./internal/catalog/ ./internal/experiments/
+CATALOG_RUN='TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle'
+require_tests "$CATALOG_RUN" ./internal/catalog/ ./internal/experiments/
+go test -race -count 1 -run "$CATALOG_RUN" ./internal/catalog/ ./internal/experiments/
 
 echo "== coverage floors (scripts/coverage.baseline)"
 # Statement coverage must not regress below the recorded per-package
