@@ -50,6 +50,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,7 +77,7 @@ func main() {
 	}
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	if len(args) > 0 && args[0] == "checkpoint" {
 		return runCheckpoint(args[1:], w)
 	}
@@ -138,7 +139,7 @@ func run(args []string, w io.Writer) error {
 		if cfg.Endpoints, err = transport.ListenLoopback(*n); err != nil {
 			return err
 		}
-		defer transport.CloseAll(cfg.Endpoints)
+		defer func() { err = errors.Join(err, transport.CloseAll(cfg.Endpoints)) }()
 	}
 	start := time.Now()
 	res, err := agent.RunCluster(context.Background(), cfg)

@@ -55,7 +55,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer transport.CloseAll(endpoints)
 	init := make([]float64, n)
 	for i := range init {
 		init[i] = 1.0 / n
@@ -68,6 +67,9 @@ func main() {
 		Endpoints: endpoints,
 	})
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := transport.CloseAll(endpoints); err != nil {
 		log.Fatal(err)
 	}
 

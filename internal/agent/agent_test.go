@@ -166,7 +166,11 @@ func loopbackEndpoints(t *testing.T, n int) []transport.Endpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { transport.CloseAll(eps) })
+	t.Cleanup(func() {
+		if err := transport.CloseAll(eps); err != nil {
+			t.Error(err)
+		}
+	})
 	return eps
 }
 

@@ -67,8 +67,9 @@ type ClusterConfig struct {
 	// this configuration; RoundOf defaults to protocol.RoundOf.
 	Faults *transport.FaultConfig
 	// Metrics, when set, meters every endpoint and publishes each node's
-	// fault counters after the run. Endpoints are wrapped once, so the
-	// counts are cumulative across a supervised node's restarts.
+	// fault counters after the run (zero when Faults is nil). Endpoints
+	// are wrapped once, so the counts are cumulative across a supervised
+	// node's restarts.
 	Metrics *metrics.Registry
 	// Run executes one node (default Run). The recovery package passes
 	// its supervised runner here.
@@ -186,11 +187,11 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 
 	drain(ctx, feps)
 	for i, fep := range feps {
-		if fep == nil {
-			continue
+		var stats transport.FaultStats
+		if fep != nil {
+			stats = fep.Stats()
+			res.Faults.Add(stats)
 		}
-		stats := fep.Stats()
-		res.Faults.Add(stats)
 		if cfg.Metrics != nil {
 			transport.PublishFaultStats(cfg.Metrics, i, stats)
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // dropNames are the transport- and recovery-layer calls whose results must
-// never be discarded: Send/Recv/Close report delivery failures the
+// never be discarded: Send/Recv/Close/CloseAll report delivery failures the
 // protocol must react to, a Stats snapshot fetched and dropped is dead
 // code hiding a forgotten assertion, and a checkpoint save, load, seal, or
 // validation whose verdict vanishes silently turns crash recovery into a
@@ -15,6 +15,7 @@ var dropNames = map[string]bool{
 	"Send":      true,
 	"Recv":      true,
 	"Close":     true,
+	"CloseAll":  true,
 	"Stats":     true,
 	"SaveRound": true,
 	"Latest":    true,
@@ -24,7 +25,7 @@ var dropNames = map[string]bool{
 	"ReadFile":  true,
 }
 
-// ErrDrop forbids discarding the results of Send, Recv, Close, and Stats
+// ErrDrop forbids discarding the results of Send, Recv, Close, CloseAll and Stats
 // calls in the transport and agent packages — and of the checkpoint
 // persistence calls (SaveRound, Latest, Seal, Validate, WriteFile,
 // ReadFile) in the recovery package — whether by a bare expression

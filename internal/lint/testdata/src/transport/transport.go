@@ -22,6 +22,9 @@ func (e *Endpoint) Recv(ctx context.Context) ([]byte, error) { return nil, nil }
 // Close pretends to release the endpoint.
 func (e *Endpoint) Close() error { return nil }
 
+// CloseAll pretends to release every endpoint.
+func CloseAll(eps []*Endpoint) error { return nil }
+
 // Stats pretends to snapshot counters.
 func (e *Endpoint) Stats() int { return 0 }
 
@@ -96,6 +99,11 @@ func BlankRecv(ctx context.Context, e *Endpoint) []byte {
 // BlankStats throws a Stats snapshot away.
 func BlankStats(e *Endpoint) {
 	_ = e.Stats() // want errdrop: all results of Stats
+}
+
+// DeferCloseAll drops the joined close errors of a whole cluster.
+func DeferCloseAll(eps []*Endpoint) {
+	defer CloseAll(eps) // want errdrop: deferred CloseAll
 }
 
 // Handled is the clean case: every result is consumed.

@@ -128,7 +128,7 @@ func (e *TCPEndpoint) SetPeerAddr(id int, addr string) error {
 // installs every peer's address on every endpoint: a whole TCP cluster
 // inside one process, for tests and single-host runs. The caller closes
 // the endpoints (CloseAll); on error none is left open.
-func ListenLoopback(n int, opts ...TCPOption) ([]Endpoint, error) {
+func ListenLoopback(n int) ([]Endpoint, error) {
 	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = "127.0.0.1:0"
@@ -136,10 +136,9 @@ func ListenLoopback(n int, opts ...TCPOption) ([]Endpoint, error) {
 	tcps := make([]*TCPEndpoint, n)
 	eps := make([]Endpoint, 0, n)
 	for i := range tcps {
-		ep, err := ListenTCP(i, addrs, opts...)
+		ep, err := ListenTCP(i, addrs)
 		if err != nil {
-			CloseAll(eps)
-			return nil, err
+			return nil, errors.Join(err, CloseAll(eps))
 		}
 		tcps[i] = ep
 		eps = append(eps, ep)
