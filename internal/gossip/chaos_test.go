@@ -56,6 +56,9 @@ func TestChaosMatrix(t *testing.T) {
 		// firedStat proves the rule actually bit; a silently dead rule
 		// would make the whole case vacuous.
 		firedStat func(transport.FaultStats) int64
+		// firedOneRound requires firedStat to equal the frame count of
+		// one fault-free round: the rule must have bitten every frame.
+		firedOneRound bool
 	}{
 		{
 			// Transient loss on the wire in early rounds: stalled rounds
@@ -136,6 +139,20 @@ func TestChaosMatrix(t *testing.T) {
 			wantConverged: true, wantDead: -1,
 			firedStat: func(s transport.FaultStats) int64 { return s.SendDropped },
 		},
+		{
+			// A round-scoped rule must see every push-sum frame of its
+			// round: each one carries the round, share or not. The copies
+			// are absorbed, so the trajectory stays bit-identical.
+			name: "gossip-duplicate-round",
+			mode: ModeGossip,
+			rules: []transport.FaultRule{{
+				Kind: transport.FaultDuplicate, Direction: transport.DirSend,
+				FromRound: 1, ToRound: 1,
+			}},
+			wantConverged: true, wantIdentical: true, wantDead: -1,
+			firedStat:     func(s transport.FaultStats) int64 { return s.SendDuplicated },
+			firedOneRound: true,
+		},
 	}
 
 	for _, tc := range cases {
@@ -157,6 +174,11 @@ func TestChaosMatrix(t *testing.T) {
 			}
 			if tc.firedStat != nil && tc.firedStat(res.Faults) == 0 {
 				t.Fatalf("fault rule never fired: %+v", res.Faults)
+			}
+			if tc.firedOneRound {
+				if got, want := tc.firedStat(res.Faults), roundFrames(t, cfg.Graph); got != want {
+					t.Errorf("rule fired %d times, want one round's %d frames", got, want)
+				}
 			}
 			if tc.wantLoudErr {
 				if !errors.Is(err, ErrRoundTimeout) {

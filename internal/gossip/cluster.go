@@ -54,9 +54,6 @@ type ClusterConfig struct {
 	// Faults, when non-nil, wraps every endpoint in deterministic fault
 	// injection. Its RoundOf defaults to protocol.RoundOf.
 	Faults *transport.FaultConfig
-	// BufferSize overrides the memory network's inbox capacity; 0 sizes
-	// it for the aggregation fan-in.
-	BufferSize int
 	// Metrics, when non-nil, receives the run's counters and gauges.
 	Metrics *metrics.Registry
 	// OnRound, when non-nil, observes every applied step. It must be safe
@@ -73,7 +70,9 @@ type Bill struct {
 	Rounds int
 	// Messages counts logical protocol messages sent.
 	Messages int64
-	// Frames counts wire frames (coalescing folds messages into frames).
+	// Frames counts wire frames. Every message travels in its own
+	// frame, so Frames equals Messages; it stays for readers of the
+	// gossip_frames_total counter.
 	Frames int64
 	// Bytes counts wire bytes sent.
 	Bytes int64
@@ -160,14 +159,10 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = 2
 	}
-	bufSize := cfg.BufferSize
-	if bufSize == 0 {
-		// Fan-in bound: a node receives at most one message per neighbor
-		// per stage plus one round of pipelining; 2n is comfortably above
-		// that for any degree.
-		bufSize = 2*n + 64
-	}
-	net, err := transport.NewMemoryNetwork(n, transport.WithBufferSize(bufSize))
+	// Fan-in bound: a node receives at most one message per neighbor per
+	// stage plus one round of pipelining; 2n is comfortably above that
+	// for any degree.
+	net, err := transport.NewMemoryNetwork(n, transport.WithBufferSize(2*n+64))
 	if err != nil {
 		return res, err
 	}
@@ -262,9 +257,9 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 			if outcomes[i].Rounds > roundsThisEpoch {
 				roundsThisEpoch = outcomes[i].Rounds
 			}
-			res.Bill.Messages += outcomes[i].Stats.MessagesSent
-			res.Bill.Frames += outcomes[i].Stats.FramesSent
-			res.Bill.Bytes += outcomes[i].Stats.BytesSent
+			res.Bill.Messages += outcomes[i].Messages
+			res.Bill.Frames += outcomes[i].Messages
+			res.Bill.Bytes += outcomes[i].Bytes
 		}
 		res.Rounds += roundsThisEpoch
 
@@ -413,7 +408,7 @@ func publish(reg *metrics.Registry, mode Mode, res ClusterResult) {
 	}
 	l := metrics.L("mode", mode.String())
 	reg.Counter("gossip_messages_total", "logical aggregation messages sent", l).Add(res.Bill.Messages)
-	reg.Counter("gossip_frames_total", "wire frames sent after coalescing", l).Add(res.Bill.Frames)
+	reg.Counter("gossip_frames_total", "wire frames sent, one per message", l).Add(res.Bill.Frames)
 	reg.Counter("gossip_bytes_total", "wire bytes sent", l).Add(res.Bill.Bytes)
 	reg.Gauge("gossip_rounds", "completed re-allocation rounds", l).Set(float64(res.Rounds))
 	reg.Gauge("gossip_epochs", "membership epochs", l).Set(float64(res.Epochs))

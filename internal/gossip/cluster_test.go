@@ -149,9 +149,14 @@ func TestGossipModeConvergesCertified(t *testing.T) {
 	if math.Abs(sum-1) > 0.02 {
 		t.Errorf("Σx = %.6f drifted beyond the repair bound", sum)
 	}
-	// Coalescing must have folded shares into extrema frames.
-	if res.Bill.Frames >= res.Bill.Messages {
-		t.Errorf("no coalescing: %d frames for %d messages", res.Bill.Frames, res.Bill.Messages)
+	// One frame per neighbor per tick in every round run, the converged
+	// round included: the bill follows from the schedule alone.
+	if res.Epochs != 1 {
+		t.Fatalf("epochs = %d, want 1 on a fault-free run", res.Epochs)
+	}
+	want := roundFrames(t, g) * int64(res.Rounds+1)
+	if res.Bill.Messages != want || res.Bill.Frames != want {
+		t.Errorf("bill: %d messages in %d frames, want %d of each", res.Bill.Messages, res.Bill.Frames, want)
 	}
 }
 

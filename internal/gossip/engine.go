@@ -34,12 +34,14 @@ type nodeConfig struct {
 
 // nodeOutcome is what one node's engine reports back. X is valid even
 // when the run erred — survivors of a churn event hand their current
-// fragment back to the supervisor for renormalization.
+// fragment back to the supervisor for renormalization. Messages and
+// Bytes bill what the node's endpoint accepted.
 type nodeOutcome struct {
 	X         float64
 	Rounds    int
 	Converged bool
-	Stats     transport.CoalesceStats
+	Messages  int64
+	Bytes     int64
 }
 
 // recvMsg is a decoded message buffered for a later round, pass or tick.
@@ -52,11 +54,12 @@ type recvMsg struct {
 type engine struct {
 	cfg       nodeConfig
 	id        int
-	ep        *transport.Coalescer
 	x         float64
 	rounds    int
 	converged bool
 	pending   []recvMsg
+	messages  int64
+	bytes     int64
 }
 
 // runNode executes one node for one epoch and reports its outcome.
@@ -64,7 +67,6 @@ func runNode(ctx context.Context, cfg nodeConfig) (nodeOutcome, error) {
 	e := &engine{
 		cfg: cfg,
 		id:  cfg.endpoint.ID(),
-		ep:  transport.NewCoalescer(cfg.endpoint),
 		x:   cfg.x,
 	}
 	var err error
@@ -78,7 +80,8 @@ func runNode(ctx context.Context, cfg nodeConfig) (nodeOutcome, error) {
 		X:         e.x,
 		Rounds:    e.rounds,
 		Converged: e.converged,
-		Stats:     e.ep.Stats(),
+		Messages:  e.messages,
+		Bytes:     e.bytes,
 	}, err
 }
 
@@ -161,7 +164,7 @@ func (e *engine) treeRound(ctx context.Context, round, parent int, children []in
 			if err != nil {
 				return protocol.AggDown{}, 0, false, err
 			}
-			if err := e.post(ctx, parent, up); err != nil {
+			if err := e.send(ctx, parent, up); err != nil {
 				return protocol.AggDown{}, 0, false, err
 			}
 			down, err = e.waitDown(ctx, round, pass, parent)
@@ -175,12 +178,9 @@ func (e *engine) treeRound(ctx context.Context, round, parent int, children []in
 				return protocol.AggDown{}, 0, false, err
 			}
 			for _, c := range children {
-				if err := e.ep.Send(ctx, c, fwd); err != nil {
+				if err := e.send(ctx, c, fwd); err != nil {
 					return protocol.AggDown{}, 0, false, err
 				}
-			}
-			if err := e.flush(ctx); err != nil {
-				return protocol.AggDown{}, 0, false, err
 			}
 		}
 		if down.Final {
@@ -349,7 +349,7 @@ func (e *engine) waitDown(ctx context.Context, round, pass, parent int) (protoco
 // round context surfaces as ErrRoundTimeout.
 func (e *engine) recvEnv(ctx context.Context, round int) (int, protocol.Envelope, error) {
 	for {
-		msg, err := e.ep.Recv(ctx)
+		msg, err := e.cfg.endpoint.Recv(ctx)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				return 0, protocol.Envelope{},
@@ -403,8 +403,6 @@ func stageOf(env protocol.Envelope) (round, sub int, ok bool) {
 		return env.AggUp.Round, env.AggUp.Pass, true
 	case env.AggDown != nil:
 		return env.AggDown.Round, env.AggDown.Pass, true
-	case env.GossipShare != nil:
-		return env.GossipShare.Round, env.GossipShare.Tick, true
 	case env.GossipExtrema != nil:
 		return env.GossipExtrema.Round, env.GossipExtrema.Tick, true
 	default:
@@ -420,8 +418,6 @@ func epochOf(env protocol.Envelope) (int, bool) {
 		return env.AggUp.Epoch, true
 	case env.AggDown != nil:
 		return env.AggDown.Epoch, true
-	case env.GossipShare != nil:
-		return env.GossipShare.Epoch, true
 	case env.GossipExtrema != nil:
 		return env.GossipExtrema.Epoch, true
 	default:
@@ -429,21 +425,19 @@ func epochOf(env protocol.Envelope) (int, bool) {
 	}
 }
 
-// post buffers one payload for a peer and flushes immediately.
-func (e *engine) post(ctx context.Context, to int, payload []byte) error {
-	if err := e.ep.Send(ctx, to, payload); err != nil {
+// send ships one message to a peer and bills it. An injected drop is
+// swallowed: a lost frame shows up as a peer's round timeout (the loud
+// failure path), not as a local error that would kill a healthy node.
+func (e *engine) send(ctx context.Context, to int, payload []byte) error {
+	err := e.cfg.endpoint.Send(ctx, to, payload)
+	if errors.Is(err, transport.ErrDropped) {
+		return nil
+	}
+	if err != nil {
 		return err
 	}
-	return e.flush(ctx)
-}
-
-// flush ships buffered sends, swallowing injected drops: a lost frame
-// shows up as a peer's round timeout (the loud failure path), not as a
-// local error that would kill a healthy node.
-func (e *engine) flush(ctx context.Context) error {
-	if err := e.ep.Flush(ctx); err != nil && !errors.Is(err, transport.ErrDropped) {
-		return err
-	}
+	e.messages++
+	e.bytes += int64(len(payload))
 	return nil
 }
 

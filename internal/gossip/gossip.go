@@ -19,8 +19,9 @@
 //     halves its (value, weight) state and ships half to one
 //     deterministically chosen neighbor, while min/max extrema flood to
 //     all neighbors (idempotent, exact after diameter ticks, so every
-//     node reaches the identical termination decision). The push-sum
-//     share rides in the same coalesced frame as the extrema flood.
+//     node reaches the identical termination decision). Both travel in
+//     one message per neighbor per tick: the share rides in the message
+//     to the chosen neighbor.
 //
 // Membership churn is handled by the cluster supervisor: when an
 // injected crash kills a node mid-round, the survivors' round times out,

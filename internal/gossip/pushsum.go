@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"filealloc/internal/core"
@@ -15,9 +16,9 @@ import (
 // shares to wait for and the exchange needs no acknowledgements. The
 // min/max/AND extrema flood to all neighbors every tick; flooding is
 // idempotent and exact after diameter ticks, so every node reaches the
-// identical termination decision in the same round. The share rides in
-// the same coalesced frame as the target neighbor's extrema flood,
-// saving one frame per node per tick.
+// identical termination decision in the same round. A node sends one
+// message per neighbor per tick: the extrema flood, with the share added
+// to the message for the tick's target.
 
 // pickPeer deterministically chooses node's exchange target for a tick
 // from its sorted alive neighbors, using a splitmix64-style mix so the
@@ -118,53 +119,48 @@ func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, ha
 	}
 	sxHi, sxLo, wn := e.x, 0.0, 1.0
 	for tick := 0; tick < e.cfg.ticks; tick++ {
-		target := pickPeer(e.cfg.seed, e.cfg.epoch, round, tick, e.id, neighbors)
-		var sharePayload []byte
-		if target >= 0 {
-			sgHi, sgLo, wa = sgHi/2, sgLo/2, wa/2
-			sxHi, sxLo, wn = sxHi/2, sxLo/2, wn/2
-			sharePayload, err = protocol.EncodeGossipShare(protocol.GossipShare{
-				Round: round, Tick: tick, Epoch: e.cfg.epoch, Node: e.id,
-				SG: sgHi, SGC: sgLo, WA: wa,
-				SX: sxHi, SXC: sxLo, WN: wn,
-			})
-			if err != nil {
-				return st, err
-			}
-		}
-		extMsg := ext
-		extMsg.Round, extMsg.Tick, extMsg.Epoch = round, tick, e.cfg.epoch
-		extPayload, err := protocol.EncodeGossipExtrema(extMsg)
+		msg := ext
+		msg.Round, msg.Tick, msg.Epoch = round, tick, e.cfg.epoch
+		flood, err := protocol.EncodeGossipExtrema(msg)
 		if err != nil {
 			return st, err
 		}
-		for _, nb := range neighbors {
-			if nb == target {
-				if err := e.ep.Send(ctx, nb, sharePayload); err != nil {
-					return st, err
-				}
-			}
-			if err := e.ep.Send(ctx, nb, extPayload); err != nil {
+		target := pickPeer(e.cfg.seed, e.cfg.epoch, round, tick, e.id, neighbors)
+		var share []byte
+		if target >= 0 {
+			sgHi, sgLo, wa = sgHi/2, sgLo/2, wa/2
+			sxHi, sxLo, wn = sxHi/2, sxLo/2, wn/2
+			msg.HasShare = true
+			msg.SG, msg.SGC, msg.WA = sgHi, sgLo, wa
+			msg.SX, msg.SXC, msg.WN = sxHi, sxLo, wn
+			if share, err = protocol.EncodeGossipExtrema(msg); err != nil {
 				return st, err
 			}
 		}
-		if err := e.flush(ctx); err != nil {
-			return st, err
+		for _, nb := range neighbors {
+			payload := flood
+			if nb == target {
+				payload = share
+			}
+			if err := e.send(ctx, nb, payload); err != nil {
+				return st, err
+			}
 		}
-		shares, exts, err := e.collectTick(ctx, round, tick, neighbors)
+		got, err := e.collectTick(ctx, round, tick, neighbors)
 		if err != nil {
 			return st, err
 		}
 		// Fold in ascending sender order so the double-double bits are
 		// reproducible run-to-run.
 		for _, nb := range neighbors {
-			if s, ok := shares[nb]; ok {
-				sgHi, sgLo = ddAdd(sgHi, sgLo, s.SG, s.SGC)
-				wa += s.WA
-				sxHi, sxLo = ddAdd(sxHi, sxLo, s.SX, s.SXC)
-				wn += s.WN
+			m := got[nb]
+			if m.HasShare {
+				sgHi, sgLo = ddAdd(sgHi, sgLo, m.SG, m.SGC)
+				wa += m.WA
+				sxHi, sxLo = ddAdd(sxHi, sxLo, m.SX, m.SXC)
+				wn += m.WN
 			}
-			mergeExtrema(&ext, exts[nb])
+			mergeExtrema(&ext, m)
 		}
 	}
 	st.est = math.NaN()
@@ -176,46 +172,41 @@ func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, ha
 	return st, nil
 }
 
-// collectTick gathers the tick's expected messages: one extrema flood
-// from every neighbor, plus one push-sum share from each neighbor whose
-// hashed pick lands on this node. Duplicates are discarded (accepting a
-// second copy of a share would double-count its mass); later ticks and
-// rounds are buffered.
-func (e *engine) collectTick(ctx context.Context, round, tick int, neighbors []int) (map[int]protocol.GossipShare, map[int]protocol.GossipExtrema, error) {
-	wantShare := make(map[int]bool, len(neighbors))
-	wanted := 0
-	for _, nb := range neighbors {
-		if pickPeer(e.cfg.seed, e.cfg.epoch, round, tick, nb, e.cfg.adj[nb]) == e.id {
-			wantShare[nb] = true
-			wanted++
-		}
-	}
-	shares := make(map[int]protocol.GossipShare, wanted)
-	exts := make(map[int]protocol.GossipExtrema, len(neighbors))
+// collectTick gathers the tick's one message from every neighbor. The
+// message from a neighbor whose hashed pick lands on this node must
+// carry its push-sum share and every other message must not; a mismatch
+// is ErrProtocol. Duplicates are discarded (accepting a second copy of a
+// share would double-count its mass); later ticks and rounds are
+// buffered.
+func (e *engine) collectTick(ctx context.Context, round, tick int, neighbors []int) (map[int]protocol.GossipExtrema, error) {
+	got := make(map[int]protocol.GossipExtrema, len(neighbors))
+	var bad error
 	take := func(from int, env protocol.Envelope) {
-		if sh := env.GossipShare; sh != nil && sh.Round == round && sh.Tick == tick && wantShare[from] {
-			if _, dup := shares[from]; !dup {
-				shares[from] = *sh
-			}
+		m := env.GossipExtrema
+		if m == nil || m.Round != round || m.Tick != tick || !containsInt(neighbors, from) {
 			return
 		}
-		if ex := env.GossipExtrema; ex != nil && ex.Round == round && ex.Tick == tick && containsInt(neighbors, from) {
-			if _, dup := exts[from]; !dup {
-				exts[from] = *ex
-			}
+		if _, dup := got[from]; dup {
+			return
 		}
+		want := pickPeer(e.cfg.seed, e.cfg.epoch, round, tick, from, e.cfg.adj[from]) == e.id
+		if m.HasShare != want && bad == nil {
+			bad = fmt.Errorf("%w: node %d's round %d tick %d message has share=%v, want %v",
+				ErrProtocol, from, round, tick, m.HasShare, want)
+		}
+		got[from] = *m
 	}
 	e.drainPending(round, tick, take)
-	for len(shares) < wanted || len(exts) < len(neighbors) {
+	for bad == nil && len(got) < len(neighbors) {
 		from, env, err := e.recvEnv(ctx, round)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		before := len(shares) + len(exts)
+		before := len(got)
 		take(from, env)
-		if len(shares)+len(exts) == before {
+		if len(got) == before {
 			e.buffer(from, env, round, tick)
 		}
 	}
-	return shares, exts, nil
+	return got, bad
 }

@@ -24,11 +24,15 @@ import (
 // rejected on encode and on decode: no message kind has a meaning for
 // them, and reports received off the wire are checkpointed as JSON,
 // which cannot hold them. The codec has no per-field tags — both sides
-// must agree on the version byte, which is the point of it.
+// must agree on the version byte, which is the point of it. The one
+// optional group, GossipExtrema's share, follows its HasShare bool only
+// when that bool is set.
 const (
 	binMagic byte = 0xFB
 	// BinaryVersion is the codec version this build writes and accepts.
-	BinaryVersion byte = 1
+	// Version 2 retired code 12, gave code 13 its optional share and
+	// dropped an unused float from AggDown's code 11 body.
+	BinaryVersion byte = 2
 )
 
 // Codec names a wire encoding. The binary frame above is the only one;
@@ -40,7 +44,9 @@ type Codec int
 const CodecBinary Codec = 1
 
 // kind codes, one byte per Kind. Codes are part of the wire format:
-// never renumber, only append.
+// never renumber, only append. Code 12 (the version-1 push-sum share,
+// now part of code 13) is retired and reserved: it decodes as an
+// unknown kind.
 const (
 	codeReport        byte = 1
 	codeUpdate        byte = 2
@@ -53,7 +59,6 @@ const (
 	codePong          byte = 9
 	codeAggUp         byte = 10
 	codeAggDown       byte = 11
-	codeGossipShare   byte = 12
 	codeGossipExtrema byte = 13
 )
 
@@ -69,7 +74,6 @@ var kindToCode = map[Kind]byte{
 	KindPong:          codePong,
 	KindAggUp:         codeAggUp,
 	KindAggDown:       codeAggDown,
-	KindGossipShare:   codeGossipShare,
 	KindGossipExtrema: codeGossipExtrema,
 }
 
@@ -198,22 +202,6 @@ func EncodeBinary(e Envelope) ([]byte, error) {
 		w.float(m.Spread)
 		w.boolean(m.Converged)
 		w.boolean(m.NoOp)
-		w.float(m.Renorm)
-	case KindGossipShare:
-		if e.GossipShare == nil {
-			return nil, fmt.Errorf("%w: %s envelope without body", ErrBadMessage, e.Kind)
-		}
-		m := e.GossipShare
-		w.varint(int64(m.Round))
-		w.varint(int64(m.Tick))
-		w.varint(int64(m.Epoch))
-		w.varint(int64(m.Node))
-		w.float(m.SG)
-		w.float(m.SGC)
-		w.float(m.WA)
-		w.float(m.SX)
-		w.float(m.SXC)
-		w.float(m.WN)
 	case KindGossipExtrema:
 		if e.GossipExtrema == nil {
 			return nil, fmt.Errorf("%w: %s envelope without body", ErrBadMessage, e.Kind)
@@ -230,6 +218,15 @@ func EncodeBinary(e Envelope) ([]byte, error) {
 		w.boolean(m.HasOut)
 		w.float(m.OutG)
 		w.varint(int64(m.OutNode))
+		w.boolean(m.HasShare)
+		if m.HasShare {
+			w.float(m.SG)
+			w.float(m.SGC)
+			w.float(m.WA)
+			w.float(m.SX)
+			w.float(m.SXC)
+			w.float(m.WN)
+		}
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadMessage, e.Kind)
 	}
@@ -368,21 +365,7 @@ func decodeBinaryBody(code byte, r *binReader) (Envelope, error) {
 		m.Spread = r.float()
 		m.Converged = r.boolean()
 		m.NoOp = r.boolean()
-		m.Renorm = r.float()
 		return Envelope{Kind: KindAggDown, AggDown: &m}, r.err
-	case codeGossipShare:
-		var m GossipShare
-		m.Round = r.intField()
-		m.Tick = r.intField()
-		m.Epoch = r.intField()
-		m.Node = r.intField()
-		m.SG = r.float()
-		m.SGC = r.float()
-		m.WA = r.float()
-		m.SX = r.float()
-		m.SXC = r.float()
-		m.WN = r.float()
-		return Envelope{Kind: KindGossipShare, GossipShare: &m}, r.err
 	case codeGossipExtrema:
 		var m GossipExtrema
 		m.Round = r.intField()
@@ -396,6 +379,15 @@ func decodeBinaryBody(code byte, r *binReader) (Envelope, error) {
 		m.HasOut = r.boolean()
 		m.OutG = r.float()
 		m.OutNode = r.intField()
+		m.HasShare = r.boolean()
+		if m.HasShare {
+			m.SG = r.float()
+			m.SGC = r.float()
+			m.WA = r.float()
+			m.SX = r.float()
+			m.SXC = r.float()
+			m.WN = r.float()
+		}
 		return Envelope{Kind: KindGossipExtrema, GossipExtrema: &m}, r.err
 	default:
 		return Envelope{}, fmt.Errorf("%w: unknown binary kind code %d", ErrBadMessage, code)

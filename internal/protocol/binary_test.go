@@ -31,9 +31,10 @@ func binarySeedEnvelopes() []Envelope {
 			OutNode: 3, OutG: -2.5, Changed: 1, RatioCount: 2, MinRatio: 0.75,
 		}}},
 		{Kind: KindAggUp, AggUp: &AggUp{Node: 0, Agg: Aggregate{OutNode: -1}}},
-		{Kind: KindAggDown, AggDown: &AggDown{Round: 5, Pass: 2, Epoch: 2, Avg: -2.625, Count: 4, Drop: true, Readmit: -1, Final: true, Truncation: 0.5, Spread: 3, Converged: true, NoOp: false, Renorm: 1.0000000000000002}},
-		{Kind: KindGossipShare, GossipShare: &GossipShare{Round: 1, Tick: 3, Epoch: 0, Node: 6, SG: -5.25, SGC: -1e-18, WA: 0.5, SX: 0.125, SXC: 0, WN: 0.25}},
+		{Kind: KindAggDown, AggDown: &AggDown{Round: 5, Pass: 2, Epoch: 2, Avg: -2.625, Count: 4, Drop: true, Readmit: -1, Final: true, Truncation: 0.5, Spread: 3, Converged: true, NoOp: false}},
 		{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{Round: 1, Tick: 3, Epoch: 0, Node: 6, HasInt: true, IntMinG: -7, IntMaxG: -1, BoundOK: true, HasOut: true, OutG: -3, OutNode: 2}},
+		{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{Round: 1, Tick: 3, Epoch: 0, Node: 6, BoundOK: true, OutNode: -1,
+			HasShare: true, SG: -5.25, SGC: -1e-18, WA: 0.5, SX: 0.125, SXC: 0, WN: 0.25}},
 		{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{BoundOK: false, OutNode: -1}},
 	}
 }
@@ -99,12 +100,15 @@ func TestBinaryTruncationIsErrBadMessage(t *testing.T) {
 }
 
 // TestBinaryRejectsBadFrames covers the explicit rejection paths:
-// unknown version, unknown kind code, lying length prefix, out-of-range
-// integer fields, and malformed bool bytes.
+// unknown version, unknown kind code (the retired code 12 included),
+// lying length prefix, out-of-range integer fields, and malformed bool
+// bytes.
 func TestBinaryRejectsBadFrames(t *testing.T) {
 	cases := map[string][]byte{
 		"wrong version":     {binMagic, BinaryVersion + 1, codeReport, 0},
 		"unknown kind code": {binMagic, BinaryVersion, 200, 0},
+		// Code 12 carried the version-1 push-sum share; it is retired.
+		"retired code 12":   {binMagic, BinaryVersion, 12, 0},
 		"length over-claim": {binMagic, BinaryVersion, codePing, 10, 1},
 		"length under-claim": append(
 			[]byte{binMagic, BinaryVersion, codePing, 1},
@@ -130,6 +134,16 @@ func TestBinaryRejectsBadFrames(t *testing.T) {
 	frame = append(frame, w.buf...)
 	if _, err := Decode(frame); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("out-of-range int field: err=%v, want ErrBadMessage", err)
+	}
+	// A well-formed frame stamped with version 1, whose code 11 and 13
+	// bodies differ from today's, is rejected rather than misread.
+	v1, err := EncodeReport(Report{Round: 1, Node: 2, Marginal: -3.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1[1] = 1
+	if _, err := Decode(v1); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("version-1 frame: err=%v, want ErrBadMessage", err)
 	}
 }
 
@@ -161,15 +175,30 @@ func nonFiniteCases() map[string]func(v float64) Envelope {
 		"agg-up ratio": func(v float64) Envelope {
 			return Envelope{Kind: KindAggUp, AggUp: &AggUp{Agg: Aggregate{MinRatio: v}}}
 		},
-		"agg-down avg":    func(v float64) Envelope { return Envelope{Kind: KindAggDown, AggDown: &AggDown{Avg: v}} },
-		"agg-down renorm": func(v float64) Envelope { return Envelope{Kind: KindAggDown, AggDown: &AggDown{Renorm: v}} },
-		"share sg":        func(v float64) Envelope { return Envelope{Kind: KindGossipShare, GossipShare: &GossipShare{SG: v}} },
-		"share wn":        func(v float64) Envelope { return Envelope{Kind: KindGossipShare, GossipShare: &GossipShare{WN: v}} },
+		"agg-down avg": func(v float64) Envelope { return Envelope{Kind: KindAggDown, AggDown: &AggDown{Avg: v}} },
 		"extrema int": func(v float64) Envelope {
 			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasInt: true, IntMinG: v}}
 		},
 		"extrema out": func(v float64) Envelope {
 			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasOut: true, OutG: v}}
+		},
+		"extrema share sg": func(v float64) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasShare: true, SG: v}}
+		},
+		"extrema share sgc": func(v float64) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasShare: true, SGC: v}}
+		},
+		"extrema share wa": func(v float64) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasShare: true, WA: v}}
+		},
+		"extrema share sx": func(v float64) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasShare: true, SX: v}}
+		},
+		"extrema share sxc": func(v float64) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasShare: true, SXC: v}}
+		},
+		"extrema share wn": func(v float64) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{HasShare: true, WN: v}}
 		},
 	}
 }
@@ -219,15 +248,15 @@ func TestGossipKindEncoders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeAggDown: %v", err)
 	}
-	share, err := EncodeGossipShare(GossipShare{Round: 11, Tick: 2, Node: 1, SG: -1, WA: 1, SX: 0.5, WN: 1})
-	if err != nil {
-		t.Fatalf("EncodeGossipShare: %v", err)
-	}
 	ext, err := EncodeGossipExtrema(GossipExtrema{Round: 11, Tick: 2, Node: 1, OutNode: -1})
 	if err != nil {
 		t.Fatalf("EncodeGossipExtrema: %v", err)
 	}
-	for name, payload := range map[string][]byte{"agg-up": up, "agg-down": down, "share": share, "extrema": ext} {
+	share, err := EncodeGossipExtrema(GossipExtrema{Round: 11, Tick: 2, Node: 1, OutNode: -1, HasShare: true, SG: -1, WA: 1, SX: 0.5, WN: 1})
+	if err != nil {
+		t.Fatalf("EncodeGossipExtrema with a share: %v", err)
+	}
+	for name, payload := range map[string][]byte{"agg-up": up, "agg-down": down, "extrema": ext, "extrema+share": share} {
 		round, ok := RoundOf(payload)
 		if !ok || round != 11 {
 			t.Errorf("%s: RoundOf = (%d, %v), want (11, true)", name, round, ok)

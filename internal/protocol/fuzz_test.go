@@ -15,8 +15,7 @@ func bodyCount(env Envelope) int {
 		env.Report != nil, env.Update != nil, env.Vector != nil,
 		env.Access != nil, env.AccessReply != nil, env.Plan != nil,
 		env.PlanAck != nil, env.Ping != nil, env.Pong != nil,
-		env.AggUp != nil, env.AggDown != nil,
-		env.GossipShare != nil, env.GossipExtrema != nil,
+		env.AggUp != nil, env.AggDown != nil, env.GossipExtrema != nil,
 	} {
 		if p {
 			n++
@@ -105,6 +104,8 @@ func FuzzBinaryCodec(f *testing.F) {
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, BinaryVersion})
 	f.Add([]byte{binMagic, BinaryVersion + 1, codeReport, 0})
+	f.Add([]byte{binMagic, 1, codeReport, 0})
+	f.Add([]byte{binMagic, BinaryVersion, 12, 0})
 	f.Add([]byte{binMagic, BinaryVersion, 255, 0})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {

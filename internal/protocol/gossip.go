@@ -18,11 +18,9 @@ const (
 	// KindAggDown carries the root's combined result (and the active-set
 	// decision derived from it) back down the tree.
 	KindAggDown Kind = "agg-down"
-	// KindGossipShare carries one push-sum share: (value, weight) halves
-	// exchanged by the gossip aggregation mode.
-	KindGossipShare Kind = "gossip-share"
-	// KindGossipExtrema carries the flooded min/max state of the gossip
-	// aggregation mode (idempotent, exact after diameter ticks).
+	// KindGossipExtrema is the gossip aggregation mode's tick message:
+	// the flooded min/max state (idempotent, exact after diameter ticks),
+	// plus the push-sum share when the receiver is the tick's target.
 	KindGossipExtrema Kind = "gossip-extrema"
 )
 
@@ -108,32 +106,13 @@ type AggDown struct {
 	// NoOp reports a degenerate active set (≤ 1 member): the step moves
 	// nothing and nodes exit unconverged, like core.Step.IsNoOp.
 	NoOp bool `json:"no_op,omitempty"`
-	// Renorm, when nonzero, is the factor every node multiplies its
-	// fragment by after applying the step, repairing accumulated Σx drift.
-	Renorm float64 `json:"renorm,omitempty"`
 }
 
-// GossipShare is one push-sum exchange: the sender keeps half of its
-// (value, weight) state and ships the other half to one deterministic
-// neighbor per tick. SG over WA estimates the active-set mean marginal;
-// SX over WN estimates the mean allocation (feasibility repair). Sums
-// are double-double so total mass is conserved to the last bit.
-type GossipShare struct {
-	Round int     `json:"round"`
-	Tick  int     `json:"tick"`
-	Epoch int     `json:"epoch"`
-	Node  int     `json:"node"`
-	SG    float64 `json:"sg"`
-	SGC   float64 `json:"sgc,omitempty"`
-	WA    float64 `json:"wa"`
-	SX    float64 `json:"sx"`
-	SXC   float64 `json:"sxc,omitempty"`
-	WN    float64 `json:"wn"`
-}
-
-// GossipExtrema is the flooded min/max state of a gossip round: combining
-// is idempotent, so after diameter ticks every node holds the exact
-// extrema and the termination decision is identical everywhere.
+// GossipExtrema is the one message a node sends each neighbor per
+// gossip tick. It carries the flooded min/max state of the round:
+// combining is idempotent, so after diameter ticks every node holds the
+// exact extrema and the termination decision is identical everywhere.
+// The message to the tick's push-sum target also carries the share.
 type GossipExtrema struct {
 	Round int `json:"round"`
 	Tick  int `json:"tick"`
@@ -151,6 +130,19 @@ type GossipExtrema struct {
 	HasOut  bool    `json:"has_out,omitempty"`
 	OutG    float64 `json:"out_g,omitempty"`
 	OutNode int     `json:"out_node"`
+	// HasShare guards the push-sum share: the sender keeps half of its
+	// (value, weight) state and ships the other half to one deterministic
+	// neighbor per tick. SG over WA estimates the active-set mean
+	// marginal; SX over WN estimates the mean allocation (feasibility
+	// repair). Sums are double-double so total mass is conserved to the
+	// last bit.
+	HasShare bool    `json:"has_share,omitempty"`
+	SG       float64 `json:"sg,omitempty"`
+	SGC      float64 `json:"sgc,omitempty"`
+	WA       float64 `json:"wa,omitempty"`
+	SX       float64 `json:"sx,omitempty"`
+	SXC      float64 `json:"sxc,omitempty"`
+	WN       float64 `json:"wn,omitempty"`
 }
 
 // EncodeAggUp serializes an AggUp; c must be CodecBinary.
@@ -161,11 +153,6 @@ func EncodeAggUp(c Codec, m AggUp) ([]byte, error) {
 // EncodeAggDown serializes an AggDown; c must be CodecBinary.
 func EncodeAggDown(c Codec, m AggDown) ([]byte, error) {
 	return encodeWith(c, Envelope{Kind: KindAggDown, AggDown: &m})
-}
-
-// EncodeGossipShare serializes a GossipShare.
-func EncodeGossipShare(m GossipShare) ([]byte, error) {
-	return EncodeBinary(Envelope{Kind: KindGossipShare, GossipShare: &m})
 }
 
 // EncodeGossipExtrema serializes a GossipExtrema.

@@ -92,7 +92,6 @@ type Envelope struct {
 	Pong          *Pong
 	AggUp         *AggUp
 	AggDown       *AggDown
-	GossipShare   *GossipShare
 	GossipExtrema *GossipExtrema
 }
 
@@ -132,8 +131,6 @@ func RoundOf(payload []byte) (int, bool) {
 		return env.AggUp.Round, true
 	case KindAggDown:
 		return env.AggDown.Round, true
-	case KindGossipShare:
-		return env.GossipShare.Round, true
 	case KindGossipExtrema:
 		return env.GossipExtrema.Round, true
 	default:

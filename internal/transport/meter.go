@@ -9,9 +9,9 @@ import (
 
 // meterByteBounds are the payload-size buckets shared by the send and
 // receive histograms, picked from measured binary frame sizes: serving
-// requests and replies take 9–17 bytes, a Report 31–35, an AggDown 46,
-// a GossipShare 57, a 5-node Plan 72, an AggUp 102 and a 16-node Update
-// 137, so each of those classes lands in its own bucket up to 192.
+// requests and replies take 9–17 bytes, a Report 31–35, an AggDown or a
+// push-sum tick message 37, a 5-node Plan 72, a tick message with its
+// share 85, an AggUp 102 and a 16-node Update 137.
 var meterByteBounds = []int64{24, 48, 96, 192, 1024, 4096}
 
 // MeteredEndpoint wraps an Endpoint and records per-node send/recv

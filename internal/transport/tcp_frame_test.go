@@ -85,37 +85,6 @@ func TestTCPSkipsMalformedFrames(t *testing.T) {
 	}
 }
 
-// Frames over the coalescer over TCP: the full stack the gossip runner
-// uses when pointed at real sockets.
-func TestTCPBinaryWithCoalescer(t *testing.T) {
-	a, b := tcpPair(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	ca := NewCoalescer(a)
-	cb := NewCoalescer(b)
-	for _, m := range []string{"share", "extrema"} {
-		if err := ca.Send(ctx, 1, []byte(m)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ca.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"share", "extrema"} {
-		msg, err := cb.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(msg.Payload) != want {
-			t.Fatalf("payload = %q, want %q", msg.Payload, want)
-		}
-	}
-	if got := ca.Stats(); got.BatchesSent != 1 {
-		t.Errorf("stats = %+v, want one batch", got)
-	}
-}
-
 // FuzzReadFrame feeds arbitrary byte streams to the frame reader. It must
 // never panic, never hand back a body larger than the frame limit, and
 // never return a sender id outside the cluster.

@@ -3,8 +3,8 @@
 // between the numbered nodes of a cluster. Two implementations are
 // provided: an in-memory channel network (with deterministic failure
 // injection for tests) and a TCP mesh for running the protocol across
-// real processes, speaking length-prefixed binary frames. A Coalescer
-// wrapper batches multiple messages to the same peer into one wire frame.
+// real processes, speaking length-prefixed binary frames. Every Send is
+// one message in one frame; nothing batches messages.
 package transport
 
 import (

@@ -72,11 +72,12 @@ go test -race -count 1 -run "$CHURN_RUN" $CHURN_PKGS
 echo "== gossip chaos + property battery under -race"
 # The thousand-node aggregation contract: under injected faults a run
 # either certifies or fails loudly, and the tree fold's compensated mean
-# stays within 1 ulp for any fold shape. Both are scheduling-sensitive
+# stays within 1 ulp for any fold shape; the push-sum pin holds one
+# seeded run's bits. All are scheduling-sensitive
 # (node goroutines, fault timing), so run them uncached under the race
 # detector; -short keeps the property instances at smoke size here —
 # the plain ./... pass above runs the full 1000 instances.
-GOSSIP_RUN='TestChaosMatrix|TestProperty|TestGossipCommandWorkersByteIdentical'
+GOSSIP_RUN='TestChaosMatrix|TestProperty|TestPushSumDeterminismPin|TestGossipCommandWorkersByteIdentical'
 require_tests "$GOSSIP_RUN" ./internal/gossip/ ./cmd/fapctl/
 go test -race -count 1 -short -run "$GOSSIP_RUN" ./internal/gossip/ ./cmd/fapctl/
 
