@@ -271,9 +271,6 @@ type ReplanConfig struct {
 	Mu []float64
 	// Epsilon is the solver's convergence threshold (default 1e-9).
 	Epsilon float64
-	// DynamicAlphaSafety is the Theorem-2 stepsize safety factor
-	// (default 0.9).
-	DynamicAlphaSafety float64
 	// WarmSteps is the incremental budget before cold fallback
 	// (default 32).
 	WarmSteps int
@@ -294,9 +291,6 @@ func (rc *ReplanConfig) fill() error {
 	}
 	if rc.Epsilon <= 0 {
 		rc.Epsilon = 1e-9
-	}
-	if rc.DynamicAlphaSafety <= 0 {
-		rc.DynamicAlphaSafety = 0.9
 	}
 	if rc.WarmSteps <= 0 {
 		rc.WarmSteps = 32
@@ -369,7 +363,7 @@ func (rc ReplanConfig) Replan(ctx context.Context, rates, prev []float64, alive 
 
 	init := rc.warmStart(prev, support, lambda)
 	alloc, err := core.NewAllocator(model,
-		core.WithDynamicAlpha(rc.DynamicAlphaSafety),
+		core.WithSecondOrder(),
 		core.WithEpsilon(rc.Epsilon),
 		core.WithKKTCheck())
 	if err != nil {

@@ -1,7 +1,9 @@
 // Package catalog scales the paper's single-file solver from one file to
 // a placement service: a catalog of N independent objects, each with its
 // own Zipf-skewed demand vector over the cluster, sharded and
-// batch-solved over the internal/sweep worker pool. Cold fills run the
+// batch-solved over the internal/sweep worker pool. Every object plans
+// with section 8.2's second-derivative (Newton) step, guarded by the
+// Theorem-2 backtracking of core.WithSecondOrder. Cold fills run the
 // full allocator per object; after demand drifts, re-solves go through
 // the core.Solver interface's warm path — each object's
 // internal/estimate tracker flags drift against the demand its current
@@ -58,8 +60,9 @@ type Config struct {
 	K float64
 	// Lambda is each object's total access rate λ (default 1).
 	Lambda float64
-	// DynamicAlpha is the Theorem-2 dynamic stepsize safety factor
-	// (default 0.5).
+	// DynamicAlpha was the Theorem-2 dynamic stepsize safety factor.
+	//
+	// Deprecated: ignored; the catalog plans with §8.2 Newton steps.
 	DynamicAlpha float64
 	// Epsilon is the marginal-utility spread termination threshold
 	// (default 1e-6).
@@ -77,11 +80,10 @@ type Config struct {
 	// warm path's best case).
 	DriftFraction float64
 	// WarmSteps is the incremental-step budget before a re-solve falls
-	// back to a cold solve (default 64). Most drifted objects converge
-	// within a few dozen warm steps; a long tail sits near a vertex
-	// where the dynamic stepsize is tiny and creeps for hundreds. The
-	// default is the knee of that curve — and a fallback continues from
-	// the current iterate, so an exhausted budget wastes little.
+	// back to a cold solve (default 64). Newton steps re-solve a drifted
+	// object in a handful of steps, so the budget is a safety net rather
+	// than a tuning knob — and a fallback continues from the current
+	// iterate, so an exhausted budget wastes little.
 	WarmSteps int
 	// HalfLife is the rate estimators' exponential-window half-life,
 	// in sensing-time units (default 16).
@@ -113,9 +115,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.Lambda == 0 {
 		cfg.Lambda = 1
-	}
-	if cfg.DynamicAlpha == 0 {
-		cfg.DynamicAlpha = 0.5
 	}
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 1e-6
@@ -291,7 +290,7 @@ func New(cfg Config) (*Catalog, error) {
 				return nil, fmt.Errorf("catalog: object %d model: %w", id, err)
 			}
 			alloc, err := core.NewAllocator(model,
-				core.WithDynamicAlpha(cfg.DynamicAlpha),
+				core.WithSecondOrder(),
 				core.WithEpsilon(cfg.Epsilon),
 				core.WithKKTCheck())
 			if err != nil {

@@ -227,3 +227,49 @@ func TestCatalogZeroDriftSkipsEverything(t *testing.T) {
 		}
 	}
 }
+
+// TestCatalogReSolveCertifiesWarm pins the warm path's contract on
+// seeded drift epochs shaped like the benchmark catalog's (8-node ring,
+// 10% drift): every drifted object finishes on the warm path, none falls
+// back, and every object's plan — re-solved or kept — passes
+// costmodel.VerifyKKT at cfg.KKTTol against its model's current demand,
+// priced by the independent water-filling solve.
+func TestCatalogReSolveCertifiesWarm(t *testing.T) {
+	c, err := New(Config{Objects: 2000, DriftFraction: 0.1, Seed: 3})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx := context.Background()
+	if _, err := c.SolveCold(ctx); err != nil {
+		t.Fatalf("SolveCold: %v", err)
+	}
+	if err := c.Sense(ctx); err != nil {
+		t.Fatalf("Sense: %v", err)
+	}
+	nodes, tol := c.cfg.Nodes, c.cfg.KKTTol
+	for epoch := 1; epoch <= 3; epoch++ {
+		if _, err := c.Drift(ctx); err != nil {
+			t.Fatalf("epoch %d: Drift: %v", epoch, err)
+		}
+		st, err := c.ReSolve(ctx)
+		if err != nil {
+			t.Fatalf("epoch %d: ReSolve: %v", epoch, err)
+		}
+		if st.Drifted == 0 || st.Fallback != 0 || st.Warm != st.Drifted {
+			t.Errorf("epoch %d: %d drifted, %d warm, %d fell back; want every drifted object warm",
+				epoch, st.Drifted, st.Warm, st.Fallback)
+		}
+		for _, sh := range c.shards {
+			for o := 0; o < sh.count(); o++ {
+				x := sh.x[o*nodes : (o+1)*nodes]
+				want, err := sh.models[o].SolveKKT(1e-12)
+				if err != nil {
+					t.Fatalf("epoch %d object %d: SolveKKT: %v", epoch, sh.lo+o, err)
+				}
+				if err := sh.models[o].VerifyKKT(x, want.Q, tol); err != nil {
+					t.Errorf("epoch %d object %d: plan %v not certified: %v", epoch, sh.lo+o, x, err)
+				}
+			}
+		}
+	}
+}

@@ -37,14 +37,12 @@ func TestWarmResolveMatchesColdProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: NewSingleFile: %v", inst, err)
 		}
-		// The generous iteration cap covers the rare ill-conditioned
-		// instance (two nearly-tied marginals keep the dynamic stepsize
-		// tiny; the worst draw in this suite needs ~18k iterations).
+		// The catalog's own solver: Newton steps under the backtracking
+		// guard.
 		alloc, err := core.NewAllocator(model,
-			core.WithDynamicAlpha(0.5),
+			core.WithSecondOrder(),
 			core.WithEpsilon(1e-6),
-			core.WithKKTCheck(),
-			core.WithMaxIterations(100000))
+			core.WithKKTCheck())
 		if err != nil {
 			t.Fatalf("instance %d: NewAllocator: %v", inst, err)
 		}

@@ -125,6 +125,16 @@ func WithDynamicAlpha(safety float64) Option {
 // must implement Curvature and be strictly concave along every
 // coordinate. α then defaults to 1, the Newton step, and dynamic α is
 // rejected — the normalized step already carries its own scale.
+//
+// The Newton step is exact only for a quadratic. On the M/M/1 model the
+// curvature grows along the step, so a full step can lower U or drive a
+// queue past its service rate (where Utility errors). Run guards it the
+// way it guards WithDynamicAlpha: such a step is halved from the same
+// iterate until it ascends, and α returns to its configured value at
+// the start of the next iteration, so a backtrack damps only the step
+// it repairs. A drop of at most four units in the last place of U counts
+// as rounding, not descent: near the optimum a Newton step gains less
+// than that.
 func WithSecondOrder() Option {
 	return func(a *Allocator) { a.secondOrder = true }
 }
@@ -292,6 +302,11 @@ func (a *Allocator) CheckFeasible(x []float64, totals []float64) error {
 	return nil
 }
 
+// utilityRounding is the relative drop in U, four units in the last
+// place, that the backtracking guard ascribes to rounding in evaluating
+// U rather than to an overshot step.
+const utilityRounding = 0x1p-50
+
 // Scratch holds every buffer a solve needs — the working allocation, the
 // gradient, per-group step planning buffers, and the curvature used by
 // dynamic α and second-order steps — so repeated solves reuse one set of
@@ -381,8 +396,6 @@ func (a *Allocator) load(s *Scratch, init []float64) error {
 	if a.dynamicSafety > 0 || a.secondOrder {
 		s.hess = growFloats(s.hess, len(init))
 		clear(s.hess)
-	}
-	if a.dynamicSafety > 0 {
 		s.xPrev = growFloats(s.xPrev, len(init))
 	}
 	return nil
@@ -411,17 +424,15 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 	}
 	// hess carries the curvature for dynamic α and second-order steps;
 	// dir is the curvature the planner weights by, nil for first order.
+	// Both curvature-sized steps keep xPrev for the backtracking guard.
 	var curv Curvature
 	var hess, dir, xPrev []float64
 	if a.dynamicSafety > 0 || a.secondOrder {
 		curv = a.obj.(Curvature) // checked in NewAllocator
-		hess = s.hess
+		hess, xPrev = s.hess, s.xPrev
 	}
 	if a.secondOrder {
 		dir = hess
-	}
-	if a.dynamicSafety > 0 {
-		xPrev = s.xPrev
 	}
 	alpha := a.alpha
 	if a.trace != nil {
@@ -446,6 +457,9 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 			if dyn := DynamicAlpha(grad, hess, a.groups, a.dynamicSafety); dyn > 0 {
 				alpha = dyn
 			}
+		}
+		if a.secondOrder {
+			alpha = a.alpha // undo the last iteration's backtracking
 		}
 
 		converged := true
@@ -474,7 +488,7 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 				// AvgMarginal is the active set's mean marginal utility;
 				// the section-5.3 price is the marginal cost, its negation.
 				if w.certify(x, -steps[0].AvgMarginal) != nil {
-					return Result{}, true, nil
+					return Result{Iterations: iter - 1}, true, nil
 				}
 			}
 			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopConverged, Converged: true}, false, nil
@@ -504,14 +518,24 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 			// lands back inside the domain.
 			u = math.Inf(-1)
 		}
-		// Theorem-2 backtracking guard, dynamic stepsize only: the bound is
-		// evaluated at the pre-step point, and M/M/1 curvature grows along
-		// the step, so a large move can overshoot the bound's validity region
-		// and lower U. Halving α — replanning and reapplying from the saved
-		// iterate — restores the monotone-ascent contract WithDynamicAlpha
-		// documents; trajectories that never overshoot are untouched.
-		if xPrev != nil && u < prevU {
-			for try := 0; try < 48 && u < prevU; try++ {
+		// Theorem-2 backtracking guard, dynamic stepsize and second-order
+		// steps: both size the step from the curvature at the pre-step
+		// point, and M/M/1 curvature grows along the step, so a large move
+		// can overshoot and lower U. Halving α — replanning and reapplying
+		// from the saved iterate — restores the monotone-ascent contract
+		// both options document; trajectories that never overshoot are
+		// untouched.
+		floor := prevU
+		if a.secondOrder {
+			// Near the optimum a Newton step gains less than U's last
+			// bits, so a drop within rounding is not an overshoot, and
+			// backtracking it would halve α until nothing moves. The
+			// dynamic step, up to twice the Newton step, oscillates there
+			// instead and needs the strict test to damp it.
+			floor -= utilityRounding * math.Abs(prevU)
+		}
+		if xPrev != nil && u < floor {
+			for try := 0; try < 48 && u < floor; try++ {
 				alpha /= 2
 				copy(x, xPrev)
 				for gi, g := range a.groups {
@@ -526,7 +550,7 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 					u = math.Inf(-1) // still outside the domain: keep halving
 				}
 			}
-			if u < prevU {
+			if u < floor {
 				// No stepsize makes representable progress: hold the last
 				// good iterate rather than accept a descent.
 				copy(x, xPrev)

@@ -75,8 +75,9 @@ func randomInstance(t *testing.T, r *rand.Rand) propertyInstance {
 //   - after every iteration, Σx = 1 to within 1e-12 and x ≥ 0
 //     (Theorem 1);
 //   - after every iteration of the combinations whose ascent is
-//     guaranteed (the dynamic α, whose backtracking guard enforces it),
-//     U(x_t) ≥ U(x_{t-1}) up to 1-ulp-scale rounding (Theorem 2);
+//     guaranteed (the dynamic α and the second-order step, whose
+//     backtracking guard enforces it), U(x_t) ≥ U(x_{t-1}) up to
+//     1-ulp-scale rounding (Theorem 2);
 //   - at exit, the run converged and its allocation matches the
 //     independent water-filling optimum of costmodel.SolveKKT to within
 //     oracleTol in every coordinate.
@@ -97,7 +98,7 @@ func TestTheoremInvariantsRandomized(t *testing.T) {
 	}{
 		{name: "first-order fixed alpha", opts: []core.Option{core.WithAlpha(0.05)}},
 		{name: "first-order dynamic alpha", opts: []core.Option{core.WithDynamicAlpha(0.5)}, monotone: true},
-		{name: "second-order", opts: []core.Option{core.WithSecondOrder()}},
+		{name: "second-order", opts: []core.Option{core.WithSecondOrder()}, monotone: true},
 		{name: "warm budget with VerifyKKT", opts: []core.Option{core.WithDynamicAlpha(0.5)}, warm: true, monotone: true},
 	}
 	r := rand.New(rand.NewSource(1986))

@@ -266,7 +266,8 @@ func planInto(step *Step, x, grad, hess []float64, group []int, alpha float64) e
 	}
 
 	// Feasible-direction ratio test: scale the step so no interior
-	// variable is driven below zero.
+	// variable is driven below zero, landing the binding variable on
+	// exactly zero (TruncatedDelta).
 	t := 1.0
 	for k, gi := range group {
 		if d := step.Delta[k]; d < 0 {
@@ -277,11 +278,29 @@ func planInto(step *Step, x, grad, hess []float64, group []int, alpha float64) e
 	}
 	if t < 1 {
 		step.Truncation = t
-		for k := range step.Delta {
-			step.Delta[k] *= t
+		for k, gi := range group {
+			step.Delta[k] = TruncatedDelta(x[gi], step.Delta[k]*t)
 		}
 	}
 	return nil
+}
+
+// TruncatedDelta returns the delta that a step scaled down by the ratio
+// test applies to a variable at x whose scaled delta is d: d itself, or
+// exactly −x when x + d would be at or below BoundaryTol. That is the
+// binding variable, and any other whose ratio ties it up to rounding.
+// x + d rounds, and a positive residue such as 1e-17 survives
+// ClampResidue; it would leave a variable that every solver decision
+// treats as boundary but that costmodel.VerifyKKT counts as support.
+// The gossip tree's nodes apply their own deltas through it too, so the
+// tree's trajectory stays bit-identical to the broadcast reference.
+//
+//fap:zeroalloc
+func TruncatedDelta(x, d float64) float64 {
+	if d < 0 && x+d <= BoundaryTol {
+		return -x
+	}
+	return d
 }
 
 // curvedMean returns the curvature-weighted average over the active set,

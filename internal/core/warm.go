@@ -88,7 +88,8 @@ func (w *WarmSolver) Solve(ctx context.Context, init []float64, s *Scratch) (Res
 
 // SolveWarm is Solve additionally reporting whether the incremental
 // budget was exhausted and the full cold fallback ran (callers batching
-// many objects count warm hits vs. fallbacks from it).
+// many objects count warm hits vs. fallbacks from it). After a fallback,
+// Result.Iterations counts the warm steps plus the cold continuation's.
 func (w *WarmSolver) SolveWarm(ctx context.Context, init []float64, s *Scratch) (Result, bool, error) {
 	a := w.cold
 	if s == nil {
@@ -108,6 +109,8 @@ func (w *WarmSolver) SolveWarm(ctx context.Context, init []float64, s *Scratch) 
 	// The drift outran the incremental budget (or the iterate stalled, or
 	// the certificate was vetoed): continue as a full cold solve from the
 	// current iterate. s.x is re-adopted in place.
+	warmSteps := res.Iterations
 	res, err = a.RunWithScratch(ctx, s.x, s)
+	res.Iterations += warmSteps
 	return res, true, err
 }

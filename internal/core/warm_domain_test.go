@@ -104,3 +104,70 @@ func TestColdSolveRecoversFromDomainOvershoot(t *testing.T) {
 	}
 	requireStable(t, res.X, 40, 39.6)
 }
+
+// TestSecondOrderGuardOnServingInstance is the serving re-planner's
+// shape: every node's service rate is below the total demand (μ_i < λ),
+// so a full Newton step — exact only for a quadratic — can lower U or
+// drive a queue past its service rate. The backtracking guard must keep
+// every iteration an ascent, up to rounding, inside the domain, and the
+// warm re-solve from the stale uniform plan must end converged, on the
+// warm path, and certified by costmodel.VerifyKKT. The second instance
+// is a live re-plan whose Newton steps near the optimum gain less than
+// U's rounding: a guard that backtracked those drops halved α until
+// nothing moved and burned the whole iteration budget.
+func TestSecondOrderGuardOnServingInstance(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		acc, svc []float64
+		lambda   float64
+	}{
+		{"overshoot", []float64{0.1, 0.5, 2, 2, 2}, []float64{39.6, 39.6, 39.6, 39.6, 39.6}, 40},
+		{"rounding-level gains",
+			[]float64{2.4999999999999996, 2.55, 2.1999999999999997, 2.2499999999999996, 2.5},
+			[]float64{39.60000000000001, 39.60000000000001, 39.60000000000001, 39.60000000000001, 39.60000000000001},
+			47.331050091768766},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := costmodel.NewSingleFile(tc.acc, tc.svc, tc.lambda, 1)
+			if err != nil {
+				t.Fatalf("NewSingleFile: %v", err)
+			}
+			prevU := math.Inf(-1)
+			a, err := core.NewAllocator(m,
+				core.WithSecondOrder(),
+				core.WithEpsilon(1e-9),
+				core.WithKKTCheck(),
+				core.WithTrace(func(it core.Iteration) {
+					if it.Index > 0 && it.Utility < prevU-1e-12*math.Max(1, math.Abs(prevU)) {
+						t.Errorf("iteration %d: utility fell %v -> %v", it.Index, prevU, it.Utility)
+					}
+					prevU = it.Utility
+				}))
+			if err != nil {
+				t.Fatalf("NewAllocator: %v", err)
+			}
+			warm, err := core.NewWarmSolver(a, core.WarmConfig{
+				MaxSteps: 32,
+				Certify:  func(x []float64, q float64) error { return m.VerifyKKT(x, q, 1e-6) },
+			})
+			if err != nil {
+				t.Fatalf("NewWarmSolver: %v", err)
+			}
+			res, fellBack, err := warm.SolveWarm(context.Background(), []float64{0.2, 0.2, 0.2, 0.2, 0.2}, core.NewScratch())
+			if err != nil {
+				t.Fatalf("SolveWarm: %v", err)
+			}
+			if fellBack || !res.Converged {
+				t.Fatalf("fellBack=%v, result %+v; want a converged warm exit", fellBack, res)
+			}
+			requireStable(t, res.X, tc.lambda, tc.svc[0])
+			want, err := m.SolveKKT(1e-12)
+			if err != nil {
+				t.Fatalf("SolveKKT: %v", err)
+			}
+			if err := m.VerifyKKT(res.X, want.Q, 1e-6); err != nil {
+				t.Errorf("plan %v not certified: %v", res.X, err)
+			}
+		})
+	}
+}

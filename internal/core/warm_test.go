@@ -154,6 +154,46 @@ func TestWarmSolveFallsBackWhenBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestWarmSolveFallbackCountsWarmSteps: after a fallback, Iterations
+// totals the warm steps and the cold continuation's, here counted
+// independently by the trace hook. A one-step budget falls back after
+// one warm step; a vetoed certificate after every warm step it took.
+func TestWarmSolveFallbackCountsWarmSteps(t *testing.T) {
+	const n = 6
+	steps := 0
+	cold, _ := warmPair(t, n, WithAlpha(0.4/float64(n)), WithEpsilon(1e-6), WithKKTCheck(),
+		WithTrace(func(it Iteration) {
+			if it.Index > 0 {
+				steps++
+			}
+		}))
+	far := make([]float64, n)
+	far[0] = 1
+	for _, tc := range []struct {
+		name string
+		cfg  WarmConfig
+	}{
+		{"budget 1", WarmConfig{MaxSteps: 1}},
+		{"vetoed certificate", WarmConfig{Certify: func([]float64, float64) error { return errors.New("veto") }}},
+	} {
+		warm, err := NewWarmSolver(cold, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: NewWarmSolver: %v", tc.name, err)
+		}
+		steps = 0
+		res, fellBack, err := warm.SolveWarm(context.Background(), far, NewScratch())
+		if err != nil {
+			t.Fatalf("%s: warm: %v", tc.name, err)
+		}
+		if !fellBack || !res.Converged {
+			t.Errorf("%s: fellBack=%v converged=%v, want a converged fallback", tc.name, fellBack, res.Converged)
+		}
+		if res.Iterations != steps {
+			t.Errorf("%s: Iterations = %d, the solve stepped %d times", tc.name, res.Iterations, steps)
+		}
+	}
+}
+
 // TestWarmSolveCertification exercises the Certify hook on both sides: a
 // passing certificate keeps the warm exit; a vetoing one forces the cold
 // fallback even though the internal criterion held.

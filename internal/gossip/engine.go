@@ -111,7 +111,9 @@ func (e *engine) runTree(ctx context.Context) error {
 		}
 		if active {
 			d := e.cfg.alpha * (g - final.Avg)
-			d *= final.Truncation
+			if final.Truncation < 1 {
+				d = core.TruncatedDelta(e.x, d*final.Truncation)
+			}
 			e.x = core.ClampResidue(e.x + d)
 		}
 		e.rounds = round + 1

@@ -95,7 +95,7 @@ echo "== catalog determinism under -race"
 # The catalog batch-solves shards across sweep workers; its byte-identical
 # determinism pin is exactly the kind of contract a data race would break
 # silently, so run it explicitly under the race detector too.
-CATALOG_RUN='TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle'
+CATALOG_RUN='TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle|TestCatalogReSolveCertifiesWarm'
 require_tests "$CATALOG_RUN" ./internal/catalog/ ./internal/experiments/
 go test -race -count 1 -run "$CATALOG_RUN" ./internal/catalog/ ./internal/experiments/
 
