@@ -8,12 +8,12 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"filealloc/internal/agent"
 	"filealloc/internal/gossip"
 	"filealloc/internal/metrics"
+	"filealloc/internal/sweep"
 	"filealloc/internal/topology"
 	"filealloc/internal/transport"
 )
@@ -142,7 +142,7 @@ func runGossip(args []string, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("broadcast reference: %w", err)
 		}
-		perRound := float64(ref.Messages) / float64(maxInt(ref.Rounds, 1))
+		perRound := float64(ref.Messages) / float64(max(ref.Rounds, 1))
 		rows = append(rows, billRow{"broadcast", ref.Rounds, perRound, 0, "measured"})
 	} else {
 		rows = append(rows, billRow{"broadcast", 0, broadcast, 0, "analytic N(N-1)"})
@@ -218,13 +218,6 @@ func runGossip(args []string, w io.Writer) error {
 	return nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // formatCount renders a per-round quantity compactly and stably.
 func formatCount(v float64) string {
 	switch {
@@ -259,74 +252,29 @@ func buildGossipGraph(topo string, n, extraEdges int, linkCost float64, seed int
 }
 
 // parallelAccessCosts computes topology.AccessCosts with the per-source
-// shortest-path sweeps spread over a worker pool. The reduction over
-// sources runs in ascending order on precomputed rows, so the result is
+// shortest-path sweeps spread over a worker pool (sweep.Run). The
+// round-trip pair costs and the reduction over sources are then built
+// serially with topology's own arithmetic, so the result is
 // byte-identical to the serial computation for any worker count.
 func parallelAccessCosts(g *topology.Graph, rates []float64, workers int) ([]float64, error) {
 	n := g.NumNodes()
-	if len(rates) != n {
-		return nil, fmt.Errorf("%d rates for %d nodes", len(rates), n)
+	sp := make([][]float64, n)
+	err := sweep.Run(context.Background(), n, workers, func(_ context.Context, src int) (err error) {
+		sp[src], err = g.ShortestFrom(src)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	var total float64
-	for j, r := range rates {
-		if r < 0 {
-			return nil, fmt.Errorf("rate[%d] = %v is negative", j, r)
-		}
-		total += r
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("total rate must be positive")
-	}
-	if workers > n {
-		workers = n
-	}
-	dist := make([][]float64, n)
-	errs := make([]error, n)
-	var next int64
-	var mu sync.Mutex
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= int64(n) {
-			return -1
-		}
-		next++
-		return int(next - 1)
-	}
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				src := claim()
-				if src < 0 {
-					return
-				}
-				dist[src], errs[src] = g.ShortestFrom(src)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	// Round-trip pair costs c_ji = sp(j,i) + sp(i,j), c_jj = 0, in place.
+	for j := range sp {
+		sp[j][j] = 0
+		for i := j + 1; i < n; i++ {
+			c := sp[j][i] + sp[i][j]
+			sp[j][i], sp[i][j] = c, c
 		}
 	}
-	// Deterministic reduction: C_i = Σ_j (λ_j/λ)·(sp(j,i) + sp(i,j)),
-	// folded in ascending j exactly like topology.AccessCosts.
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var sum float64
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			sum += rates[j] / total * (dist[j][i] + dist[i][j])
-		}
-		out[i] = sum
-	}
-	return out, nil
+	return topology.AccessCostsFrom(sp, rates)
 }
 
 // writeGossipMetrics dumps the registry snapshot like fapsim does; a nil

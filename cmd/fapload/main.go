@@ -173,8 +173,8 @@ func newClusterForSpec(ctx context.Context, spec loadgen.Spec, hedge bool, reg *
 		Observer:       obs,
 	}
 	if hedge {
+		// The starting delay; each tick re-derives it from the observed p99.
 		cfg.HedgeDelay = 5 * time.Millisecond
-		cfg.HedgeFromP99 = true
 	}
 	sc, err := agent.NewServeCluster(ctx, cfg)
 	if err != nil {

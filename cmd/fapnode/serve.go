@@ -73,32 +73,16 @@ func newAccessServer(node, n int, g *topology.Graph, muSvc, k float64, opts serv
 		mus[i] = muSvc
 	}
 	as := &accessServer{
-		node:    node,
-		n:       n,
-		k:       k,
-		muSvc:   muSvc,
-		pair:    pair,
-		opts:    opts,
-		obs:     obs,
-		start:   time.Now(),
-		tracker: tracker,
-		replan: agent.ReplanConfig{
-			N:  n,
-			Mu: mus,
-			BuildModel: func(rates []float64, lambda float64, support []int) (*costmodel.SingleFile, error) {
-				access, err := topology.AccessCosts(g, rates, topology.RoundTrip)
-				if err != nil {
-					return nil, err
-				}
-				acc := make([]float64, len(support))
-				svc := make([]float64, len(support))
-				for j, i := range support {
-					acc[j] = access[i]
-					svc[j] = mus[i]
-				}
-				return costmodel.NewSingleFile(acc, svc, lambda, k)
-			},
-		},
+		node:       node,
+		n:          n,
+		k:          k,
+		muSvc:      muSvc,
+		pair:       pair,
+		opts:       opts,
+		obs:        obs,
+		start:      time.Now(),
+		tracker:    tracker,
+		replan:     agent.ReplanConfig{Pair: pair, Mu: mus, K: k},
 		accesses:   reg.Counter("fap_serve_accesses_total", "access requests served"),
 		epochGauge: reg.Gauge("fap_serve_epoch", "current serving plan epoch"),
 		replansOK:  reg.Counter("fap_serve_replans_total", "live re-plans by outcome", metrics.L("outcome", "certified")),
@@ -169,7 +153,7 @@ func (as *accessServer) handleAccess(w http.ResponseWriter, r *http.Request) {
 
 	lat := 0.0
 	for i, xi := range x {
-		if xi <= 1e-9 {
+		if xi <= costmodel.SupportTol {
 			continue
 		}
 		room := as.muSvc - lambda*xi

@@ -16,26 +16,27 @@ import (
 // request IDs, which stay in the low half of the ID space.
 const controllerIDBit = uint64(1) << 63
 
+const (
+	// driftThreshold is the relative drift (estimate.DriftExceeds) on any
+	// origin's rate that triggers a re-solve.
+	driftThreshold = 0.25
+	// minLambda gates re-plans: below this total sensed demand the
+	// estimators are still warming up and a solve would chase noise.
+	minLambda = 1e-3
+)
+
 // ControllerConfig configures the serving-plane control loop.
 type ControllerConfig struct {
 	// Client is the hardened client the controller heartbeats and
 	// distributes plans through; its failure detector is the
 	// controller's liveness source.
 	Client *transport.Client
-	// N is the cluster size.
-	N int
 	// Replan solves for new allocations.
 	Replan ReplanConfig
 	// InitRates is the assumed per-origin demand the initial plan is
-	// solved against (the drift baseline until the first re-plan).
+	// solved against (the drift baseline until the first re-plan); its
+	// length is the cluster size.
 	InitRates []float64
-	// DriftThreshold is the relative drift (estimate.DriftExceeds) on
-	// any origin's rate that triggers a re-solve (default 0.25).
-	DriftThreshold float64
-	// MinLambda gates re-plans: below this total sensed demand the
-	// estimators are still warming up and a solve would chase noise
-	// (default 1e-3).
-	MinLambda float64
 	// Observer receives lifecycle events (default: none).
 	Observer Observer
 }
@@ -48,6 +49,7 @@ type ControllerConfig struct {
 // adopted and distributed if its KKT certificate verifies.
 type Controller struct {
 	cfg ControllerConfig
+	n   int
 
 	mu           sync.Mutex
 	epoch        int
@@ -68,27 +70,19 @@ func NewController(ctx context.Context, cfg ControllerConfig) (*Controller, erro
 	if cfg.Client == nil {
 		return nil, fmt.Errorf("%w: nil client", ErrServe)
 	}
-	if cfg.N < 1 {
-		return nil, fmt.Errorf("%w: controller over %d nodes", ErrServe, cfg.N)
-	}
-	if len(cfg.InitRates) != cfg.N {
-		return nil, fmt.Errorf("%w: InitRates has %d entries for %d nodes", ErrServe, len(cfg.InitRates), cfg.N)
-	}
-	if cfg.DriftThreshold <= 0 {
-		cfg.DriftThreshold = 0.25
-	}
-	if cfg.MinLambda <= 0 {
-		cfg.MinLambda = 1e-3
+	n := len(cfg.InitRates)
+	if n < 1 {
+		return nil, fmt.Errorf("%w: controller over %d nodes", ErrServe, n)
 	}
 	if cfg.Observer == nil {
 		cfg.Observer = NopObserver{}
 	}
-	c := &Controller{cfg: cfg}
-	alive := make([]bool, cfg.N)
+	c := &Controller{cfg: cfg, n: n}
+	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
-	prev := make([]float64, cfg.N) // zero: warmStart falls back to capacity-proportional
+	prev := make([]float64, n) // zero: warmStart falls back to capacity-proportional
 	pr, err := cfg.Replan.Replan(ctx, cfg.InitRates, prev, alive)
 	if err != nil {
 		return nil, fmt.Errorf("agent: initial plan: %w", err)
@@ -136,11 +130,11 @@ func (c *Controller) Tick(ctx context.Context, t float64) (loadgen.TickInfo, err
 	// 1. Heartbeat every node in ID order (determinism: the aggregate
 	// below must not depend on scheduling). Failures feed the client's
 	// detector; successes return each node's sensed rate vector.
-	est := make([]float64, c.cfg.N)
+	est := make([]float64, c.n)
 	gotRates := false
 	var laggards []int
 	curEpoch := c.epochNow()
-	for s := 0; s < c.cfg.N; s++ {
+	for s := 0; s < c.n; s++ {
 		if ctx.Err() != nil {
 			return info, ctx.Err()
 		}
@@ -155,7 +149,7 @@ func (c *Controller) Tick(ctx context.Context, t float64) (loadgen.TickInfo, err
 			continue
 		}
 		env, err := protocol.Decode(reply)
-		if err != nil || env.Kind != protocol.KindPong || len(env.Pong.Rates) != c.cfg.N {
+		if err != nil || env.Kind != protocol.KindPong || len(env.Pong.Rates) != c.n {
 			c.cfg.Observer.MessageDiscarded(s, curEpoch, "bad pong")
 			continue
 		}
@@ -170,7 +164,7 @@ func (c *Controller) Tick(ctx context.Context, t float64) (loadgen.TickInfo, err
 	info.Rates = est
 
 	// 2. Liveness snapshot and membership-change detection.
-	alive := c.cfg.Client.AliveView(c.cfg.N)
+	alive := c.cfg.Client.AliveView(c.n)
 	c.mu.Lock()
 	membershipChanged := false
 	for i := range alive {
@@ -195,7 +189,7 @@ func (c *Controller) Tick(ctx context.Context, t float64) (loadgen.TickInfo, err
 	replan := membershipChanged
 	if !replan {
 		for i := range est {
-			if estimate.DriftExceeds(plannedRates[i], est[i], c.cfg.DriftThreshold) {
+			if estimate.DriftExceeds(plannedRates[i], est[i], driftThreshold) {
 				replan = true
 				break
 			}
@@ -207,7 +201,7 @@ func (c *Controller) Tick(ctx context.Context, t float64) (loadgen.TickInfo, err
 	for _, r := range est {
 		lambda += r
 	}
-	if replan && gotRates && lambda > c.cfg.MinLambda {
+	if replan && gotRates && lambda > minLambda {
 		pr, err := c.cfg.Replan.Replan(ctx, est, prevPlan, alive)
 		switch {
 		case err != nil:
@@ -238,7 +232,7 @@ func (c *Controller) Tick(ctx context.Context, t float64) (loadgen.TickInfo, err
 			info.SolveIterations = pr.Iterations
 			c.cfg.Observer.RecoveryEvent(-1, newEpoch, "replan-accepted",
 				fmt.Sprintf("lambda=%.4g degraded=%v iters=%d fellback=%v", pr.Lambda, degraded, pr.Iterations, pr.FellBack))
-			for s := 0; s < c.cfg.N; s++ {
+			for s := 0; s < c.n; s++ {
 				if alive[s] {
 					c.sendPlan(ctx, s)
 				}

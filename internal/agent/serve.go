@@ -12,6 +12,7 @@ import (
 	"filealloc/internal/costmodel"
 	"filealloc/internal/estimate"
 	"filealloc/internal/protocol"
+	"filealloc/internal/topology"
 	"filealloc/internal/transport"
 )
 
@@ -25,6 +26,19 @@ import (
 
 // ErrServe reports serving-plane configuration errors.
 var ErrServe = errors.New("agent: bad serve config")
+
+const (
+	// serverHalfLife is the demand estimator's half-life in virtual
+	// seconds.
+	serverHalfLife = 2
+	// replanEpsilon is the re-solver's convergence threshold.
+	replanEpsilon = 1e-9
+	// replanWarmSteps is the incremental budget before the cold fallback.
+	replanWarmSteps = 32
+	// replanKKTTol is the certificate tolerance: plans whose KKT residual
+	// exceeds it are not certified.
+	replanKKTTol = 1e-2
+)
 
 // ServerConfig configures one serving node.
 type ServerConfig struct {
@@ -42,9 +56,6 @@ type ServerConfig struct {
 	// rho is the node's measured arrival rate.
 	Mu float64
 	K  float64
-	// HalfLife is the demand estimator's half-life in virtual seconds
-	// (default 2).
-	HalfLife float64
 	// InitPlan is the allocation the node starts serving under.
 	InitPlan protocol.Plan
 	// Observer receives lifecycle events (default: none).
@@ -63,9 +74,6 @@ func (cfg *ServerConfig) fill() error {
 	}
 	if cfg.Mu <= 0 || cfg.K < 0 {
 		return fmt.Errorf("%w: mu %v, k %v", ErrServe, cfg.Mu, cfg.K)
-	}
-	if cfg.HalfLife <= 0 {
-		cfg.HalfLife = 2
 	}
 	if len(cfg.InitPlan.X) != cfg.N {
 		return fmt.Errorf("%w: init plan has %d entries for %d nodes", ErrServe, len(cfg.InitPlan.X), cfg.N)
@@ -102,7 +110,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	tracker, err := estimate.NewTracker(cfg.N, cfg.HalfLife)
+	tracker, err := estimate.NewTracker(cfg.N, serverHalfLife)
 	if err != nil {
 		return nil, fmt.Errorf("agent: server %d tracker: %w", cfg.Node, err)
 	}
@@ -258,47 +266,16 @@ func (s *Server) handlePlan(ctx context.Context, from int, p *protocol.Plan) {
 // seeded from the previous plan (core.WarmSolver), restricted to the
 // alive support in degraded mode, certified by costmodel.VerifyKKT.
 type ReplanConfig struct {
-	// N is the cluster size.
-	N int
-	// BuildModel constructs the single-file cost model for the given
-	// per-origin demand rates over the alive support (support indices
-	// select which nodes may host). Injected so this package does not
-	// depend on the topology layer.
-	BuildModel func(rates []float64, lambda float64, support []int) (*costmodel.SingleFile, error)
-	// Mu holds per-node service rates, used to repair an infeasible
-	// warm start (e.g. after renormalizing away a dead node that held
-	// most of the file).
+	// Pair is the topology's pair-cost matrix c_ji (as from
+	// topology.PairCosts); each re-plan weights it by the sensed demand
+	// to get the access costs C_i.
+	Pair [][]float64
+	// Mu holds per-node service rates (its length is the cluster size),
+	// also used to repair an infeasible warm start (e.g. after
+	// renormalizing away a dead node that held most of the file).
 	Mu []float64
-	// Epsilon is the solver's convergence threshold (default 1e-9).
-	Epsilon float64
-	// WarmSteps is the incremental budget before cold fallback
-	// (default 32).
-	WarmSteps int
-	// KKTTol is the certificate tolerance (default 1e-2): plans whose
-	// KKT residual exceeds it are not certified.
-	KKTTol float64
-}
-
-func (rc *ReplanConfig) fill() error {
-	if rc.N < 1 {
-		return fmt.Errorf("%w: replan over %d nodes", ErrServe, rc.N)
-	}
-	if rc.BuildModel == nil {
-		return fmt.Errorf("%w: nil BuildModel", ErrServe)
-	}
-	if len(rc.Mu) != rc.N {
-		return fmt.Errorf("%w: Mu has %d entries for %d nodes", ErrServe, len(rc.Mu), rc.N)
-	}
-	if rc.Epsilon <= 0 {
-		rc.Epsilon = 1e-9
-	}
-	if rc.WarmSteps <= 0 {
-		rc.WarmSteps = 32
-	}
-	if rc.KKTTol <= 0 {
-		rc.KKTTol = 1e-2
-	}
-	return nil
+	// K is the paper's delay-cost weight.
+	K float64
 }
 
 // PlanResult is a solved (and possibly certified) allocation.
@@ -327,14 +304,17 @@ type PlanResult struct {
 // overloads a survivor past its service rate, the start falls back to
 // capacity-proportional.
 func (rc ReplanConfig) Replan(ctx context.Context, rates, prev []float64, alive []bool) (PlanResult, error) {
-	if err := rc.fill(); err != nil {
-		return PlanResult{}, err
+	n := len(rc.Mu)
+	if len(rc.Pair) != n || len(rates) != n || len(prev) != n || len(alive) != n {
+		return PlanResult{}, fmt.Errorf("%w: replan dimensions pair=%d rates=%d prev=%d alive=%d n=%d", ErrServe, len(rc.Pair), len(rates), len(prev), len(alive), n)
 	}
-	if len(rates) != rc.N || len(prev) != rc.N || len(alive) != rc.N {
-		return PlanResult{}, fmt.Errorf("%w: replan dimensions rates=%d prev=%d alive=%d n=%d", ErrServe, len(rates), len(prev), len(alive), rc.N)
+	for j, row := range rc.Pair {
+		if len(row) != n {
+			return PlanResult{}, fmt.Errorf("%w: Pair row %d has %d entries for %d nodes", ErrServe, j, len(row), n)
+		}
 	}
 	var support []int
-	for i := 0; i < rc.N; i++ {
+	for i := 0; i < n; i++ {
 		if alive[i] {
 			support = append(support, i)
 		}
@@ -353,26 +333,35 @@ func (rc ReplanConfig) Replan(ctx context.Context, rates, prev []float64, alive 
 	if lambda <= 0 {
 		return PlanResult{}, fmt.Errorf("%w: zero total demand", ErrServe)
 	}
-	model, err := rc.BuildModel(rates, lambda, support)
+	// The support-restricted model: dead nodes cannot host, but their
+	// origins' demand still weights every survivor's access cost.
+	access, err := topology.AccessCostsFrom(rc.Pair, rates)
+	if err != nil {
+		return PlanResult{}, fmt.Errorf("agent: replan access costs: %w", err)
+	}
+	acc := make([]float64, len(support))
+	svc := make([]float64, len(support))
+	for j, i := range support {
+		acc[j] = access[i]
+		svc[j] = rc.Mu[i]
+	}
+	model, err := costmodel.NewSingleFile(acc, svc, lambda, rc.K)
 	if err != nil {
 		return PlanResult{}, fmt.Errorf("agent: replan model: %w", err)
-	}
-	if model.Dim() != len(support) {
-		return PlanResult{}, fmt.Errorf("%w: model dim %d for support %d", ErrServe, model.Dim(), len(support))
 	}
 
 	init := rc.warmStart(prev, support, lambda)
 	alloc, err := core.NewAllocator(model,
 		core.WithSecondOrder(),
-		core.WithEpsilon(rc.Epsilon),
+		core.WithEpsilon(replanEpsilon),
 		core.WithKKTCheck())
 	if err != nil {
 		return PlanResult{}, fmt.Errorf("agent: replan allocator: %w", err)
 	}
 	warm, err := core.NewWarmSolver(alloc, core.WarmConfig{
-		MaxSteps: rc.WarmSteps,
+		MaxSteps: replanWarmSteps,
 		Certify: func(x []float64, q float64) error {
-			return model.VerifyKKT(x, q, rc.KKTTol)
+			return model.VerifyKKT(x, q, replanKKTTol)
 		},
 	})
 	if err != nil {
@@ -384,25 +373,15 @@ func (rc ReplanConfig) Replan(ctx context.Context, rates, prev []float64, alive 
 	}
 
 	// Independent certificate whichever path produced the result: derive
-	// the common marginal cost level q from the gradient over the active
-	// set and verify the KKT conditions against it.
-	grad := make([]float64, len(res.X))
-	if err := model.Gradient(grad, res.X); err != nil {
-		return PlanResult{}, fmt.Errorf("agent: replan gradient: %w", err)
+	// the common marginal cost level q over the support and verify the
+	// KKT conditions against it.
+	q, err := model.Price(res.X)
+	if err != nil {
+		return PlanResult{}, fmt.Errorf("agent: replan price: %w", err)
 	}
-	q, active := 0.0, 0
-	for i, xi := range res.X {
-		if xi > 1e-9 {
-			q += -grad[i]
-			active++
-		}
-	}
-	if active > 0 {
-		q /= float64(active)
-	}
-	certified := model.VerifyKKT(res.X, q, rc.KKTTol) == nil
+	certified := model.VerifyKKT(res.X, q, replanKKTTol) == nil
 
-	full := make([]float64, rc.N)
+	full := make([]float64, n)
 	for j, i := range support {
 		full[i] = res.X[j]
 	}

@@ -2,36 +2,30 @@ package agent
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
-	"filealloc/internal/costmodel"
 	"filealloc/internal/loadgen"
 	"filealloc/internal/protocol"
 	"filealloc/internal/transport"
 )
 
 // testReplanConfig builds a ReplanConfig over n identical nodes with unit
-// access-cost spread: node i costs 1+i to access.
+// access-cost spread: every origin pays 1+i to access node i.
 func testReplanConfig(n int, mu float64) ReplanConfig {
 	mus := make([]float64, n)
-	for i := range mus {
-		mus[i] = mu
+	pair := make([][]float64, n)
+	for j := range pair {
+		mus[j] = mu
+		pair[j] = make([]float64, n)
+		for i := range pair[j] {
+			pair[j][i] = 1 + float64(i)
+		}
 	}
-	return ReplanConfig{
-		N:  n,
-		Mu: mus,
-		BuildModel: func(rates []float64, lambda float64, support []int) (*costmodel.SingleFile, error) {
-			acc := make([]float64, len(support))
-			svc := make([]float64, len(support))
-			for j, i := range support {
-				acc[j] = 1 + float64(i)
-				svc[j] = mus[i]
-			}
-			return costmodel.NewSingleFile(acc, svc, lambda, 1)
-		},
-	}
+	return ReplanConfig{Pair: pair, Mu: mus, K: 1}
 }
 
 func TestReplanProducesCertifiedPlan(t *testing.T) {
@@ -105,6 +99,21 @@ func TestReplanWarmStartReusesPreviousPlan(t *testing.T) {
 	}
 	if warm.Iterations > cold.Iterations {
 		t.Fatalf("warm start took %d iterations, cold %d", warm.Iterations, cold.Iterations)
+	}
+}
+
+// TestReplanRejectsMisshapenPair: a pair-cost matrix that does not match
+// the cluster size is a config error, not an index panic.
+func TestReplanRejectsMisshapenPair(t *testing.T) {
+	rates, prev, alive := []float64{2, 2, 2}, make([]float64, 3), []bool{true, true, true}
+	short := testReplanConfig(3, 20)
+	short.Pair = short.Pair[:2]
+	ragged := testReplanConfig(3, 20)
+	ragged.Pair[1] = ragged.Pair[1][:2]
+	for _, rc := range []ReplanConfig{short, ragged} {
+		if _, err := rc.Replan(context.Background(), rates, prev, alive); !errors.Is(err, ErrServe) {
+			t.Errorf("pair rows %d: error = %v, want ErrServe", len(rc.Pair), err)
+		}
 	}
 }
 
@@ -369,5 +378,47 @@ func TestServeClusterDegradedModeAfterCrash(t *testing.T) {
 	}
 	if !sc.clnt.Down(1) {
 		t.Fatal("failure detector never marked the crashed node down")
+	}
+}
+
+// TestNewServeClusterReleasesOnError: a config that NewServeCluster
+// rejects must leave nothing running — no client receive loop, no
+// server — and report the failure. The invalid fault rule used to be
+// caught only after the client had started, leaking its goroutine and
+// the memory network.
+func TestNewServeClusterReleasesOnError(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*ServeClusterConfig)
+	}{
+		{"invalid fault rule", func(c *ServeClusterConfig) {
+			c.Faults = &transport.FaultConfig{Rules: []transport.FaultRule{{Kind: transport.FaultDrop, Probability: 2}}}
+		}},
+		{"no initial plan", func(c *ServeClusterConfig) { c.K = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ServeClusterConfig{
+				N:              3,
+				Mu:             []float64{30, 30, 30},
+				K:              1,
+				InitRates:      []float64{4, 4, 4},
+				RequestTimeout: 500 * time.Millisecond,
+			}
+			tc.edit(&cfg)
+			before := runtime.NumGoroutine()
+			sc, err := NewServeCluster(context.Background(), cfg)
+			if err == nil {
+				_ = sc.Close()
+				t.Fatal("NewServeCluster accepted the config")
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("goroutines %d -> %d after the failed build (err: %v)", before, after, err)
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"filealloc/internal/costmodel"
 	"filealloc/internal/loadgen"
 	"filealloc/internal/metrics"
 	"filealloc/internal/protocol"
@@ -25,38 +24,27 @@ const (
 )
 
 // ServeClusterConfig describes an in-process serving cluster: N Server
-// nodes over a memory network, one Controller, and one hardened Client
-// shared by the load generator and the controller.
+// nodes on a ring with unit link cost over a memory network, one
+// Controller, and one hardened Client shared by the load generator and
+// the controller.
 type ServeClusterConfig struct {
-	// N is the node count, Graph the topology (defaults to a ring with
-	// unit link cost when nil).
-	N     int
-	Graph *topology.Graph
+	// N is the node count.
+	N int
 	// Mu holds per-node service rates, K the delay-cost weight.
 	Mu []float64
 	K  float64
 	// InitRates is the assumed initial per-origin demand.
 	InitRates []float64
-	// HalfLife is the demand estimator half-life in virtual seconds
-	// (default 2); DriftThreshold the re-plan trigger (default 0.25).
-	HalfLife       float64
-	DriftThreshold float64
-	// Epsilon, KKTTol, WarmSteps tune the re-solver (see ReplanConfig).
-	Epsilon   float64
-	KKTTol    float64
-	WarmSteps int
-	// RequestTimeout, Retries, MaxInFlight, DownAfter, Seed tune the
-	// client (see transport.ClientConfig).
+	// RequestTimeout, Retries, DownAfter, Seed tune the client (see
+	// transport.ClientConfig).
 	RequestTimeout time.Duration
 	Retries        int
-	MaxInFlight    int
 	DownAfter      int
 	Seed           int64
 	// HedgeDelay, when positive, hedges access requests to a second
-	// replica after the delay. HedgeFromP99, additionally, re-derives
-	// the delay each tick from the previous tick's observed p99.
-	HedgeDelay   time.Duration
-	HedgeFromP99 bool
+	// replica; the delay starts here and is re-derived each tick from the
+	// previous tick's observed p99.
+	HedgeDelay time.Duration
 	// Faults, when non-nil, wraps every server endpoint in a
 	// FaultEndpoint with this configuration (chaos testing).
 	Faults *transport.FaultConfig
@@ -81,7 +69,6 @@ type ServeCluster struct {
 	killed   []bool
 	cancels  []context.CancelFunc
 	view     protocol.Plan
-	hedging  bool
 	runErrs  []error
 	closed   bool
 	serverWG sync.WaitGroup
@@ -91,25 +78,28 @@ var _ loadgen.Target = (*ServeCluster)(nil)
 
 // NewServeCluster builds the cluster: topology costs, initial certified
 // plan, N running servers, and the shared client. The context bounds the
-// server goroutines' lifetime (Close also stops them).
-func NewServeCluster(ctx context.Context, cfg ServeClusterConfig) (*ServeCluster, error) {
+// server goroutines' lifetime (Close also stops them). On error nothing
+// it started is left running.
+func NewServeCluster(ctx context.Context, cfg ServeClusterConfig) (_ *ServeCluster, err error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("%w: serving cluster needs at least 2 nodes, got %d", ErrServe, cfg.N)
-	}
-	if cfg.Graph == nil {
-		g, err := topology.Ring(cfg.N, 1)
-		if err != nil {
-			return nil, fmt.Errorf("agent: serve cluster ring: %w", err)
-		}
-		cfg.Graph = g
 	}
 	if len(cfg.Mu) != cfg.N || len(cfg.InitRates) != cfg.N {
 		return nil, fmt.Errorf("%w: Mu has %d and InitRates %d entries for %d nodes", ErrServe, len(cfg.Mu), len(cfg.InitRates), cfg.N)
 	}
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrServe, err)
+		}
+	}
 	if cfg.Observer == nil {
 		cfg.Observer = NopObserver{}
 	}
-	pair, err := topology.PairCosts(cfg.Graph, topology.RoundTrip)
+	ring, err := topology.Ring(cfg.N, 1)
+	if err != nil {
+		return nil, fmt.Errorf("agent: serve cluster ring: %w", err)
+	}
+	pair, err := topology.PairCosts(ring, topology.RoundTrip)
 	if err != nil {
 		return nil, fmt.Errorf("agent: serve cluster pair costs: %w", err)
 	}
@@ -123,19 +113,22 @@ func NewServeCluster(ctx context.Context, cfg ServeClusterConfig) (*ServeCluster
 		net:     net,
 		killed:  make([]bool, cfg.N),
 		cancels: make([]context.CancelFunc, cfg.N),
-		hedging: cfg.HedgeDelay > 0,
 	}
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, sc.Close())
+		}
+	}()
 
 	clientEP, err := net.Endpoint(cfg.N)
 	if err != nil {
 		return nil, err
 	}
-	clnt, err := transport.NewClient(transport.ClientConfig{
+	sc.clnt, err = transport.NewClient(transport.ClientConfig{
 		Endpoint:       &gateEndpoint{inner: clientEP, dead: sc.isKilled},
 		ReplyID:        protocol.ReplyIDOf,
 		RequestTimeout: cfg.RequestTimeout,
 		Retries:        cfg.Retries,
-		MaxInFlight:    cfg.MaxInFlight,
 		DownAfter:      cfg.DownAfter,
 		Seed:           cfg.Seed,
 		HedgeDelay:     cfg.HedgeDelay,
@@ -144,57 +137,26 @@ func NewServeCluster(ctx context.Context, cfg ServeClusterConfig) (*ServeCluster
 	if err != nil {
 		return nil, err
 	}
-	sc.clnt = clnt
-
-	graph := cfg.Graph
-	buildModel := func(rates []float64, lambda float64, support []int) (*costmodel.SingleFile, error) {
-		access, err := topology.AccessCosts(graph, rates, topology.RoundTrip)
-		if err != nil {
-			return nil, err
-		}
-		acc := make([]float64, len(support))
-		svc := make([]float64, len(support))
-		for j, i := range support {
-			acc[j] = access[i]
-			svc[j] = cfg.Mu[i]
-		}
-		return costmodel.NewSingleFile(acc, svc, lambda, cfg.K)
-	}
-	ctrl, err := NewController(ctx, ControllerConfig{
-		Client: clnt,
-		N:      cfg.N,
-		Replan: ReplanConfig{
-			N:          cfg.N,
-			BuildModel: buildModel,
-			Mu:         cfg.Mu,
-			Epsilon:    cfg.Epsilon,
-			WarmSteps:  cfg.WarmSteps,
-			KKTTol:     cfg.KKTTol,
-		},
-		InitRates:      cfg.InitRates,
-		DriftThreshold: cfg.DriftThreshold,
-		Observer:       cfg.Observer,
+	sc.ctrl, err = NewController(ctx, ControllerConfig{
+		Client:    sc.clnt,
+		Replan:    ReplanConfig{Pair: pair, Mu: cfg.Mu, K: cfg.K},
+		InitRates: cfg.InitRates,
+		Observer:  cfg.Observer,
 	})
 	if err != nil {
-		closeErr := clnt.Close()
-		_ = closeErr
 		return nil, err
 	}
-	sc.ctrl = ctrl
-	sc.view = ctrl.Plan()
+	sc.view = sc.ctrl.Plan()
 
-	initPlan := ctrl.Plan()
 	for i := 0; i < cfg.N; i++ {
 		ep, err := net.Endpoint(i)
 		if err != nil {
 			return nil, err
 		}
 		if cfg.Faults != nil {
-			fep, ferr := transport.NewFaultEndpoint(ep, *cfg.Faults)
-			if ferr != nil {
-				return nil, ferr
+			if ep, err = transport.NewFaultEndpoint(ep, *cfg.Faults); err != nil {
+				return nil, err
 			}
-			ep = fep
 		}
 		distTo := make([]float64, cfg.N)
 		for o := 0; o < cfg.N; o++ {
@@ -207,8 +169,7 @@ func NewServeCluster(ctx context.Context, cfg ServeClusterConfig) (*ServeCluster
 			DistTo:   distTo,
 			Mu:       cfg.Mu[i],
 			K:        cfg.K,
-			HalfLife: cfg.HalfLife,
-			InitPlan: initPlan,
+			InitPlan: sc.view,
 			Observer: cfg.Observer,
 		})
 		if err != nil {
@@ -239,10 +200,10 @@ func (sc *ServeCluster) isKilled(node int) bool {
 }
 
 // snapshotView copies the routing view (updated only between batches).
-func (sc *ServeCluster) snapshotView() (x []float64, alive []bool, epoch int, degraded bool, hedging bool) {
+func (sc *ServeCluster) snapshotView() (x []float64, alive []bool, epoch int, degraded bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.view.X, sc.view.Alive, sc.view.Epoch, sc.view.Degraded, sc.hedging
+	return sc.view.X, sc.view.Alive, sc.view.Epoch, sc.view.Degraded
 }
 
 // Fire executes one access request: route by the plan's weights over the
@@ -250,7 +211,7 @@ func (sc *ServeCluster) snapshotView() (x []float64, alive []bool, epoch int, de
 // enabled), and on primary failure reroute once to a surviving replica —
 // degraded mode serves the request instead of erroring.
 func (sc *ServeCluster) Fire(ctx context.Context, req loadgen.Request) loadgen.Outcome {
-	x, alive, epoch, degraded, hedging := sc.snapshotView()
+	x, alive, epoch, degraded := sc.snapshotView()
 	primary, err := transport.Route(x, alive, -1, req.U)
 	if err != nil {
 		return loadgen.Outcome{ErrClass: "no_candidates"}
@@ -261,21 +222,18 @@ func (sc *ServeCluster) Fire(ctx context.Context, req loadgen.Request) loadgen.O
 	}
 
 	var reply []byte
-	servedErr := error(nil)
-	if hedging {
-		fb, ferr := transport.Route(x, alive, primary, req.U2)
-		if ferr == nil && fb != primary {
+	var servedErr error
+	hedged := false
+	if sc.cfg.HedgeDelay > 0 {
+		if fb, ferr := transport.Route(x, alive, primary, req.U2); ferr == nil && fb != primary {
 			hid := req.ID | hedgeIDBit
-			hpayload, herr := protocol.EncodeAccess(protocol.Access{ID: hid, Origin: req.Origin, T: req.T, Epoch: epoch})
-			if herr == nil {
+			if hpayload, herr := protocol.EncodeAccess(protocol.Access{ID: hid, Origin: req.Origin, T: req.T, Epoch: epoch}); herr == nil {
 				reply, _, servedErr = sc.clnt.DoHedged(ctx, primary, fb, req.ID, payload, hid, hpayload)
-			} else {
-				reply, servedErr = sc.clnt.Do(ctx, primary, req.ID, payload)
+				hedged = true
 			}
-		} else {
-			reply, servedErr = sc.clnt.Do(ctx, primary, req.ID, payload)
 		}
-	} else {
+	}
+	if !hedged {
 		reply, servedErr = sc.clnt.Do(ctx, primary, req.ID, payload)
 	}
 
@@ -318,12 +276,12 @@ func (sc *ServeCluster) Fire(ctx context.Context, req loadgen.Request) loadgen.O
 	}
 }
 
-// Tick runs the controller round and refreshes the routing view; with
-// HedgeFromP99 set it also re-derives the hedge delay from the previous
-// tick's p99 (real time at this edge: the hedge timer is a wall-clock
-// race by nature).
+// Tick runs the controller round and refreshes the routing view; when
+// hedging it also re-derives the hedge delay from the previous tick's p99
+// (real time at this edge: the hedge timer is a wall-clock race by
+// nature).
 func (sc *ServeCluster) Tick(ctx context.Context, t float64, p99Micros int64) (loadgen.TickInfo, error) {
-	if sc.cfg.HedgeFromP99 && p99Micros > 0 {
+	if sc.cfg.HedgeDelay > 0 && p99Micros > 0 {
 		sc.clnt.SetHedgeDelay(2 * time.Duration(p99Micros) * time.Microsecond)
 	}
 	info, err := sc.ctrl.Tick(ctx, t)
@@ -368,12 +326,16 @@ func (sc *ServeCluster) Close() error {
 	cancels := append([]context.CancelFunc(nil), sc.cancels...)
 	sc.mu.Unlock()
 	for _, cancel := range cancels {
-		cancel()
+		if cancel != nil {
+			cancel()
+		}
 	}
 	err := sc.net.Close()
 	sc.serverWG.Wait()
-	if cerr := sc.clnt.Close(); err == nil {
-		err = cerr
+	if sc.clnt != nil {
+		if cerr := sc.clnt.Close(); err == nil {
+			err = cerr
+		}
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

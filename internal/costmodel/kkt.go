@@ -153,6 +153,33 @@ func (m *SingleFile) VerifyKKT(x []float64, q, tol float64) error {
 	return nil
 }
 
+// SupportTol is the fragment size above which a node counts as part of
+// the support when a price is read off an allocation: smaller fragments
+// are solver residue at the boundary, not hosted mass.
+const SupportTol = 1e-9
+
+// Price derives the common marginal cost level q at x that VerifyKKT
+// checks the allocation against: the mean of −∂U/∂x_i over the nodes
+// with x_i > SupportTol, summed in index order, or 0 when no node
+// qualifies.
+func (m *SingleFile) Price(x []float64) (float64, error) {
+	grad := make([]float64, len(x))
+	if err := m.Gradient(grad, x); err != nil {
+		return 0, err
+	}
+	q, support := 0.0, 0
+	for i, xi := range x {
+		if xi > SupportTol {
+			q += -grad[i]
+			support++
+		}
+	}
+	if support > 0 {
+		q /= float64(support)
+	}
+	return q, nil
+}
+
 // solveLinear handles k = 0: cost is Σ C_i·x_i, minimized by the cheapest
 // node.
 func (m *SingleFile) solveLinear() (KKTSolution, error) {

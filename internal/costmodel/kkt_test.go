@@ -102,3 +102,31 @@ func TestVerifyKKTValidation(t *testing.T) {
 		t.Errorf("saturated queue: error = %v, want ErrUnstable", err)
 	}
 }
+
+// TestPriceAveragesOverSupport: the price is the mean marginal cost over
+// the fragments above SupportTol; a boundary residue below it does not
+// count, and an empty support prices at zero.
+func TestPriceAveragesOverSupport(t *testing.T) {
+	m, err := NewSingleFile([]float64{1, 2, 5}, []float64{10, 10, 10}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.6, 0.4, SupportTol / 2}
+	grad := make([]float64, 3)
+	if err := m.Gradient(grad, x); err != nil {
+		t.Fatal(err)
+	}
+	q, err := m.Price(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (-grad[0] - grad[1]) / 2; q != want {
+		t.Errorf("price = %v, want %v", q, want)
+	}
+	if q, err := m.Price([]float64{0, 0, 0}); err != nil || q != 0 {
+		t.Errorf("empty support: price = %v, err = %v, want 0, nil", q, err)
+	}
+	if _, err := m.Price([]float64{20, 0, 0}); !errors.Is(err, ErrUnstable) {
+		t.Errorf("saturated queue: error = %v, want ErrUnstable", err)
+	}
+}

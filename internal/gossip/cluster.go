@@ -358,8 +358,8 @@ func collectFaults(res *ClusterResult, faultEps []*transport.FaultEndpoint) {
 	}
 }
 
-// certify derives the Lagrange multiplier q as the mean marginal cost
-// over the supported alive nodes and checks the allocation against the
+// certify derives the Lagrange multiplier q (costmodel's Price: the mean
+// marginal cost over the supported alive nodes) and checks the allocation against the
 // KKT conditions of the reduced (alive-only) cost model.
 func certify(models []agent.LocalModel, xs []float64, alive []bool, tol float64) (float64, error) {
 	group := aliveGroup(alive)
@@ -383,20 +383,9 @@ func certify(models []agent.LocalModel, xs []float64, alive []bool, tol float64)
 	if err != nil {
 		return 0, err
 	}
-	q, support := 0.0, 0
-	for k, i := range group {
-		if sub[k] <= supportTol {
-			continue
-		}
-		g, err := models[i].Marginal(sub[k])
-		if err != nil {
-			return 0, err
-		}
-		q += -g
-		support++
-	}
-	if support > 0 {
-		q /= float64(support)
+	q, err := model.Price(sub)
+	if err != nil {
+		return 0, err
 	}
 	return q, model.VerifyKKT(sub, q, tol)
 }

@@ -77,8 +77,3 @@ var (
 	// silently.
 	ErrUncertified = errors.New("gossip: converged allocation failed KKT certification")
 )
-
-// supportTol mirrors the serving layer's support threshold for KKT
-// certification: fragments above it count as interior when deriving the
-// multiplier q.
-const supportTol = 1e-9

@@ -207,7 +207,6 @@ func TestHedgedServing(t *testing.T) {
 		DownAfter:      2,
 		Seed:           3,
 		HedgeDelay:     time.Millisecond,
-		HedgeFromP99:   true,
 	})
 	if err != nil {
 		t.Fatalf("serve cluster: %v", err)

@@ -62,15 +62,28 @@ func PairCosts(g *Graph, conv CostConvention) ([][]float64, error) {
 }
 
 // AccessCosts computes the traffic-weighted system communication cost of
-// accessing each node:
+// accessing each node (see AccessCostsFrom) from the graph's pair costs
+// under the given convention.
+func AccessCosts(g *Graph, rates []float64, conv CostConvention) ([]float64, error) {
+	c, err := PairCosts(g, conv)
+	if err != nil {
+		return nil, err
+	}
+	return AccessCostsFrom(c, rates)
+}
+
+// AccessCostsFrom reduces a pair-cost matrix (as from PairCosts) to the
+// traffic-weighted system communication cost of accessing each node:
 //
 //	C_i = Σ_j (λ_j/λ) · c_ji
 //
 // where λ_j is node j's file access generation rate and λ = Σ λ_j
 // (section 4). rates must have one non-negative entry per node with a
-// positive sum.
-func AccessCosts(g *Graph, rates []float64, conv CostConvention) ([]float64, error) {
-	n := g.NumNodes()
+// positive sum. Callers that re-weight one topology many times (a live
+// re-planner, a parallel all-pairs sweep) compute the matrix once and
+// call this per demand vector.
+func AccessCostsFrom(c [][]float64, rates []float64) ([]float64, error) {
+	n := len(c)
 	if len(rates) != n {
 		return nil, fmt.Errorf("%w: %d rates for %d nodes", ErrBadRates, len(rates), n)
 	}
@@ -83,10 +96,6 @@ func AccessCosts(g *Graph, rates []float64, conv CostConvention) ([]float64, err
 	}
 	if total <= 0 {
 		return nil, fmt.Errorf("%w: total rate must be positive", ErrBadRates)
-	}
-	c, err := PairCosts(g, conv)
-	if err != nil {
-		return nil, err
 	}
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {

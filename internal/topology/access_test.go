@@ -132,3 +132,19 @@ func TestCostConventionString(t *testing.T) {
 		t.Error("unknown convention formatting wrong")
 	}
 }
+
+// TestAccessCostsFromPairs reduces a hand-built pair-cost matrix:
+// C_i = Σ_j (λ_j/λ)·c_ji weights column i by the origins' demand shares.
+func TestAccessCostsFromPairs(t *testing.T) {
+	pair := [][]float64{{0, 2}, {4, 0}}
+	got, err := AccessCostsFrom(pair, []float64{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{3, 0.5}; got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("access = %v, want %v", got, want)
+	}
+	if _, err := AccessCostsFrom(pair, []float64{1}); !errors.Is(err, ErrBadRates) {
+		t.Errorf("short rates: error = %v, want ErrBadRates", err)
+	}
+}

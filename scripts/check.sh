@@ -86,10 +86,14 @@ echo "== closed-loop serving smoke under -race"
 # serving cluster, fired through the hardened client path. The test itself
 # asserts the contract — zero failed requests through the crash, a
 # certified degraded re-plan within the convergence-lag ceiling, and no
-# stale-plan errors — so a bare pass here is the acceptance bar.
-LOOP_RUN='TestClosedLoopSmoke|TestPhaseReportDeterministicAcrossWorkers'
-require_tests "$LOOP_RUN" ./internal/loadgen/
-go test -race -count 1 -run "$LOOP_RUN" ./internal/loadgen/
+# stale-plan errors — so a bare pass here is the acceptance bar. The
+# fapload digest pin holds the default run's report, CSV and metrics bytes
+# at two worker counts, and the cluster builder must release everything
+# it started when it fails.
+LOOP_RUN='TestClosedLoopSmoke|TestPhaseReportDeterministicAcrossWorkers|TestDefaultSpecDigests|TestNewServeClusterReleasesOnError'
+LOOP_PKGS='./internal/loadgen/ ./cmd/fapload/ ./internal/agent/'
+require_tests "$LOOP_RUN" $LOOP_PKGS
+go test -race -count 1 -run "$LOOP_RUN" $LOOP_PKGS
 
 echo "== catalog determinism under -race"
 # The catalog batch-solves shards across sweep workers; its byte-identical
