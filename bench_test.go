@@ -386,6 +386,35 @@ func BenchmarkCatalogWarm(b *testing.B) {
 	b.ReportMetric(float64(catalogBenchSize)*float64(b.N)/b.Elapsed().Seconds(), "objects/s")
 }
 
+// BenchmarkCatalogEpoch measures one whole epoch after 10% of objects
+// drift: Drift's demand re-draws and sensing of every object, then the
+// re-solve pass. ns/op is the epoch an operator waits for, sensing
+// included, where BenchmarkCatalogWarm times the re-solve pass alone.
+func BenchmarkCatalogEpoch(b *testing.B) {
+	ctx := context.Background()
+	cat := newBenchCatalog(b)
+	if _, err := cat.SolveCold(ctx); err != nil {
+		b.Fatal(err)
+	}
+	if err := cat.Sense(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cat.Drift(ctx); err != nil {
+			b.Fatal(err)
+		}
+		st, err := cat.ReSolve(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Drifted == 0 || st.Skipped == 0 {
+			b.Fatalf("degenerate epoch: %+v", st)
+		}
+	}
+	b.ReportMetric(float64(catalogBenchSize)*float64(b.N)/b.Elapsed().Seconds(), "objects/s")
+}
+
 // ---- micro-benchmarks of the hot paths ----
 
 func benchModel(b *testing.B, n int) *costmodel.SingleFile {

@@ -5,13 +5,24 @@
 // with section 8.2's second-derivative (Newton) step, guarded by the
 // Theorem-2 backtracking of core.WithSecondOrder. Cold fills run the
 // full allocator per object; after demand drifts, re-solves go through
-// the core.Solver interface's warm path — each object's
-// internal/estimate tracker flags drift against the demand its current
-// plan assumed, un-drifted objects are skipped entirely, and drifted
-// ones are re-solved incrementally from their previous allocation
+// the core.Solver interface's warm path — each object's per-node rate
+// estimates flag drift against the demand its current plan assumed,
+// un-drifted objects are skipped entirely, and drifted ones are
+// re-solved incrementally from their previous allocation
 // (core.WarmSolver), with costmodel.VerifyKKT certifying every warm
 // early-exit. This is the ROADMAP's million-object service: the headline
 // number is objects/sec, cold vs. warm.
+//
+// Sensing keeps no estimator objects. Each shard holds one
+// estimate.Slab: the decayed event mass, last event time and planned
+// baseline of every (object, node) pair, 24 B each. Every pair shares
+// the half-life and each Sense/Drift window, and a pair's synthetic
+// events depend only on its event count m, so one estimate.EvenWindow
+// table per call holds the decay multipliers for every m up to ⌈λ·w⌉+1,
+// and one estimate.Reading per call holds the warm-up correction.
+// Sensing a pair is then m multiply-adds and the drift check calls no
+// exp, with results bit-identical to per-event estimate.RateEstimator
+// sensing.
 //
 // Everything is deterministic: demand, drift, and synthetic sensing are
 // hash-derived from Config.Seed, solves are exact functions of their
@@ -70,8 +81,8 @@ type Config struct {
 	// KKTTol is the relative tolerance of the VerifyKKT certificate on
 	// warm early-exits (default 1e-5).
 	KKTTol float64
-	// DriftThreshold is the relative rate deviation above which a
-	// tracker flags an object for re-solve (default 0.2; see
+	// DriftThreshold is the relative rate deviation above which an
+	// object's sensed node rate flags it for re-solve (default 0.2; see
 	// estimate.DriftExceeds).
 	DriftThreshold float64
 	// DriftFraction is the fraction of objects whose demand is
@@ -86,11 +97,11 @@ type Config struct {
 	// iterate, so an exhausted budget wastes little.
 	WarmSteps int
 	// HalfLife is the rate estimators' exponential-window half-life,
-	// in sensing-time units (default 16).
+	// in sensing-time units (default 16; must be finite).
 	HalfLife float64
 	// EpochWindow is the sensing window advanced per Sense/Drift call
 	// (default 32 — two half-lives, so estimates cover ~75% of the
-	// distance to a moved rate within one epoch).
+	// distance to a moved rate within one epoch; must be finite).
 	EpochWindow float64
 	// Seed derives demand shapes, drift selection, and re-drawn demand
 	// (default 1).
@@ -157,7 +168,9 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("%w: drift fraction %v", ErrCatalog, cfg.DriftFraction)
 	case cfg.DriftThreshold < 0 || cfg.DriftThreshold >= 1 || math.IsNaN(cfg.DriftThreshold):
 		return fmt.Errorf("%w: drift threshold %v", ErrCatalog, cfg.DriftThreshold)
-	case cfg.EpochWindow <= 0 || math.IsNaN(cfg.EpochWindow):
+	case cfg.HalfLife <= 0 || math.IsNaN(cfg.HalfLife) || math.IsInf(cfg.HalfLife, 0):
+		return fmt.Errorf("%w: half-life %v", ErrCatalog, cfg.HalfLife)
+	case cfg.EpochWindow <= 0 || math.IsNaN(cfg.EpochWindow) || math.IsInf(cfg.EpochWindow, 0):
 		return fmt.Errorf("%w: epoch window %v", ErrCatalog, cfg.EpochWindow)
 	}
 	return nil
@@ -174,10 +187,11 @@ type Stats struct {
 	// Fallback counts re-solves whose warm budget ran out (or whose
 	// certificate was vetoed) and escalated to a cold solve.
 	Fallback int64
-	// Skipped counts objects whose tracker flagged no drift — their
-	// allocation was left untouched.
+	// Skipped counts objects whose sensed rates flagged no drift —
+	// their allocation was left untouched.
 	Skipped int64
-	// Drifted counts objects the tracker flagged for re-solve.
+	// Drifted counts objects whose sensed rates flagged them for
+	// re-solve.
 	Drifted int64
 	// DriftApplied counts demand re-draws applied by Drift.
 	DriftApplied int64
@@ -199,14 +213,14 @@ func (s *Stats) add(o Stats) {
 // state. A shard is only ever touched by the single sweep worker that
 // claimed it, so it needs no locking.
 type shard struct {
-	lo, hi   int       // object ids [lo, hi)
-	demand   []float64 // true demand rates, (hi-lo)×nodes row-major
-	x        []float64 // current allocation, same layout
-	gen      []int     // demand generation, bumped per applied drift
-	models   []*costmodel.SingleFile
-	cold     []*core.Allocator
-	warm     []*core.WarmSolver
-	trackers []*estimate.Tracker
+	lo, hi int           // object ids [lo, hi)
+	demand []float64     // true demand rates, (hi-lo)×nodes row-major
+	x      []float64     // current allocation, same layout
+	gen    []int         // demand generation, bumped per applied drift
+	rates  estimate.Slab // sensed rate estimators, same layout
+	models []*costmodel.SingleFile
+	cold   []*core.Allocator
+	warm   []*core.WarmSolver
 }
 
 func (sh *shard) count() int { return sh.hi - sh.lo }
@@ -240,7 +254,7 @@ type Catalog struct {
 }
 
 // New lays out a catalog: demand vectors, per-object cost models, cold
-// and warm solvers, and drift trackers. No solves happen yet.
+// and warm solvers, and rate-estimator slabs. No solves happen yet.
 func New(cfg Config) (*Catalog, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -270,15 +284,15 @@ func New(cfg Config) (*Catalog, error) {
 		}
 		n := hi - lo
 		sh := &shard{
-			lo:       lo,
-			hi:       hi,
-			demand:   make([]float64, n*nodes),
-			x:        make([]float64, n*nodes),
-			gen:      make([]int, n),
-			models:   make([]*costmodel.SingleFile, n),
-			cold:     make([]*core.Allocator, n),
-			warm:     make([]*core.WarmSolver, n),
-			trackers: make([]*estimate.Tracker, n),
+			lo:     lo,
+			hi:     hi,
+			demand: make([]float64, n*nodes),
+			x:      make([]float64, n*nodes),
+			gen:    make([]int, n),
+			rates:  estimate.NewSlab(n * nodes),
+			models: make([]*costmodel.SingleFile, n),
+			cold:   make([]*core.Allocator, n),
+			warm:   make([]*core.WarmSolver, n),
 		}
 		for o := 0; o < n; o++ {
 			id := lo + o
@@ -305,14 +319,9 @@ func New(cfg Config) (*Catalog, error) {
 			if err != nil {
 				return nil, fmt.Errorf("catalog: object %d warm solver: %w", id, err)
 			}
-			tracker, err := estimate.NewTracker(nodes, cfg.HalfLife)
-			if err != nil {
-				return nil, fmt.Errorf("catalog: object %d tracker: %w", id, err)
-			}
 			sh.models[o] = model
 			sh.cold[o] = alloc
 			sh.warm[o] = warm
-			sh.trackers[o] = tracker
 		}
 		c.shards = append(c.shards, sh)
 	}
@@ -377,18 +386,16 @@ func (c *Catalog) record(st Stats) {
 // solver scratch plus catalog-side vectors, so steady-state re-solves
 // allocate nothing per object.
 type solveScratch struct {
-	core    *core.Scratch
-	init    []float64
-	access  []float64
-	drifted []int
+	core   *core.Scratch
+	init   []float64
+	access []float64
 }
 
 func (c *Catalog) newSolveScratch() *solveScratch {
 	return &solveScratch{
-		core:    core.NewScratch(),
-		init:    make([]float64, c.cfg.Nodes),
-		access:  make([]float64, c.cfg.Nodes),
-		drifted: make([]int, 0, c.cfg.Nodes),
+		core:   core.NewScratch(),
+		init:   make([]float64, c.cfg.Nodes),
+		access: make([]float64, c.cfg.Nodes),
 	}
 }
 
@@ -432,67 +439,68 @@ func (c *Catalog) SolveCold(ctx context.Context) (Stats, error) {
 }
 
 // Sense advances the sensing clock one epoch window, feeding every
-// object's tracker synthetic access events drawn from its current true
-// demand, and marks the resulting estimates as each object's planning
-// baseline. Call it once after SolveCold (so the baselines describe the
-// demand the allocations were planned for) and rely on Drift for later
-// windows.
+// object's estimators synthetic access events drawn from its current
+// true demand, and marks the resulting estimates as each object's
+// planning baseline. Call it once after SolveCold (so the baselines
+// describe the demand the allocations were planned for) and rely on
+// Drift for later windows.
 func (c *Catalog) Sense(ctx context.Context) error {
-	t0, w := c.now, c.cfg.EpochWindow
-	err := sweep.Run(ctx, len(c.shards), sweep.WorkersFrom(ctx), func(ctx context.Context, si int) error {
+	win, err := c.window()
+	if err != nil {
+		return err
+	}
+	end := win.End()
+	err = sweep.Run(ctx, len(c.shards), sweep.WorkersFrom(ctx), func(ctx context.Context, si int) error {
 		sh := c.shards[si]
-		nodes := c.cfg.Nodes
 		for o := 0; o < sh.count(); o++ {
-			if err := senseObject(sh.trackers[o], sh.demand[o*nodes:(o+1)*nodes], t0, w); err != nil {
-				return fmt.Errorf("catalog: sensing object %d: %w", sh.lo+o, err)
-			}
-			sh.trackers[o].MarkPlanned(t0 + w)
+			c.senseRow(sh, o, win)
 		}
+		sh.rates.MarkPlanned(0, sh.count()*c.cfg.Nodes, end)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	c.now = t0 + w
+	c.now += c.cfg.EpochWindow
 	c.sensed = true
 	return nil
 }
 
 // Drift advances one demand epoch: a hash-selected DriftFraction of
 // objects get their demand re-drawn (a rotated, re-weighted Zipf shape —
-// a large move), then every tracker senses one window of events from the
-// now-current demand. It returns the number of objects whose demand
-// changed. Baselines are not re-marked here — that is ReSolve's job, and
-// only for the objects it actually re-plans.
+// a large move), then every object's estimators sense one window of
+// events from the now-current demand. It returns the number of objects
+// whose demand changed. Baselines are not re-marked here — that is
+// ReSolve's job, and only for the objects it actually re-plans.
 func (c *Catalog) Drift(ctx context.Context) (int, error) {
 	if !c.sensed {
 		return 0, fmt.Errorf("%w: Drift before Sense", ErrCatalog)
 	}
+	win, err := c.window()
+	if err != nil {
+		return 0, err
+	}
 	c.epoch++
 	epoch := c.epoch
-	t0, w := c.now, c.cfg.EpochWindow
 	applied := make([]int, len(c.shards))
-	err := sweep.Run(ctx, len(c.shards), sweep.WorkersFrom(ctx), func(ctx context.Context, si int) error {
+	err = sweep.Run(ctx, len(c.shards), sweep.WorkersFrom(ctx), func(ctx context.Context, si int) error {
 		sh := c.shards[si]
 		nodes := c.cfg.Nodes
 		for o := 0; o < sh.count(); o++ {
 			id := sh.lo + o
-			row := sh.demand[o*nodes : (o+1)*nodes]
 			if c.drifts(id, epoch) {
 				sh.gen[o]++
-				c.fillDemand(id, sh.gen[o], row)
+				c.fillDemand(id, sh.gen[o], sh.demand[o*nodes:(o+1)*nodes])
 				applied[si]++
 			}
-			if err := senseObject(sh.trackers[o], row, t0, w); err != nil {
-				return fmt.Errorf("catalog: sensing object %d: %w", id, err)
-			}
+			c.senseRow(sh, o, win)
 		}
 		return nil
 	})
 	if err != nil {
 		return 0, err
 	}
-	c.now = t0 + w
+	c.now += c.cfg.EpochWindow
 	total := 0
 	for _, n := range applied {
 		total += n
@@ -504,43 +512,43 @@ func (c *Catalog) Drift(ctx context.Context) (int, error) {
 	return total, nil
 }
 
-// ReSolve is the warm pass: every object whose tracker flags drift above
-// the threshold is re-solved through its WarmSolver seeded from the
-// previous allocation (model access costs refreshed from the current
-// demand first); everything else is skipped untouched. Flagged objects
-// re-mark their baselines, so a stable demand stops being re-solved
-// after one pass.
+// ReSolve is the warm pass: every object whose rate estimates drifted
+// above the threshold from its baselines is re-solved through its
+// WarmSolver seeded from the previous allocation (model access costs
+// refreshed from the current demand first); everything else is skipped
+// untouched. Flagged objects re-mark their baselines, so a stable demand
+// stops being re-solved after one pass.
 func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 	if !c.sensed {
 		return Stats{}, fmt.Errorf("%w: ReSolve before Sense", ErrCatalog)
 	}
-	nodes := c.cfg.Nodes
-	now, threshold := c.now, c.cfg.DriftThreshold
+	at, err := estimate.NewReading(c.cfg.HalfLife, c.now)
+	if err != nil {
+		return Stats{}, fmt.Errorf("catalog: drift check: %w", err)
+	}
+	nodes, threshold := c.cfg.Nodes, c.cfg.DriftThreshold
 	per := make([]Stats, len(c.shards))
-	err := sweep.RunWithScratch(ctx, len(c.shards), sweep.WorkersFrom(ctx), c.newSolveScratch,
+	err = sweep.RunWithScratch(ctx, len(c.shards), sweep.WorkersFrom(ctx), c.newSolveScratch,
 		func(ctx context.Context, si int, s *solveScratch) error {
 			sh := c.shards[si]
 			st := &per[si]
 			for o := 0; o < sh.count(); o++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				var err error
-				s.drifted, err = sh.trackers[o].AppendDrifted(s.drifted[:0], now, threshold)
-				if err != nil {
-					return fmt.Errorf("catalog: drift check of object %d: %w", sh.lo+o, err)
-				}
-				if len(s.drifted) == 0 {
+				lo, hi := o*nodes, (o+1)*nodes
+				if !sh.rates.Drifted(lo, hi, at, threshold) {
 					st.Skipped++
 					continue
 				}
+				// Checked before each solve, not per skipped object: the
+				// context's lock would cost as much as the drift check.
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 				st.Drifted++
-				row := sh.demand[o*nodes : (o+1)*nodes]
-				c.accessCosts(row, s.access)
+				c.accessCosts(sh.demand[lo:hi], s.access)
 				if err := sh.models[o].SetAccessCosts(s.access); err != nil {
 					return fmt.Errorf("catalog: updating object %d: %w", sh.lo+o, err)
 				}
-				xrow := sh.x[o*nodes : (o+1)*nodes]
+				xrow := sh.x[lo:hi]
 				res, fellBack, err := sh.warm[o].SolveWarm(ctx, xrow, s.core)
 				if err != nil {
 					return fmt.Errorf("catalog: warm solve of object %d: %w", sh.lo+o, err)
@@ -552,7 +560,7 @@ func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 					st.Warm++
 				}
 				st.Steps += int64(res.Iterations)
-				sh.trackers[o].MarkPlanned(now)
+				sh.rates.MarkPlanned(lo, hi, at)
 				if c.m != nil {
 					c.m.resolveIters.Observe(int64(res.Iterations))
 				}
@@ -570,25 +578,33 @@ func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 	return st, nil
 }
 
-// senseObject feeds one tracker round(rate·w) evenly spaced events per
-// node over the window (t0, t0+w], the last landing exactly on the
-// window boundary. An unchanged demand therefore produces an identical
+// window builds the sensing table for the next window, (now,
+// now+EpochWindow]. A demand rate never exceeds λ by more than rounding,
+// so no (object, node) pair sees more than ⌈λ·w⌉+1 events, and the
+// table need not cover more.
+func (c *Catalog) window() (*estimate.EvenWindow, error) {
+	w := c.cfg.EpochWindow
+	win, err := estimate.NewEvenWindow(c.cfg.HalfLife, c.now, w, int(math.Ceil(c.cfg.Lambda*w))+1)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: sensing window: %w", err)
+	}
+	return win, nil
+}
+
+// senseRow feeds object o's estimators round(rate·w) evenly spaced
+// events per node over the window, the last landing exactly on the
+// window's end. An unchanged demand therefore produces an identical
 // event pattern every epoch, and the estimator's warm-up correction
 // cancels the window-to-window accumulation exactly — un-drifted
 // estimates are epoch-constant, which is what makes skip decisions
 // reliable.
 //
 //fap:zeroalloc
-func senseObject(tr *estimate.Tracker, demand []float64, t0, w float64) error {
-	for j, r := range demand {
-		m := int(math.Round(r * w))
-		for k := m - 1; k >= 0; k-- {
-			if err := tr.Observe(j, t0+w-w*float64(k)/float64(m)); err != nil {
-				return err
-			}
-		}
+func (c *Catalog) senseRow(sh *shard, o int, win *estimate.EvenWindow) {
+	nodes, w := c.cfg.Nodes, c.cfg.EpochWindow
+	for j, r := range sh.demand[o*nodes : (o+1)*nodes] {
+		sh.rates.Sense(o*nodes+j, int(math.Round(r*w)), win)
 	}
-	return nil
 }
 
 // fillDemand writes object id's demand vector at the given drift

@@ -34,6 +34,16 @@ func TestCatalogValidation(t *testing.T) {
 		{Objects: 4, DriftThreshold: 1},       // threshold outside [0, 1)
 		{Objects: 4, Skew: math.NaN()},        // NaN skew
 		{Objects: 4, EpochWindow: math.NaN()}, // NaN window
+		// Sensing settings the rate estimators cannot use are
+		// configuration errors, not wrapped estimator errors from deep
+		// inside New, nor infinite windows with undefined event counts.
+		{Objects: 4, HalfLife: -1},              // negative half-life
+		{Objects: 4, HalfLife: math.NaN()},      // NaN half-life
+		{Objects: 4, HalfLife: math.Inf(1)},     // infinite half-life
+		{Objects: 4, HalfLife: math.Inf(-1)},    // negative infinite half-life
+		{Objects: 4, EpochWindow: math.Inf(1)},  // infinite window
+		{Objects: 4, EpochWindow: math.Inf(-1)}, // negative infinite window
+		{Objects: 4, EpochWindow: -2},           // negative window
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); !errors.Is(err, ErrCatalog) {
@@ -50,6 +60,34 @@ func TestCatalogValidation(t *testing.T) {
 	}
 	if c.Objects() != 10 || c.Nodes() != 8 {
 		t.Errorf("accessors: %d objects × %d nodes, want 10 × 8 (default)", c.Objects(), c.Nodes())
+	}
+}
+
+// TestShardSensingAllocatesNothing pins the //fap:zeroalloc contract of
+// one shard's sensing and drift-check pass at run time: the per-call
+// window table and reading are built once, and the per-object work
+// allocates nothing.
+func TestShardSensingAllocatesNothing(t *testing.T) {
+	c, err := New(testConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	win, err := c.window()
+	if err != nil {
+		t.Fatalf("window: %v", err)
+	}
+	end := win.End()
+	sh, nodes := c.shards[0], c.cfg.Nodes
+	allocs := testing.AllocsPerRun(20, func() {
+		for o := 0; o < sh.count(); o++ {
+			c.senseRow(sh, o, win)
+			if sh.rates.Drifted(o*nodes, (o+1)*nodes, end, c.cfg.DriftThreshold) {
+				sh.rates.MarkPlanned(o*nodes, (o+1)*nodes, end)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one shard's sense + drift check: %v allocs per run, want 0", allocs)
 	}
 }
 

@@ -9,7 +9,10 @@
 // estimator (unbiased for a stationary Poisson process, tracks drifting
 // rates with a configurable half-life) and a streaming service-time
 // moment estimator (mean and second moment, feeding the M/G/1 model of
-// internal/costmodel).
+// internal/costmodel). Slab keeps many rate estimators that share a
+// half-life as structure of arrays and senses them from evenly spaced
+// events through a per-window table, bit-identical to the per-event
+// estimator and without its per-event exp.
 package estimate
 
 import (
@@ -51,13 +54,23 @@ func NewRateEstimator(halfLife float64) (*RateEstimator, error) {
 // the fraction 1 − e^(−ω·T) of its steady-state mass, so the raw estimate
 // under-reports the true rate by exactly that factor.
 func NewRateEstimatorAt(halfLife, start float64) (*RateEstimator, error) {
-	if halfLife <= 0 || math.IsNaN(halfLife) || math.IsInf(halfLife, 0) {
-		return nil, fmt.Errorf("%w: half-life = %v", ErrBadParam, halfLife)
+	omega, err := omegaFor(halfLife)
+	if err != nil {
+		return nil, err
 	}
 	if math.IsNaN(start) || math.IsInf(start, 0) {
 		return nil, fmt.Errorf("%w: start time = %v", ErrBadParam, start)
 	}
-	return &RateEstimator{omega: math.Ln2 / halfLife, start: start, last: start}, nil
+	return &RateEstimator{omega: omega, start: start, last: start}, nil
+}
+
+// omegaFor returns the decay rate ω = ln2 / half-life of an exponential
+// window.
+func omegaFor(halfLife float64) (float64, error) {
+	if halfLife <= 0 || math.IsNaN(halfLife) || math.IsInf(halfLife, 0) {
+		return 0, fmt.Errorf("%w: half-life = %v", ErrBadParam, halfLife)
+	}
+	return math.Ln2 / halfLife, nil
 }
 
 // Observe records an event at time t. Observations must be
@@ -84,16 +97,36 @@ func (e *RateEstimator) Rate(now float64) float64 {
 	if !e.begun {
 		return 0
 	}
-	age := now - e.last
+	return windowedRate(e.omega, e.sum, now-e.last, windowMass(e.omega, now-e.start))
+}
+
+// windowMass returns 1 − e^(−ω·span), the fraction of its steady-state
+// mass an exponential window has gathered after observing for span.
+//
+//fap:zeroalloc
+func windowMass(omega, span float64) float64 {
+	return 1 - math.Exp(-omega*span)
+}
+
+// windowedRate is the exponential-window rate estimate: the event mass
+// decayed to the reading time, ω·sum·e^(−ω·age) with a negative age
+// taken as 0, divided by the window's gathered mass unless that is still
+// ≤ 1e-12. It skips the exp at age 0, where e^(−ω·0) is exactly 1, so
+// the estimate has the same bits either way.
+//
+//fap:zeroalloc
+func windowedRate(omega, sum, age, mass float64) float64 {
 	if age < 0 {
 		age = 0
 	}
-	raw := e.omega * e.sum * math.Exp(-e.omega*age)
-	window := 1 - math.Exp(-e.omega*(now-e.start))
-	if window <= 1e-12 {
+	raw := omega * sum
+	if age != 0 {
+		raw *= math.Exp(-omega * age)
+	}
+	if mass <= 1e-12 {
 		return raw
 	}
-	return raw / window
+	return raw / mass
 }
 
 // ServiceEstimator accumulates streaming estimates of a service-time

@@ -97,11 +97,14 @@ go test -race -count 1 -run "$LOOP_RUN" $LOOP_PKGS
 
 echo "== catalog determinism under -race"
 # The catalog batch-solves shards across sweep workers; its byte-identical
-# determinism pin is exactly the kind of contract a data race would break
-# silently, so run it explicitly under the race detector too.
-CATALOG_RUN='TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle|TestCatalogReSolveCertifiesWarm'
-require_tests "$CATALOG_RUN" ./internal/catalog/ ./internal/experiments/
-go test -race -count 1 -run "$CATALOG_RUN" ./internal/catalog/ ./internal/experiments/
+# determinism and digest pins are exactly the kind of contract a data race
+# would break silently, so run them explicitly under the race detector
+# too, with the sensing slab's differential property against per-event
+# RateEstimators, its zero-alloc pin and the sensing config checks.
+CATALOG_RUN='TestCatalogDeterminism|TestCatalogDigests|TestCatalogExperimentDeterminism|TestCatalogLifecycle|TestCatalogReSolveCertifiesWarm|TestCatalogValidation|TestShardSensingAllocatesNothing|TestSlabMatchesRateEstimator'
+CATALOG_PKGS='./internal/catalog/ ./internal/experiments/ ./internal/estimate/'
+require_tests "$CATALOG_RUN" $CATALOG_PKGS
+go test -race -count 1 -run "$CATALOG_RUN" $CATALOG_PKGS
 
 echo "== coverage floors (scripts/coverage.baseline)"
 # Statement coverage must not regress below the recorded per-package
