@@ -336,6 +336,17 @@ func newBenchCatalog(b *testing.B) *catalog.Catalog {
 	return cat
 }
 
+// BenchmarkCatalogNew measures laying out the benchmark catalog: demand,
+// planned access costs and sensing slabs for every object, and one solver
+// kit to check the settings. Allocations are per shard, not per object.
+func BenchmarkCatalogNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		newBenchCatalog(b)
+	}
+	b.ReportMetric(float64(catalogBenchSize)*float64(b.N)/b.Elapsed().Seconds(), "objects/s")
+}
+
 // BenchmarkCatalogCold measures a full cold fill: every object solved
 // from the uniform allocation. ns/op is one pass over the whole catalog.
 func BenchmarkCatalogCold(b *testing.B) {

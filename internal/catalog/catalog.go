@@ -3,15 +3,25 @@
 // own Zipf-skewed demand vector over the cluster, sharded and
 // batch-solved over the internal/sweep worker pool. Every object plans
 // with section 8.2's second-derivative (Newton) step, guarded by the
-// Theorem-2 backtracking of core.WithSecondOrder. Cold fills run the
-// full allocator per object; after demand drifts, re-solves go through
-// the core.Solver interface's warm path — each object's per-node rate
-// estimates flag drift against the demand its current plan assumed,
-// un-drifted objects are skipped entirely, and drifted ones are
-// re-solved incrementally from their previous allocation
-// (core.WarmSolver), with costmodel.VerifyKKT certifying every warm
-// early-exit. This is the ROADMAP's million-object service: the headline
-// number is objects/sec, cold vs. warm.
+// Theorem-2 backtracking of core.WithSecondOrder. Cold fills solve
+// every object from the uniform allocation; after demand drifts,
+// re-solves go through the core.Solver interface's warm path — each
+// object's per-node rate estimates flag drift against the demand its
+// current plan assumed, un-drifted objects are skipped entirely, and
+// drifted ones are re-solved incrementally from their previous
+// allocation (core.WarmSolver), with costmodel.VerifyKKT certifying
+// every warm early-exit. This is the ROADMAP's million-object service:
+// the headline number is objects/sec, cold vs. warm.
+//
+// Solving keeps no per-object solver objects either. Every object is
+// the paper's single-file problem with the same μ, λ, k and solver
+// settings; objects differ only in their access costs C_i. So each
+// shard holds one row-major slab of the access costs every object's
+// plan last assumed, and each sweep worker owns one solver kit — one
+// costmodel.SingleFile, one second-order core.Allocator and one
+// core.WarmSolver certified by that model's VerifyKKT. A solve first
+// copies the object's row into the kit's model, so it runs on exactly
+// the inputs and arithmetic a per-object model would.
 //
 // Sensing keeps no estimator objects. Each shard holds one
 // estimate.Slab: the decayed event mass, last event time and planned
@@ -216,11 +226,9 @@ type shard struct {
 	lo, hi int           // object ids [lo, hi)
 	demand []float64     // true demand rates, (hi-lo)×nodes row-major
 	x      []float64     // current allocation, same layout
+	access []float64     // access costs C_i each plan last assumed, same layout
 	gen    []int         // demand generation, bumped per applied drift
 	rates  estimate.Slab // sensed rate estimators, same layout
-	models []*costmodel.SingleFile
-	cold   []*core.Allocator
-	warm   []*core.WarmSolver
 }
 
 func (sh *shard) count() int { return sh.hi - sh.lo }
@@ -253,8 +261,11 @@ type Catalog struct {
 	m      *meters
 }
 
-// New lays out a catalog: demand vectors, per-object cost models, cold
-// and warm solvers, and rate-estimator slabs. No solves happen yet.
+// New lays out a catalog: per shard, the demand, allocation, planned
+// access-cost and rate-estimator slabs. It holds no per-object solver:
+// each sweep worker builds its own solver kit when a pass starts. New
+// builds one kit itself, so settings the solvers reject fail here. No
+// solves happen yet.
 func New(cfg Config) (*Catalog, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -273,10 +284,11 @@ func New(cfg Config) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: demand shape: %w", err)
 	}
 	c := &Catalog{cfg: cfg, pair: pair, zipf: zipf}
+	if _, err := c.newKit(); err != nil {
+		return nil, err
+	}
 
 	nodes := cfg.Nodes
-	access := make([]float64, nodes)
-	service := []float64{cfg.Mu}
 	for lo := 0; lo < cfg.Objects; lo += cfg.ShardSize {
 		hi := lo + cfg.ShardSize
 		if hi > cfg.Objects {
@@ -288,40 +300,14 @@ func New(cfg Config) (*Catalog, error) {
 			hi:     hi,
 			demand: make([]float64, n*nodes),
 			x:      make([]float64, n*nodes),
+			access: make([]float64, n*nodes),
 			gen:    make([]int, n),
 			rates:  estimate.NewSlab(n * nodes),
-			models: make([]*costmodel.SingleFile, n),
-			cold:   make([]*core.Allocator, n),
-			warm:   make([]*core.WarmSolver, n),
 		}
 		for o := 0; o < n; o++ {
-			id := lo + o
-			row := sh.demand[o*nodes : (o+1)*nodes]
-			c.fillDemand(id, 0, row)
-			c.accessCosts(row, access)
-			model, err := costmodel.NewSingleFile(access, service, cfg.Lambda, cfg.K)
-			if err != nil {
-				return nil, fmt.Errorf("catalog: object %d model: %w", id, err)
-			}
-			alloc, err := core.NewAllocator(model,
-				core.WithSecondOrder(),
-				core.WithEpsilon(cfg.Epsilon),
-				core.WithKKTCheck())
-			if err != nil {
-				return nil, fmt.Errorf("catalog: object %d allocator: %w", id, err)
-			}
-			warm, err := core.NewWarmSolver(alloc, core.WarmConfig{
-				MaxSteps: cfg.WarmSteps,
-				Certify: func(x []float64, q float64) error {
-					return model.VerifyKKT(x, q, cfg.KKTTol)
-				},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("catalog: object %d warm solver: %w", id, err)
-			}
-			sh.models[o] = model
-			sh.cold[o] = alloc
-			sh.warm[o] = warm
+			lo, hi := o*nodes, (o+1)*nodes
+			c.fillDemand(sh.lo+o, 0, sh.demand[lo:hi])
+			c.accessCosts(sh.demand[lo:hi], sh.access[lo:hi])
 		}
 		c.shards = append(c.shards, sh)
 	}
@@ -382,27 +368,78 @@ func (c *Catalog) record(st Stats) {
 	c.m.steps.Add(st.Steps)
 }
 
-// solveScratch bundles one sweep worker's reusable buffers: the core
-// solver scratch plus catalog-side vectors, so steady-state re-solves
-// allocate nothing per object.
+// solveScratch is one sweep worker's solver kit: a model, the cold
+// allocator and warm solver over it, and the buffers they reuse, so
+// steady-state solves allocate nothing per object. Before each solve the
+// worker copies the object's planned access-cost row into the model.
 type solveScratch struct {
-	core   *core.Scratch
-	init   []float64
-	access []float64
+	model *costmodel.SingleFile
+	cold  *core.Allocator
+	warm  *core.WarmSolver
+	core  *core.Scratch
+	init  []float64 // the uniform allocation cold solves start from
 }
 
+// newKit builds one solver kit from the catalog's settings. Its model's
+// access costs are placeholders until a solve loads an object's row.
+func (c *Catalog) newKit() (*solveScratch, error) {
+	cfg := c.cfg
+	model, err := costmodel.NewSingleFile(make([]float64, cfg.Nodes), []float64{cfg.Mu}, cfg.Lambda, cfg.K)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: cost model: %w", err)
+	}
+	cold, err := core.NewAllocator(model,
+		core.WithSecondOrder(),
+		core.WithEpsilon(cfg.Epsilon),
+		core.WithKKTCheck())
+	if err != nil {
+		return nil, fmt.Errorf("catalog: allocator: %w", err)
+	}
+	warm, err := core.NewWarmSolver(cold, core.WarmConfig{
+		MaxSteps: cfg.WarmSteps,
+		Certify: func(x []float64, q float64) error {
+			return model.VerifyKKT(x, q, cfg.KKTTol)
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("catalog: warm solver: %w", err)
+	}
+	init := make([]float64, cfg.Nodes)
+	for j := range init {
+		init[j] = 1 / float64(cfg.Nodes)
+	}
+	return &solveScratch{model: model, cold: cold, warm: warm, core: core.NewScratch(), init: init}, nil
+}
+
+// newSolveScratch is newKit as the scratch constructor of
+// sweep.RunWithScratch, which cannot fail. New has built a kit from the
+// same settings, so an error here is a bug, not bad input.
 func (c *Catalog) newSolveScratch() *solveScratch {
-	return &solveScratch{
-		core:   core.NewScratch(),
-		init:   make([]float64, c.cfg.Nodes),
-		access: make([]float64, c.cfg.Nodes),
+	s, err := c.newKit()
+	if err != nil {
+		panic(fmt.Sprintf("catalog: solver kit failed after New built one: %v", err))
+	}
+	return s
+}
+
+// canceled reports, without locking, whether done is closed. Workers
+// fetch a context's Done channel once per shard and poll it per object:
+// ctx.Err() would take the mutex of the context every worker shares.
+func canceled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
 }
 
 // SolveCold solves every object from the uniform initial allocation —
-// the catalog fill. It can be called again at any time to re-solve the
-// whole catalog from scratch (the results are idempotent for unchanged
-// demand).
+// the catalog fill. Each object is solved for the access costs its plan
+// last assumed (its demand at New, or at the ReSolve that last re-planned
+// it), not for demand that drifted since. It can be called again at any
+// time to re-solve the whole catalog from scratch (the results are
+// idempotent for unchanged plans).
 func (c *Catalog) SolveCold(ctx context.Context) (Stats, error) {
 	nodes := c.cfg.Nodes
 	per := make([]Stats, len(c.shards))
@@ -410,18 +447,20 @@ func (c *Catalog) SolveCold(ctx context.Context) (Stats, error) {
 		func(ctx context.Context, si int, s *solveScratch) error {
 			sh := c.shards[si]
 			st := &per[si]
+			done := ctx.Done()
 			for o := 0; o < sh.count(); o++ {
-				if err := ctx.Err(); err != nil {
-					return err
+				if canceled(done) {
+					return ctx.Err()
 				}
-				for j := range s.init {
-					s.init[j] = 1 / float64(nodes)
+				lo, hi := o*nodes, (o+1)*nodes
+				if err := s.model.SetAccessCosts(sh.access[lo:hi]); err != nil {
+					return fmt.Errorf("catalog: loading object %d: %w", sh.lo+o, err)
 				}
-				res, err := sh.cold[o].Solve(ctx, s.init, s.core)
+				res, err := s.cold.Solve(ctx, s.init, s.core)
 				if err != nil {
 					return fmt.Errorf("catalog: cold solve of object %d: %w", sh.lo+o, err)
 				}
-				copy(sh.x[o*nodes:(o+1)*nodes], res.X)
+				copy(sh.x[lo:hi], res.X)
 				st.Cold++
 				st.Steps += int64(res.Iterations)
 			}
@@ -513,11 +552,12 @@ func (c *Catalog) Drift(ctx context.Context) (int, error) {
 }
 
 // ReSolve is the warm pass: every object whose rate estimates drifted
-// above the threshold from its baselines is re-solved through its
-// WarmSolver seeded from the previous allocation (model access costs
-// refreshed from the current demand first); everything else is skipped
-// untouched. Flagged objects re-mark their baselines, so a stable demand
-// stops being re-solved after one pass.
+// above the threshold from its baselines is re-solved through the
+// worker's WarmSolver seeded from the previous allocation, after its
+// planned access-cost row is refreshed from the current demand and
+// loaded into the model; everything else is skipped untouched. Flagged
+// objects re-mark their baselines, so a stable demand stops being
+// re-solved after one pass.
 func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 	if !c.sensed {
 		return Stats{}, fmt.Errorf("%w: ReSolve before Sense", ErrCatalog)
@@ -532,24 +572,24 @@ func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 		func(ctx context.Context, si int, s *solveScratch) error {
 			sh := c.shards[si]
 			st := &per[si]
+			done := ctx.Done()
 			for o := 0; o < sh.count(); o++ {
 				lo, hi := o*nodes, (o+1)*nodes
 				if !sh.rates.Drifted(lo, hi, at, threshold) {
 					st.Skipped++
 					continue
 				}
-				// Checked before each solve, not per skipped object: the
-				// context's lock would cost as much as the drift check.
-				if err := ctx.Err(); err != nil {
-					return err
+				if canceled(done) {
+					return ctx.Err()
 				}
 				st.Drifted++
-				c.accessCosts(sh.demand[lo:hi], s.access)
-				if err := sh.models[o].SetAccessCosts(s.access); err != nil {
+				row := sh.access[lo:hi]
+				c.accessCosts(sh.demand[lo:hi], row)
+				if err := s.model.SetAccessCosts(row); err != nil {
 					return fmt.Errorf("catalog: updating object %d: %w", sh.lo+o, err)
 				}
 				xrow := sh.x[lo:hi]
-				res, fellBack, err := sh.warm[o].SolveWarm(ctx, xrow, s.core)
+				res, fellBack, err := s.warm.SolveWarm(ctx, xrow, s.core)
 				if err != nil {
 					return fmt.Errorf("catalog: warm solve of object %d: %w", sh.lo+o, err)
 				}

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
+	"filealloc/internal/costmodel"
 	"filealloc/internal/metrics"
+	"filealloc/internal/sweep"
 )
 
 // testConfig is a small catalog exercising multiple shards, including a
@@ -51,6 +54,14 @@ func TestCatalogValidation(t *testing.T) {
 		}
 	}
 
+	// Settings only the solvers check still fail in New, which builds
+	// one solver kit before laying anything out.
+	for _, cfg := range []Config{{Objects: 4, K: -1}, {Objects: 4, Epsilon: -1}, {Objects: 4, WarmSteps: -1}} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("config %+v: New succeeded, want a solver-settings error", cfg)
+		}
+	}
+
 	c, err := New(Config{Objects: 10, ShardSize: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -88,6 +99,62 @@ func TestShardSensingAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("one shard's sense + drift check: %v allocs per run, want 0", allocs)
+	}
+}
+
+// TestNewAllocatesPerShard pins the layout's cost to shards, not
+// objects: a catalog holds no per-object solver, so New allocates as
+// often for one 4096-object shard as for one 1-object shard, and a
+// SolveCold plus a Drift/ReSolve pass allocates no more at 4096 objects
+// than at 256. The passes run on the serial sweep path, which builds
+// exactly one solver kit; on the parallel path the kit count depends on
+// how many workers happen to claim a chunk.
+func TestNewAllocatesPerShard(t *testing.T) {
+	// Collections are held off while counting: under the race detector a
+	// GC cycle counts as an allocation, and only the large layouts run
+	// enough garbage through to start one.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	newAllocs := func(objects int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := New(Config{Objects: objects, ShardSize: objects}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, many := newAllocs(1), newAllocs(4096); one != many {
+		t.Errorf("New: %v allocs for a 1-object shard, %v for a 4096-object shard; want equal", one, many)
+	}
+
+	ctx := sweep.WithWorkers(context.Background(), 1)
+	passAllocs := func(objects int) float64 {
+		c, err := New(Config{Objects: objects, DriftFraction: 0.3, Seed: 3})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := c.SolveCold(ctx); err != nil {
+			t.Fatalf("SolveCold: %v", err)
+		}
+		if err := c.Sense(ctx); err != nil {
+			t.Fatalf("Sense: %v", err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := c.SolveCold(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Drift(ctx); err != nil {
+				t.Fatal(err)
+			}
+			st, err := c.ReSolve(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Drifted == 0 {
+				t.Fatalf("%d objects: re-solve pass re-solved nothing: %+v", objects, st)
+			}
+		})
+	}
+	if few, many := passAllocs(256), passAllocs(4096); many > few {
+		t.Errorf("SolveCold + Drift + ReSolve: %v allocs at 256 objects, %v at 4096; want no more", few, many)
 	}
 }
 
@@ -270,8 +337,9 @@ func TestCatalogZeroDriftSkipsEverything(t *testing.T) {
 // seeded drift epochs shaped like the benchmark catalog's (8-node ring,
 // 10% drift): every drifted object finishes on the warm path, none falls
 // back, and every object's plan — re-solved or kept — passes
-// costmodel.VerifyKKT at cfg.KKTTol against its model's current demand,
-// priced by the independent water-filling solve.
+// costmodel.VerifyKKT at cfg.KKTTol against a model built from its
+// planned access-cost row, priced by the independent water-filling
+// solve.
 func TestCatalogReSolveCertifiesWarm(t *testing.T) {
 	c, err := New(Config{Objects: 2000, DriftFraction: 0.1, Seed: 3})
 	if err != nil {
@@ -300,11 +368,15 @@ func TestCatalogReSolveCertifiesWarm(t *testing.T) {
 		for _, sh := range c.shards {
 			for o := 0; o < sh.count(); o++ {
 				x := sh.x[o*nodes : (o+1)*nodes]
-				want, err := sh.models[o].SolveKKT(1e-12)
+				model, err := costmodel.NewSingleFile(sh.access[o*nodes:(o+1)*nodes], []float64{c.cfg.Mu}, c.cfg.Lambda, c.cfg.K)
+				if err != nil {
+					t.Fatalf("epoch %d object %d: NewSingleFile: %v", epoch, sh.lo+o, err)
+				}
+				want, err := model.SolveKKT(1e-12)
 				if err != nil {
 					t.Fatalf("epoch %d object %d: SolveKKT: %v", epoch, sh.lo+o, err)
 				}
-				if err := sh.models[o].VerifyKKT(x, want.Q, tol); err != nil {
+				if err := model.VerifyKKT(x, want.Q, tol); err != nil {
 					t.Errorf("epoch %d object %d: plan %v not certified: %v", epoch, sh.lo+o, x, err)
 				}
 			}

@@ -439,11 +439,17 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 		a.trace(Iteration{Index: 0, X: x, Utility: u, Alpha: alpha})
 	}
 
+	// Cancellation is polled with a non-blocking receive on the Done
+	// channel, fetched once per solve: ctx.Err() locks the context's
+	// mutex on every call, and a sweep's workers all share one context.
+	done := ctx.Done()
 	decreases := 0
 	prevU := u
 	for iter := 1; iter <= maxIter; iter++ {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
 			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopCanceled}, false, nil
+		default:
 		}
 		if err := a.obj.Gradient(grad, x); err != nil {
 			return Result{}, false, fmt.Errorf("core: gradient at iteration %d: %w", iter, err)

@@ -1,11 +1,6 @@
 package estimate
 
-import (
-	"errors"
-	"math"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestDriftExceedsBoundaries pins the comparison at exact threshold
 // boundaries: the deviation must be strictly greater than
@@ -39,106 +34,5 @@ func TestDriftExceedsBoundaries(t *testing.T) {
 			t.Errorf("%s: DriftExceeds(%v, %v, %v) = %v, want %v",
 				tt.name, tt.baseline, tt.estimate, tt.threshold, got, tt.want)
 		}
-	}
-}
-
-// steadyTracker builds a tracker whose nodes observed periodic events
-// over [0, horizon] at the given per-node rates (rate 0 = no events).
-func steadyTracker(t *testing.T, rates []float64, horizon float64) *Tracker {
-	t.Helper()
-	tr, err := NewTracker(len(rates), 16)
-	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
-	}
-	for node, r := range rates {
-		m := int(math.Round(r * horizon))
-		for k := m - 1; k >= 0; k-- {
-			if err := tr.Observe(node, horizon-horizon*float64(k)/float64(m)); err != nil {
-				t.Fatalf("Observe: %v", err)
-			}
-		}
-	}
-	return tr
-}
-
-func TestTrackerDrifted(t *testing.T) {
-	tr := steadyTracker(t, []float64{2, 1, 0}, 64)
-	tr.MarkPlanned(64)
-
-	// Nothing has moved since the baseline.
-	got, err := tr.Drifted(64, 0.25)
-	if err != nil {
-		t.Fatalf("Drifted: %v", err)
-	}
-	if got != nil {
-		t.Errorf("no drift: Drifted = %v, want nil", got)
-	}
-
-	// Node 1's rate doubles over the next window; node 0 continues at its
-	// old rate, node 2 stays silent.
-	for k := 127; k >= 0; k-- {
-		if err := tr.Observe(0, 128-64*float64(k)/128); err != nil {
-			t.Fatalf("Observe: %v", err)
-		}
-	}
-	for k := 127; k >= 0; k-- {
-		if err := tr.Observe(1, 128-64*float64(k)/128); err != nil {
-			t.Fatalf("Observe: %v", err)
-		}
-	}
-	got, err = tr.Drifted(128, 0.25)
-	if err != nil {
-		t.Fatalf("Drifted: %v", err)
-	}
-	if !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("doubled node 1: Drifted = %v, want [1]", got)
-	}
-
-	// AppendDrifted reuses the destination without allocating.
-	buf := make([]int, 0, 4)
-	buf, err = tr.AppendDrifted(buf, 128, 0.25)
-	if err != nil {
-		t.Fatalf("AppendDrifted: %v", err)
-	}
-	if !reflect.DeepEqual(buf, []int{1}) {
-		t.Errorf("AppendDrifted = %v, want [1]", buf)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		buf = buf[:0]
-		var aerr error
-		if buf, aerr = tr.AppendDrifted(buf, 128, 0.25); aerr != nil {
-			t.Fatal(aerr)
-		}
-	}); allocs != 0 {
-		t.Errorf("AppendDrifted allocated %.1f objects per call, want 0", allocs)
-	}
-
-	// Re-marking the moved estimates clears the drift.
-	tr.MarkPlanned(128)
-	got, err = tr.Drifted(128, 0.25)
-	if err != nil {
-		t.Fatalf("Drifted: %v", err)
-	}
-	if got != nil {
-		t.Errorf("after MarkPlanned: Drifted = %v, want nil", got)
-	}
-}
-
-func TestTrackerDriftedErrors(t *testing.T) {
-	tr, err := NewTracker(2, 8)
-	if err != nil {
-		t.Fatalf("NewTracker: %v", err)
-	}
-	if _, err := tr.Drifted(1, 0.5); !errors.Is(err, ErrBadParam) {
-		t.Errorf("Drifted before MarkPlanned: err = %v, want ErrBadParam", err)
-	}
-	tr.MarkPlanned(1)
-	for _, bad := range []float64{-0.1, 1, 1.5, math.NaN()} {
-		if _, err := tr.Drifted(1, bad); !errors.Is(err, ErrBadParam) {
-			t.Errorf("threshold %v: err = %v, want ErrBadParam", bad, err)
-		}
-	}
-	if _, err := tr.Drifted(1, 0); err != nil {
-		t.Errorf("threshold 0 is valid, got %v", err)
 	}
 }

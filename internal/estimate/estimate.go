@@ -169,13 +169,9 @@ func (e *ServiceEstimator) SecondMoment() float64 {
 }
 
 // Tracker bundles one rate estimator per node, the state an adaptive
-// controller keeps. MarkPlanned/Drifted additionally let it act as a
-// change detector: a planner snapshots the estimates it planned against,
-// and Drifted later reports which nodes have moved enough to warrant a
-// re-plan.
+// controller keeps.
 type Tracker struct {
-	nodes   []*RateEstimator
-	planned []float64 // baseline estimates recorded by MarkPlanned; nil until then
+	nodes []*RateEstimator
 }
 
 // NewTracker returns a tracker for n nodes with a common half-life.
@@ -211,19 +207,6 @@ func (tr *Tracker) Rates(now float64) []float64 {
 	return out
 }
 
-// MarkPlanned snapshots the current per-node rate estimates as the
-// baseline Drifted compares against — call it whenever a plan (an
-// allocation) is computed from the estimates, so drift is measured
-// against the demand the current plan assumed.
-func (tr *Tracker) MarkPlanned(now float64) {
-	if tr.planned == nil {
-		tr.planned = make([]float64, len(tr.nodes))
-	}
-	for i, est := range tr.nodes {
-		tr.planned[i] = est.Rate(now)
-	}
-}
-
 // DriftExceeds reports whether estimate deviates from baseline by
 // strictly more than threshold, relative to the larger of the two:
 //
@@ -237,32 +220,4 @@ func (tr *Tracker) MarkPlanned(now float64) {
 func DriftExceeds(baseline, estimate, threshold float64) bool {
 	scale := math.Max(baseline, estimate)
 	return math.Abs(estimate-baseline) > threshold*scale
-}
-
-// AppendDrifted appends to dst the indices of nodes whose rate estimate
-// at time now deviates from the MarkPlanned baseline by strictly more
-// than threshold (per DriftExceeds), in ascending node order, and
-// returns the extended slice — the allocation-free form of Drifted for
-// callers scanning many trackers with a reused buffer. It is an error to
-// call it before MarkPlanned or with a threshold outside [0, 1).
-func (tr *Tracker) AppendDrifted(dst []int, now, threshold float64) ([]int, error) {
-	if threshold < 0 || threshold >= 1 || math.IsNaN(threshold) {
-		return dst, fmt.Errorf("%w: drift threshold %v outside [0, 1)", ErrBadParam, threshold)
-	}
-	if tr.planned == nil {
-		return dst, fmt.Errorf("%w: Drifted before MarkPlanned", ErrBadParam)
-	}
-	for i, est := range tr.nodes {
-		if DriftExceeds(tr.planned[i], est.Rate(now), threshold) {
-			dst = append(dst, i)
-		}
-	}
-	return dst, nil
-}
-
-// Drifted returns the indices of nodes whose rate estimate at time now
-// deviates from the MarkPlanned baseline by strictly more than
-// threshold. A nil (never non-nil empty) slice means nothing drifted.
-func (tr *Tracker) Drifted(now, threshold float64) ([]int, error) {
-	return tr.AppendDrifted(nil, now, threshold)
 }

@@ -188,7 +188,8 @@ func (s Slab) rate(i int, at Reading) float64 {
 }
 
 // MarkPlanned records the rates of estimators [lo, hi) at the reading's
-// time as their baselines, as Tracker.MarkPlanned does.
+// time as their baselines: the rates a plan computed now assumes, which
+// Drifted compares later readings against.
 //
 //fap:zeroalloc
 func (s Slab) MarkPlanned(lo, hi int, at Reading) {
@@ -199,8 +200,7 @@ func (s Slab) MarkPlanned(lo, hi int, at Reading) {
 
 // Drifted reports whether any estimator in [lo, hi) has a rate at the
 // reading's time that deviates from its baseline by strictly more than
-// threshold (per DriftExceeds), as a non-empty Tracker.AppendDrifted
-// does. The threshold must lie in [0, 1).
+// threshold (per DriftExceeds). The threshold must lie in [0, 1).
 //
 //fap:zeroalloc
 func (s Slab) Drifted(lo, hi int, at Reading, threshold float64) bool {
