@@ -90,7 +90,6 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (Prometheus text), /healthz, and /debug/pprof on this address (empty: disabled)")
 	serveFlag := fs.Bool("serve", false, "keep serving /access after convergence with live drift-triggered re-planning (requires -metrics-addr and -mode broadcast)")
 	serveHalfLife := fs.Float64("serve-halflife", 2, "serving mode: demand-estimate half-life in seconds")
-	driftThreshold := fs.Float64("drift-threshold", 0.25, "serving mode: relative per-origin demand drift that triggers a re-plan")
 	replanInterval := fs.Duration("replan-interval", time.Second, "serving mode: how often sensed demand is checked for drift")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -183,9 +182,7 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 		mux := metricsMux(reg, *id)
 		if *serveFlag {
 			access, err = newAccessServer(*id, n, g, *mu, *k, serveOptions{
-				enabled:  true,
 				halfLife: *serveHalfLife,
-				drift:    *driftThreshold,
 				interval: *replanInterval,
 			}, reg, obs)
 			if err != nil {
@@ -302,24 +299,37 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 	return serveUntilSignal(ctx, access, srv, store, outcome, rates, *id, *ckptDir != "")
 }
 
-// serveUntilSignal is the serving-mode tail of run: activate the
-// converged plan, sense demand and re-plan on drift until the signal
-// context is cancelled, then drain in-flight /access requests, flush a
-// final checkpoint, and close the observability listener.
+// serveUntilSignal is the serving-mode tail of run: activate a certified
+// plan warm-started from the converged one, sense demand and re-plan on
+// drift until the signal context is cancelled, then drain in-flight
+// /access requests, flush a final checkpoint, and close the
+// observability listener.
 func serveUntilSignal(ctx context.Context, access *accessServer, srv *http.Server, store recovery.Resumer, outcome agent.Outcome, rates []float64, id int, persist bool) error {
 	fullX := outcome.FullX
 	if len(fullX) == 0 {
 		return fmt.Errorf("fapnode %d: serve mode needs the full allocation but the outcome has none", id)
 	}
-	access.activate(fullX, rates)
+	// The batch run's membership (all alive when it reports none) is what
+	// the serving plans are solved over and what the final checkpoint
+	// records.
+	alive := outcome.Alive
+	if len(alive) != len(fullX) {
+		alive = make([]bool, len(fullX))
+		for i := range alive {
+			alive[i] = true
+		}
+	}
+	if err := access.activate(ctx, fullX, rates, alive); err != nil {
+		return fmt.Errorf("fapnode %d: %w", id, err)
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		access.replanLoop(ctx)
 	}()
-	fmt.Fprintf(os.Stderr, "fapnode %d: serving /access (drift threshold %.2f, interval %s); SIGINT/SIGTERM drains and exits\n",
-		id, access.opts.drift, access.opts.interval)
+	fmt.Fprintf(os.Stderr, "fapnode %d: serving /access (re-plan interval %s); SIGINT/SIGTERM drains and exits\n",
+		id, access.opts.interval)
 	<-ctx.Done()
 	wg.Wait()
 
@@ -331,15 +341,9 @@ func serveUntilSignal(ctx context.Context, access *accessServer, srv *http.Serve
 		fmt.Fprintf(os.Stderr, "fapnode %d: draining access server: %v\n", id, err)
 	}
 
-	epoch, x := access.snapshot()
+	plan := access.rp.Plan()
+	epoch, x := plan.Epoch, plan.X
 	if persist {
-		alive := outcome.Alive
-		if len(alive) != len(x) {
-			alive = make([]bool, len(x))
-			for i := range alive {
-				alive[i] = true
-			}
-		}
 		round := outcome.Rounds + epoch
 		if err := store.SaveRound(agent.RoundState{Round: round, X: x[id], FullX: x, Alive: alive}); err != nil {
 			return fmt.Errorf("fapnode %d: final checkpoint: %w", id, err)

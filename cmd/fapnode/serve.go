@@ -18,19 +18,18 @@ import (
 
 // serveOptions collects the -serve flag family.
 type serveOptions struct {
-	enabled  bool
 	halfLife float64
-	drift    float64
 	interval time.Duration
 }
 
 // accessServer keeps a converged fapnode *serving*: it answers /access
 // requests under the current plan while an estimate.Tracker senses demand
-// online, and a background loop re-solves (warm, KKT-certified) whenever
-// the sensed rates drift from the ones the plan was solved for. Plans are
-// swapped under the lock between requests, so in-flight requests always
-// complete under the plan that admitted them. Wall-clock time is allowed
-// here: this is the CLI edge, not the deterministic numeric path.
+// online, and a background loop steps an agent.Replanner on the sensed
+// rates, which re-solves (warm, KKT-certified) whenever they drift from
+// the ones the plan was solved for. The Replanner owns the plan and swaps
+// it under its own lock, so in-flight requests always complete under the
+// plan that admitted them. Wall-clock time is allowed here: this is the
+// CLI edge, not the deterministic numeric path.
 type accessServer struct {
 	node  int
 	n     int
@@ -39,22 +38,18 @@ type accessServer struct {
 	pair  [][]float64
 	opts  serveOptions
 
-	replan agent.ReplanConfig
-	obs    agent.Observer
-	start  time.Time
+	obs   agent.Observer
+	start time.Time
 
 	accesses   *metrics.Counter
 	epochGauge *metrics.Gauge
 	replansOK  *metrics.Counter
 	replansRej *metrics.Counter
 
-	mu           sync.Mutex
-	ready        bool
-	epoch        int
-	x            []float64
-	plannedRates []float64
-	tracker      *estimate.Tracker
-	lastT        float64
+	mu      sync.Mutex
+	rp      *agent.Replanner // nil until activate: /access answers 503
+	tracker *estimate.Tracker
+	lastT   float64
 }
 
 // newAccessServer wires the serving state for one node. The plan arrives
@@ -68,10 +63,6 @@ func newAccessServer(node, n int, g *topology.Graph, muSvc, k float64, opts serv
 	if err != nil {
 		return nil, fmt.Errorf("serve: tracker: %w", err)
 	}
-	mus := make([]float64, n)
-	for i := range mus {
-		mus[i] = muSvc
-	}
 	as := &accessServer{
 		node:       node,
 		n:          n,
@@ -82,7 +73,6 @@ func newAccessServer(node, n int, g *topology.Graph, muSvc, k float64, opts serv
 		obs:        obs,
 		start:      time.Now(),
 		tracker:    tracker,
-		replan:     agent.ReplanConfig{Pair: pair, Mu: mus, K: k},
 		accesses:   reg.Counter("fap_serve_accesses_total", "access requests served"),
 		epochGauge: reg.Gauge("fap_serve_epoch", "current serving plan epoch"),
 		replansOK:  reg.Counter("fap_serve_replans_total", "live re-plans by outcome", metrics.L("outcome", "certified")),
@@ -91,16 +81,23 @@ func newAccessServer(node, n int, g *topology.Graph, muSvc, k float64, opts serv
 	return as, nil
 }
 
-// activate installs the converged allocation as epoch 1 and starts
-// accepting /access traffic.
-func (as *accessServer) activate(x, plannedRates []float64) {
+// activate solves the epoch-1 serving plan for the batch run's rates over
+// its membership, warm-started from the converged allocation x, and starts
+// accepting /access traffic. It fails if that plan is not KKT-certified.
+func (as *accessServer) activate(ctx context.Context, x, rates []float64, alive []bool) error {
+	mus := make([]float64, as.n)
+	for i := range mus {
+		mus[i] = as.muSvc
+	}
+	rp, err := agent.NewReplanner(ctx, agent.ReplanConfig{Pair: as.pair, Mu: mus, K: as.k}, rates, x, alive, as.node, as.obs)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.ready = true
-	as.epoch = 1
-	as.x = append([]float64(nil), x...)
-	as.plannedRates = append([]float64(nil), plannedRates...)
+	as.rp = rp
+	as.mu.Unlock()
 	as.epochGauge.Set(1)
+	return nil
 }
 
 // now is the serving clock: seconds since the server started.
@@ -129,34 +126,29 @@ func (as *accessServer) handleAccess(w http.ResponseWriter, r *http.Request) {
 		origin = v
 	}
 	as.mu.Lock()
-	if !as.ready {
+	if as.rp == nil {
 		as.mu.Unlock()
 		http.Error(w, "allocation not converged yet", http.StatusServiceUnavailable)
 		return
 	}
+	plan := as.rp.Plan()
 	t := as.now()
 	if t < as.lastT {
 		t = as.lastT
 	}
 	as.lastT = t
 	if err := as.tracker.Observe(origin, t); err != nil {
-		as.obs.MessageDiscarded(as.node, as.epoch, "serve observe: "+err.Error())
-	}
-	epoch := as.epoch
-	x := append([]float64(nil), as.x...)
-	lambda := 0.0
-	for _, rr := range as.plannedRates {
-		lambda += rr
+		as.obs.MessageDiscarded(as.node, plan.Epoch, "serve observe: "+err.Error())
 	}
 	as.mu.Unlock()
 	as.accesses.Inc()
 
 	lat := 0.0
-	for i, xi := range x {
+	for i, xi := range plan.X {
 		if xi <= costmodel.SupportTol {
 			continue
 		}
-		room := as.muSvc - lambda*xi
+		room := as.muSvc - plan.Lambda*xi
 		if room < as.muSvc*0.01 {
 			room = as.muSvc * 0.01
 		}
@@ -166,22 +158,14 @@ func (as *accessServer) handleAccess(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(accessReply{
 		Node:          as.node,
 		Origin:        origin,
-		Epoch:         epoch,
+		Epoch:         plan.Epoch,
 		LatencyMicros: int64(lat * 1e6),
-		Fragment:      x[as.node],
+		Fragment:      plan.X[as.node],
 	})
 }
 
-// snapshot returns the current epoch and plan (for the final checkpoint
-// flush on shutdown).
-func (as *accessServer) snapshot() (epoch int, x []float64) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.epoch, append([]float64(nil), as.x...)
-}
-
-// replanLoop polls sensed demand every interval and re-solves on drift.
-// It returns when the context is cancelled.
+// replanLoop steps the Replanner every interval. It returns when the
+// context is cancelled.
 func (as *accessServer) replanLoop(ctx context.Context) {
 	ticker := time.NewTicker(as.opts.interval)
 	defer ticker.Stop()
@@ -195,12 +179,13 @@ func (as *accessServer) replanLoop(ctx context.Context) {
 	}
 }
 
-// replanOnce runs one drift check; on drift it warm re-solves from the
-// current plan and swaps in the result only if the independent KKT
-// certificate verifies.
+// replanOnce steps the Replanner on the currently sensed demand and
+// counts the outcome. Membership stays the one the plan was solved over:
+// serving peers run no failure detector, so only demand drift re-plans.
 func (as *accessServer) replanOnce(ctx context.Context) {
 	as.mu.Lock()
-	if !as.ready {
+	rp := as.rp
+	if rp == nil {
 		as.mu.Unlock()
 		return
 	}
@@ -209,44 +194,14 @@ func (as *accessServer) replanOnce(ctx context.Context) {
 		t = as.lastT
 	}
 	rates := as.tracker.Rates(t)
-	planned := append([]float64(nil), as.plannedRates...)
-	prev := append([]float64(nil), as.x...)
-	epoch := as.epoch
 	as.mu.Unlock()
 
-	lambda := 0.0
-	drifted := false
-	for i := range rates {
-		lambda += rates[i]
-		if estimate.DriftExceeds(planned[i], rates[i], as.opts.drift) {
-			drifted = true
-		}
-	}
-	if !drifted || lambda <= 1e-3 {
-		return
-	}
-	alive := make([]bool, as.n)
-	for i := range alive {
-		alive[i] = true
-	}
-	pr, err := as.replan.Replan(ctx, rates, prev, alive)
+	info := rp.Step(ctx, rates, rp.Plan().Alive)
 	switch {
-	case err != nil:
-		as.replansRej.Inc()
-		as.obs.RecoveryEvent(as.node, epoch, "serve-replan-error", err.Error())
-	case !pr.Certified:
-		as.replansRej.Inc()
-		as.obs.RecoveryEvent(as.node, epoch, "serve-replan-uncertified", "KKT certificate failed; keeping plan")
-	default:
-		as.mu.Lock()
-		as.epoch++
-		as.x = pr.X
-		as.plannedRates = rates
-		newEpoch := as.epoch
-		as.mu.Unlock()
+	case info.Replanned:
 		as.replansOK.Inc()
-		as.epochGauge.Set(float64(newEpoch))
-		as.obs.RecoveryEvent(as.node, newEpoch, "serve-replan-accepted",
-			fmt.Sprintf("lambda=%.4g iters=%d fellback=%v", pr.Lambda, pr.Iterations, pr.FellBack))
+		as.epochGauge.Set(float64(info.Epoch))
+	case info.Rejected:
+		as.replansRej.Inc()
 	}
 }

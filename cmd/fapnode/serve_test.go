@@ -1,10 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -12,7 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"filealloc/internal/agent"
+	"filealloc/internal/costmodel"
+	"filealloc/internal/metrics"
 	"filealloc/internal/recovery"
+	"filealloc/internal/topology"
 )
 
 // getAccess hits node 0's /access endpoint and decodes the reply.
@@ -56,7 +63,6 @@ func TestRunServeModeReplansAndShutsDownGracefully(t *testing.T) {
 			"-serve",
 			"-serve-halflife", "0.2",
 			"-replan-interval", "25ms",
-			"-drift-threshold", "0.1",
 		}, &outs[0], sigc)
 	}()
 	for i := 1; i < 3; i++ {
@@ -151,5 +157,72 @@ func TestRunServeModeReplansAndShutsDownGracefully(t *testing.T) {
 	}
 	if len(ck.FullX) == 3 && ck.FullX[1] < 0.5 {
 		t.Errorf("re-planned allocation x = %v does not favor the hot origin 1", ck.FullX)
+	}
+}
+
+// TestServeReplanSkipsDepartedPeer: after the batch run departs a peer,
+// a drift re-plan in serving mode must keep that peer at zero rather
+// than hand file mass back to it. Network-free: the access server is
+// driven through its handler and replanOnce directly.
+func TestServeReplanSkipsDepartedPeer(t *testing.T) {
+	const mu, k = 10, 1
+	g, err := topology.Ring(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := newAccessServer(0, 3, g, mu, k, serveOptions{halfLife: 2, interval: time.Second}, metrics.New(), agent.NopObserver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Start the serving clock 10 s back: the estimator's warm-up
+	// correction has settled, so 30 back-to-back hits read as about 11
+	// accesses/s, within the survivors' capacity of 20.
+	as.start = as.start.Add(-10 * time.Second)
+	ctx := context.Background()
+	if err := as.activate(ctx, []float64{0.5, 0.5, 0}, topology.UniformRates(3, 1), []bool{true, true, false}); err != nil {
+		t.Fatalf("activate: %v", err)
+	}
+	for i := 0; i < 30; i++ {
+		rec := httptest.NewRecorder()
+		as.handleAccess(rec, httptest.NewRequest(http.MethodGet, "/access?origin=1", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("access %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	as.replanOnce(ctx)
+
+	plan := as.rp.Plan()
+	if plan.Epoch != 2 {
+		t.Fatalf("epoch %d after the drift re-plan, want 2", plan.Epoch)
+	}
+	x := plan.X
+	if x[2] != 0 {
+		t.Fatalf("departed peer 2 holds %v of the file: x = %v", x[2], x)
+	}
+	if sum := x[0] + x[1] + x[2]; math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("Σx = %v, want 1 (x = %v)", sum, x)
+	}
+
+	// Certify against the reduced model the plan was solved for. The
+	// tracker decays every origin by the same factor, so its rates now
+	// have the solve's proportions; the plan's Lambda restores the total.
+	as.mu.Lock()
+	sensed := as.tracker.Rates(as.now())
+	as.mu.Unlock()
+	total := sensed[0] + sensed[1] + sensed[2]
+	rates := make([]float64, 3)
+	for i, r := range sensed {
+		rates[i] = r * plan.Lambda / total
+	}
+	access, err := topology.AccessCostsFrom(as.pair, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := costmodel.NewSingleFile(access[:2], []float64{mu, mu}, plan.Lambda, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.VerifyKKT(x[:2], plan.Q, 1e-2); err != nil {
+		t.Fatalf("plan %v fails the KKT certificate: %v", x, err)
 	}
 }

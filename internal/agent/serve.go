@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"filealloc/internal/core"
 	"filealloc/internal/costmodel"
 	"filealloc/internal/estimate"
+	"filealloc/internal/loadgen"
 	"filealloc/internal/protocol"
 	"filealloc/internal/topology"
 	"filealloc/internal/transport"
@@ -436,4 +438,133 @@ func (rc ReplanConfig) warmStart(prev []float64, support []int, lambda float64) 
 		init[j] = rc.Mu[i] / muSum
 	}
 	return init
+}
+
+const (
+	// driftThreshold is the relative drift (estimate.DriftExceeds) on any
+	// origin's rate that triggers a re-plan.
+	driftThreshold = 0.25
+	// minLambda gates re-plans: below this total sensed demand the
+	// estimators are still warming up and a solve would chase noise.
+	minLambda = 1e-3
+)
+
+// Replanner is the serving plane's one re-plan loop. It owns the adopted
+// plan: its epoch, X, Q and λ, the per-origin rates it was solved for (the
+// drift baseline) and the membership it was solved over. Each Step
+// decides whether demand drifted or membership changed since that plan,
+// re-solves through ReplanConfig.Replan, and adopts the result only if
+// its KKT certificate verifies. The in-process ServeCluster and fapnode's
+// serving mode both drive it; neither keeps plan state of its own.
+type Replanner struct {
+	cfg  ReplanConfig
+	node int
+	obs  Observer
+
+	mu      sync.Mutex
+	epoch   int
+	plan    PlanResult
+	planned []float64 // the rates plan was solved for: the drift baseline
+	alive   []bool    // the membership plan was solved over
+}
+
+// NewReplanner solves the epoch-1 plan for rates over the alive support,
+// warm-started from init (all zero: capacity-proportional), and fails if
+// that plan cannot be KKT-certified — a node must not start serving under
+// an uncertified allocation. node labels the Replanner's observer events
+// (ServeCluster, which re-plans from the client side, passes -1); a nil
+// obs records nothing.
+func NewReplanner(ctx context.Context, cfg ReplanConfig, rates, init []float64, alive []bool, node int, obs Observer) (*Replanner, error) {
+	if obs == nil {
+		obs = NopObserver{}
+	}
+	pr, err := cfg.Replan(ctx, rates, init, alive)
+	if err != nil {
+		return nil, fmt.Errorf("agent: initial plan: %w", err)
+	}
+	if !pr.Certified {
+		return nil, fmt.Errorf("%w: initial plan failed KKT certification", ErrServe)
+	}
+	return &Replanner{
+		cfg:     cfg,
+		node:    node,
+		obs:     obs,
+		epoch:   1,
+		plan:    pr,
+		planned: append([]float64(nil), rates...),
+		alive:   append([]bool(nil), alive...),
+	}, nil
+}
+
+// Plan snapshots the adopted plan as a protocol message (ID unset). Alive
+// is the membership the plan was solved over, and Lambda the index-order
+// sum of the rates it was solved for. Plan is safe to call concurrently
+// with Step.
+func (r *Replanner) Plan() protocol.Plan {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return protocol.Plan{
+		Epoch:    r.epoch,
+		X:        append([]float64(nil), r.plan.X...),
+		Alive:    append([]bool(nil), r.alive...),
+		Degraded: degraded(r.alive),
+		Lambda:   r.plan.Lambda,
+		Q:        r.plan.Q,
+	}
+}
+
+// Step runs one re-plan decision on this tick's sensed per-origin rates
+// and liveness view. It re-plans when alive differs from the adopted
+// plan's membership or any origin's rate drifts past driftThreshold from
+// the rates that plan was solved for, and only once the sensed total
+// exceeds minLambda. A failed or uncertified solve is rejected: the
+// adopted plan stays, and so does its membership, so a membership change
+// is retried on the next Step. The result fills every loadgen.TickInfo
+// field but T. Steps must not overlap; Plan may run alongside one.
+func (r *Replanner) Step(ctx context.Context, rates []float64, alive []bool) loadgen.TickInfo {
+	r.mu.Lock()
+	info := loadgen.TickInfo{Epoch: r.epoch, Degraded: degraded(r.alive), Alive: alive, Rates: rates}
+	prev := r.plan.X // adoption replaces X, never writes it
+	replan := len(rates) != len(r.planned) || !slices.Equal(alive, r.alive)
+	for i := 0; !replan && i < len(rates); i++ {
+		replan = estimate.DriftExceeds(r.planned[i], rates[i], driftThreshold)
+	}
+	r.mu.Unlock()
+
+	lambda := 0.0
+	for _, rate := range rates {
+		lambda += rate
+	}
+	if replan && lambda > minLambda {
+		pr, err := r.cfg.Replan(ctx, rates, prev, alive)
+		switch {
+		case err != nil:
+			info.Rejected = true
+			r.obs.RecoveryEvent(r.node, info.Epoch, "replan-error", err.Error())
+		case !pr.Certified:
+			info.Rejected = true
+			r.obs.RecoveryEvent(r.node, info.Epoch, "replan-uncertified", "KKT certificate failed; keeping previous plan")
+		default:
+			r.mu.Lock()
+			r.epoch++
+			r.plan = pr
+			r.planned = append(r.planned[:0], rates...)
+			r.alive = append(r.alive[:0], alive...)
+			info.Epoch = r.epoch
+			r.mu.Unlock()
+			info.Degraded = degraded(alive)
+			info.Replanned = true
+			info.Certified = true
+			info.FellBack = pr.FellBack
+			info.SolveIterations = pr.Iterations
+			r.obs.RecoveryEvent(r.node, info.Epoch, "replan-accepted",
+				fmt.Sprintf("lambda=%.4g degraded=%v iters=%d fellback=%v", pr.Lambda, info.Degraded, pr.Iterations, pr.FellBack))
+		}
+	}
+	return info
+}
+
+// degraded reports whether a plan over this membership excludes a node.
+func degraded(alive []bool) bool {
+	return slices.Contains(alive, false)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -114,6 +115,123 @@ func TestReplanRejectsMisshapenPair(t *testing.T) {
 		if _, err := rc.Replan(context.Background(), rates, prev, alive); !errors.Is(err, ErrServe) {
 			t.Errorf("pair rows %d: error = %v, want ErrServe", len(rc.Pair), err)
 		}
+	}
+}
+
+// newTestReplanner builds a Replanner over testReplanConfig(3, mu) whose
+// epoch-1 plan is solved for rates {2, 2, 2} with every node alive.
+func newTestReplanner(t *testing.T, mu float64, obs Observer) *Replanner {
+	t.Helper()
+	rp, err := NewReplanner(context.Background(), testReplanConfig(3, mu),
+		[]float64{2, 2, 2}, make([]float64, 3), []bool{true, true, true}, -1, obs)
+	if err != nil {
+		t.Fatalf("NewReplanner: %v", err)
+	}
+	return rp
+}
+
+// TestReplannerStep pins the one re-plan decision: drift past
+// driftThreshold on any origin, or a membership change, re-plans once the
+// sensed total exceeds minLambda, and only a certified plan is adopted.
+func TestReplannerStep(t *testing.T) {
+	all := []bool{true, true, true}
+	cases := []struct {
+		name       string
+		rates      []float64
+		alive      []bool
+		wantEpoch  int
+		wantKind   string // the one event expected, "" for none
+		wantReject bool
+	}{
+		// |2.6-2| = 0.6 is not above 0.25·2.6 = 0.65.
+		{"drift just below threshold", []float64{2.6, 2, 2}, all, 1, "", false},
+		// |2.7-2| = 0.7 is above 0.25·2.7 = 0.675.
+		{"drift above threshold", []float64{2.7, 2, 2}, all, 2, "replan-accepted", false},
+		{"membership change under minLambda", []float64{5e-4, 5e-4, 0}, []bool{true, false, true}, 1, "", false},
+		{"replan error on a negative rate", []float64{-1, 2, 2}, all, 1, "replan-error", true},
+		{"replan error with no node alive", []float64{2, 2, 2}, []bool{false, false, false}, 1, "replan-error", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var obs CounterObserver
+			rp := newTestReplanner(t, 20, &obs)
+			before := rp.Plan()
+			info := rp.Step(context.Background(), tc.rates, tc.alive)
+			if info.Epoch != tc.wantEpoch || rp.Plan().Epoch != tc.wantEpoch {
+				t.Fatalf("epoch: step %d, plan %d, want %d", info.Epoch, rp.Plan().Epoch, tc.wantEpoch)
+			}
+			if info.Rejected != tc.wantReject {
+				t.Errorf("Rejected = %v, want %v", info.Rejected, tc.wantReject)
+			}
+			replanned := tc.wantKind == "replan-accepted"
+			if info.Replanned != replanned || info.Certified != replanned {
+				t.Errorf("Replanned %v, Certified %v, want both %v", info.Replanned, info.Certified, replanned)
+			}
+			c := obs.Counters()
+			if tc.wantKind == "" {
+				if c.RecoveryEvents != 0 {
+					t.Fatalf("events %v, want none", c.RecoveryByKind)
+				}
+			} else if c.RecoveryEvents != 1 || c.RecoveryByKind[tc.wantKind] != 1 {
+				t.Fatalf("events %v, want one %s", c.RecoveryByKind, tc.wantKind)
+			}
+			after := rp.Plan()
+			if !replanned {
+				if !slices.Equal(after.X, before.X) || after.Lambda != before.Lambda {
+					t.Fatalf("plan moved without a re-plan: %+v -> %+v", before, after)
+				}
+				return
+			}
+			if after.Lambda != 6.7 {
+				t.Errorf("adopted plan lambda = %v, want 6.7", after.Lambda)
+			}
+			// The baseline moved to the new rates: stepping on them again
+			// sees no drift.
+			if again := rp.Step(context.Background(), tc.rates, tc.alive); again.Replanned || again.Epoch != tc.wantEpoch {
+				t.Errorf("second step on the adopted rates = %+v, want no re-plan", again)
+			}
+			if got := obs.Counters().RecoveryEvents; got != 1 {
+				t.Errorf("second step emitted events: %d total", got)
+			}
+		})
+	}
+}
+
+// TestReplannerRetriesRejectedMembershipChange: a membership re-plan that
+// fails its certificate must not be recorded as the plan's membership, so
+// the next step, with the same view and no drift, re-plans it.
+func TestReplannerRetriesRejectedMembershipChange(t *testing.T) {
+	// At μ = 4 no node can take more than 2/3 of λ = 6, so every node,
+	// the one about to die included, holds part of the epoch-1 plan.
+	var obs CounterObserver
+	rp := newTestReplanner(t, 4, &obs)
+	if x := rp.Plan().X; x[1] == 0 {
+		t.Fatalf("epoch-1 plan %v leaves node 1 empty", x)
+	}
+	rates := []float64{2, 2, 2}
+	alive := []bool{true, false, true}
+
+	// On a cancelled context the solve stops at iteration 0, where the
+	// renormalized warm start fails the certificate.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	info := rp.Step(canceled, rates, alive)
+	if !info.Rejected || info.Replanned || info.Epoch != 1 {
+		t.Fatalf("step on a cancelled context = %+v, want rejected at epoch 1", info)
+	}
+	if n := obs.Counters().RecoveryByKind["replan-uncertified"]; n != 1 {
+		t.Fatalf("events %v, want one replan-uncertified", obs.Counters().RecoveryByKind)
+	}
+	if plan := rp.Plan(); plan.X[1] == 0 || plan.Degraded {
+		t.Fatalf("rejected step changed the plan: %+v", plan)
+	}
+
+	info = rp.Step(context.Background(), rates, alive)
+	if !info.Replanned || info.Epoch != 2 || !info.Degraded {
+		t.Fatalf("retry = %+v, want a degraded re-plan to epoch 2", info)
+	}
+	if plan := rp.Plan(); plan.X[1] != 0 {
+		t.Fatalf("dead node keeps %v after the retry", plan.X[1])
 	}
 }
 

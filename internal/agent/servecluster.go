@@ -17,16 +17,18 @@ import (
 // ID-space partition for serving-plane correlation IDs: load-generator
 // request IDs occupy the low bits; a failed primary's rerouted attempt
 // and a hedge arm flip a dedicated bit each (both may complete, so they
-// need distinct pending-map slots); controller traffic sets the top bit.
+// need distinct pending-map slots); control-plane traffic (heartbeats,
+// plan distribution) sets the top bit.
 const (
+	controlIDBit  = uint64(1) << 63
 	fallbackIDBit = uint64(1) << 62
 	hedgeIDBit    = uint64(1) << 61
 )
 
 // ServeClusterConfig describes an in-process serving cluster: N Server
 // nodes on a ring with unit link cost over a memory network, one
-// Controller, and one hardened Client shared by the load generator and
-// the controller.
+// Replanner, and one hardened Client shared by the load generator and
+// the control loop.
 type ServeClusterConfig struct {
 	// N is the node count.
 	N int
@@ -50,7 +52,7 @@ type ServeClusterConfig struct {
 	Faults *transport.FaultConfig
 	// Registry receives the fap_client_* families (optional).
 	Registry *metrics.Registry
-	// Observer receives lifecycle events from servers and controller.
+	// Observer receives lifecycle events from servers and the Replanner.
 	Observer Observer
 }
 
@@ -63,7 +65,10 @@ type ServeCluster struct {
 	cfg  ServeClusterConfig
 	net  *transport.MemoryNetwork
 	clnt *transport.Client
-	ctrl *Controller
+	// ctrl owns the adopted plan; Tick steps it.
+	ctrl *Replanner
+	// nextID numbers control-plane requests; only Tick touches it.
+	nextID uint64
 
 	mu       sync.Mutex
 	killed   []bool
@@ -137,12 +142,12 @@ func NewServeCluster(ctx context.Context, cfg ServeClusterConfig) (_ *ServeClust
 	if err != nil {
 		return nil, err
 	}
-	sc.ctrl, err = NewController(ctx, ControllerConfig{
-		Client:    sc.clnt,
-		Replan:    ReplanConfig{Pair: pair, Mu: cfg.Mu, K: cfg.K},
-		InitRates: cfg.InitRates,
-		Observer:  cfg.Observer,
-	})
+	alive := make([]bool, cfg.N)
+	for i := range alive {
+		alive[i] = true
+	}
+	sc.ctrl, err = NewReplanner(ctx, ReplanConfig{Pair: pair, Mu: cfg.Mu, K: cfg.K},
+		cfg.InitRates, make([]float64, cfg.N), alive, -1, cfg.Observer)
 	if err != nil {
 		return nil, err
 	}
@@ -276,19 +281,113 @@ func (sc *ServeCluster) Fire(ctx context.Context, req loadgen.Request) loadgen.O
 	}
 }
 
-// Tick runs the controller round and refreshes the routing view; when
-// hedging it also re-derives the hedge delay from the previous tick's p99
-// (real time at this edge: the hedge timer is a wall-clock race by
-// nature).
+// Tick runs one control round at virtual time t: heartbeat every node
+// (feeding the failure detector), re-send the current plan to epoch
+// laggards, step the Replanner on the summed sensed rates and the
+// detector's alive view, refresh the routing view, and distribute an
+// adopted plan to every live node. When hedging it also re-derives the
+// hedge delay from the previous tick's p99 (real time at this edge: the
+// hedge timer is a wall-clock race by nature). Node errors never fail
+// the tick — dead nodes are the failure detector's business — only
+// context cancellation does.
 func (sc *ServeCluster) Tick(ctx context.Context, t float64, p99Micros int64) (loadgen.TickInfo, error) {
 	if sc.cfg.HedgeDelay > 0 && p99Micros > 0 {
 		sc.clnt.SetHedgeDelay(2 * time.Duration(p99Micros) * time.Microsecond)
 	}
-	info, err := sc.ctrl.Tick(ctx, t)
+	rates, laggards, err := sc.heartbeat(ctx, t)
+	if err != nil {
+		return loadgen.TickInfo{T: t}, err
+	}
+	alive := sc.clnt.AliveView(sc.cfg.N)
+	for _, s := range laggards {
+		if alive[s] {
+			sc.sendPlan(ctx, s)
+		}
+	}
+	info := sc.ctrl.Step(ctx, rates, alive)
+	info.T = t
 	sc.mu.Lock()
 	sc.view = sc.ctrl.Plan()
+	sc.view.Alive = alive
 	sc.mu.Unlock()
-	return info, err
+	if info.Replanned {
+		for s, up := range alive {
+			if up {
+				sc.sendPlan(ctx, s)
+			}
+		}
+	}
+	return info, ctx.Err()
+}
+
+// heartbeat pings every node in ID order, so the sum does not depend on
+// scheduling, and returns the nodes' summed sensed per-origin rates and
+// the nodes whose epoch lags the routing view's. Failures feed the
+// client's detector and add nothing to the sum.
+func (sc *ServeCluster) heartbeat(ctx context.Context, t float64) (rates []float64, laggards []int, err error) {
+	_, _, epoch, _ := sc.snapshotView()
+	rates = make([]float64, sc.cfg.N)
+	for s := 0; s < sc.cfg.N; s++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		id := sc.id()
+		payload, err := protocol.EncodePing(protocol.Ping{ID: id, T: t})
+		if err != nil {
+			return nil, nil, fmt.Errorf("agent: encode ping: %w", err)
+		}
+		reply, err := sc.clnt.Probe(ctx, s, id, payload)
+		if err != nil {
+			sc.cfg.Observer.TransportError(s, "heartbeat: "+err.Error())
+			continue
+		}
+		env, err := protocol.Decode(reply)
+		if err != nil || env.Kind != protocol.KindPong || len(env.Pong.Rates) != sc.cfg.N {
+			sc.cfg.Observer.MessageDiscarded(s, epoch, "bad pong")
+			continue
+		}
+		for i, r := range env.Pong.Rates {
+			rates[i] += r
+		}
+		if env.Pong.Epoch < epoch {
+			laggards = append(laggards, s)
+		}
+	}
+	return rates, laggards, nil
+}
+
+// id numbers one control-plane request.
+func (sc *ServeCluster) id() uint64 {
+	sc.nextID++
+	return controlIDBit | sc.nextID
+}
+
+// sendPlan sends the routing view's plan to one node and waits for its
+// ack; failures feed the detector via the client and are otherwise
+// tolerated (the laggard path re-sends next tick).
+func (sc *ServeCluster) sendPlan(ctx context.Context, to int) {
+	sc.mu.Lock()
+	plan := sc.view
+	sc.mu.Unlock()
+	plan.ID = sc.id()
+	payload, err := protocol.EncodePlan(plan)
+	if err != nil {
+		sc.cfg.Observer.TransportError(to, "encode plan: "+err.Error())
+		return
+	}
+	reply, err := sc.clnt.Do(ctx, to, plan.ID, payload)
+	if err != nil {
+		sc.cfg.Observer.TransportError(to, "plan distribution: "+err.Error())
+		return
+	}
+	env, err := protocol.Decode(reply)
+	if err != nil || env.Kind != protocol.KindPlanAck {
+		sc.cfg.Observer.MessageDiscarded(to, plan.Epoch, "bad plan ack")
+		return
+	}
+	if env.PlanAck.Epoch < plan.Epoch {
+		sc.cfg.Observer.RecoveryEvent(to, plan.Epoch, "plan-lagging", fmt.Sprintf("node acked epoch %d", env.PlanAck.Epoch))
+	}
 }
 
 // Kill crashes a node: its server stops, its endpoint closes, and every

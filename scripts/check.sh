@@ -89,9 +89,11 @@ echo "== closed-loop serving smoke under -race"
 # stale-plan errors — so a bare pass here is the acceptance bar. The
 # fapload digest pin holds the default run's report, CSV and metrics bytes
 # at two worker counts, and the cluster builder must release everything
-# it started when it fails.
-LOOP_RUN='TestClosedLoopSmoke|TestPhaseReportDeterministicAcrossWorkers|TestDefaultSpecDigests|TestNewServeClusterReleasesOnError'
-LOOP_PKGS='./internal/loadgen/ ./cmd/fapload/ ./internal/agent/'
+# it started when it fails. agent.Replanner is the one re-plan loop both
+# the in-process cluster and fapnode's serving mode step, so its own
+# tests and fapnode's serving tests run here too.
+LOOP_RUN='TestClosedLoopSmoke|TestPhaseReportDeterministicAcrossWorkers|TestDefaultSpecDigests|TestNewServeClusterReleasesOnError|TestReplannerStep|TestReplannerRetriesRejectedMembershipChange|TestServeReplanSkipsDepartedPeer|TestRunServeModeReplansAndShutsDownGracefully'
+LOOP_PKGS='./internal/loadgen/ ./cmd/fapload/ ./internal/agent/ ./cmd/fapnode/'
 require_tests "$LOOP_RUN" $LOOP_PKGS
 go test -race -count 1 -run "$LOOP_RUN" $LOOP_PKGS
 
