@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -209,7 +208,7 @@ func runGossip(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  %-10s %10s %12s %12s %12s  %s\n",
 			r.scheme, roundCol, formatCount(r.messages), byteCol, factor, r.note)
 	}
-	if err := writeGossipMetrics(reg, *metricsOut, w); err != nil {
+	if err := metrics.WriteSnapshot(reg, *metricsOut, w); err != nil {
 		return err
 	}
 	if len(failed) > 0 {
@@ -234,21 +233,17 @@ func formatCount(v float64) string {
 // extra edges by default: enough shortcuts to keep the spanning tree
 // shallow at n=1000 without approaching mesh densities.
 func buildGossipGraph(topo string, n, extraEdges int, linkCost float64, seed int64) (*topology.Graph, error) {
-	switch topo {
-	case "random":
+	if topo == "random" {
 		if extraEdges < 0 {
 			extraEdges = 2 * n
 		}
 		return topology.RandomConnected(n, extraEdges, 0.1, 1, seed)
-	case "ring":
-		return topology.Ring(n, linkCost)
-	case "mesh":
-		return topology.FullMesh(n, linkCost)
-	case "star":
-		return topology.Star(n, linkCost)
-	default:
+	}
+	g, ok, err := topology.Named(topo, n, linkCost)
+	if !ok {
 		return nil, fmt.Errorf("unknown -topology %q (want random | ring | mesh | star)", topo)
 	}
+	return g, err
 }
 
 // parallelAccessCosts computes topology.AccessCosts with the per-source
@@ -275,24 +270,4 @@ func parallelAccessCosts(g *topology.Graph, rates []float64, workers int) ([]flo
 		}
 	}
 	return topology.AccessCostsFrom(sp, rates)
-}
-
-// writeGossipMetrics dumps the registry snapshot like fapsim does; a nil
-// registry (no -metrics-out) is a no-op.
-func writeGossipMetrics(reg *metrics.Registry, path string, w io.Writer) error {
-	if reg == nil {
-		return nil
-	}
-	b, err := metrics.EncodeJSON(reg.Snapshot())
-	if err != nil {
-		return fmt.Errorf("encoding metrics snapshot: %w", err)
-	}
-	if path == "-" {
-		_, err := w.Write(b)
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return fmt.Errorf("writing metrics snapshot: %w", err)
-	}
-	return nil
 }

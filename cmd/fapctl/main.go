@@ -351,18 +351,8 @@ func runPlacements(args []string, w io.Writer) error {
 }
 
 func buildModel(topo string, n int, linkCost, lambda, mu, k float64) (*costmodel.SingleFile, error) {
-	var (
-		g   *topology.Graph
-		err error
-	)
-	switch topo {
-	case "ring":
-		g, err = topology.Ring(n, linkCost)
-	case "mesh":
-		g, err = topology.FullMesh(n, linkCost)
-	case "star":
-		g, err = topology.Star(n, linkCost)
-	default:
+	g, ok, err := topology.Named(topo, n, linkCost)
+	if !ok {
 		return nil, fmt.Errorf("unknown -topology %q", topo)
 	}
 	if err != nil {

@@ -61,7 +61,7 @@ func TestRunMeshTopology(t *testing.T) {
 func writeTestCheckpoints(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	store, err := recovery.NewStore(dir, 1, 4, 0)
+	store, err := recovery.NewStore(dir, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,26 +120,9 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeMetricsSnapshot(reg, *metricsOut, w); err != nil {
+		if err := metrics.WriteSnapshot(reg, *metricsOut, w); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// writeMetricsSnapshot dumps the registry as indented snapshot JSON to
-// path ("-": the report writer).
-func writeMetricsSnapshot(reg *metrics.Registry, path string, w io.Writer) error {
-	b, err := metrics.EncodeJSON(reg.Snapshot())
-	if err != nil {
-		return fmt.Errorf("encoding metrics snapshot: %w", err)
-	}
-	if path == "-" {
-		_, err := w.Write(b)
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return fmt.Errorf("writing metrics snapshot: %w", err)
 	}
 	return nil
 }

@@ -232,7 +232,7 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 	resumedFrom := 0
 	var store recovery.Resumer = recovery.NewMemStore(*id, n)
 	if *ckptDir != "" {
-		s, err := recovery.NewStore(*ckptDir, *id, n, 0)
+		s, err := recovery.NewStore(*ckptDir, *id, n)
 		if err != nil {
 			return err
 		}
@@ -363,16 +363,11 @@ func buildModel(topo string, n int, linkCost float64, rates []float64, mu, k flo
 }
 
 func buildGraph(topo string, n int, linkCost float64) (*topology.Graph, error) {
-	switch topo {
-	case "ring":
-		return topology.Ring(n, linkCost)
-	case "mesh":
-		return topology.FullMesh(n, linkCost)
-	case "star":
-		return topology.Star(n, linkCost)
-	default:
+	g, ok, err := topology.Named(topo, n, linkCost)
+	if !ok {
 		return nil, fmt.Errorf("unknown -topology %q", topo)
 	}
+	return g, err
 }
 
 func modelFromGraph(g *topology.Graph, rates []float64, mu, k float64) (*costmodel.SingleFile, error) {

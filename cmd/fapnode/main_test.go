@@ -137,7 +137,7 @@ func TestRunClusterWithCheckpoints(t *testing.T) {
 		if !res.Converged || res.Restarts != 0 || res.Resumed != 0 {
 			t.Errorf("node %d: converged=%t restarts=%d resumed=%d", i, res.Converged, res.Restarts, res.Resumed)
 		}
-		store, err := recovery.NewStore(dirs[i], i, 3, 0)
+		store, err := recovery.NewStore(dirs[i], i, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

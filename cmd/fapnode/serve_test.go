@@ -137,7 +137,7 @@ func TestRunServeModeReplansAndShutsDownGracefully(t *testing.T) {
 
 	// The final checkpoint must reflect the re-planned allocation: written
 	// past the protocol rounds, normalized, and skewed toward node 1.
-	store, err := recovery.NewStore(ckptDir, 0, 3, 0)
+	store, err := recovery.NewStore(ckptDir, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func run(args []string, w io.Writer) error {
 			}
 			fmt.Fprintln(w)
 		}
-		return writeMetricsSnapshot(reg, *metricsOut, w)
+		return metrics.WriteSnapshot(reg, *metricsOut, w)
 	}
 	runner, ok := runners[name]
 	if !ok {
@@ -133,28 +133,7 @@ func run(args []string, w io.Writer) error {
 	if err := runner(); err != nil {
 		return err
 	}
-	return writeMetricsSnapshot(reg, *metricsOut, w)
-}
-
-// writeMetricsSnapshot dumps the registry as indented snapshot JSON to
-// path ("-": the experiment's own output writer). A nil registry (no
-// -metrics-out flag) is a no-op.
-func writeMetricsSnapshot(reg *metrics.Registry, path string, w io.Writer) error {
-	if reg == nil {
-		return nil
-	}
-	b, err := metrics.EncodeJSON(reg.Snapshot())
-	if err != nil {
-		return fmt.Errorf("encoding metrics snapshot: %w", err)
-	}
-	if path == "-" {
-		_, err := w.Write(b)
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return fmt.Errorf("writing metrics snapshot: %w", err)
-	}
-	return nil
+	return metrics.WriteSnapshot(reg, *metricsOut, w)
 }
 
 func runRecords(ctx context.Context, w io.Writer, csv bool) error {

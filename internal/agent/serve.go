@@ -517,10 +517,11 @@ func (r *Replanner) Plan() protocol.Plan {
 // and liveness view. It re-plans when alive differs from the adopted
 // plan's membership or any origin's rate drifts past driftThreshold from
 // the rates that plan was solved for, and only once the sensed total
-// exceeds minLambda. A failed or uncertified solve is rejected: the
-// adopted plan stays, and so does its membership, so a membership change
-// is retried on the next Step. The result fills every loadgen.TickInfo
-// field but T. Steps must not overlap; Plan may run alongside one.
+// exceeds minLambda. A non-finite sensed rate, a failed solve and an
+// uncertified one are rejected: the adopted plan stays, and so does its
+// membership, so a membership change is retried on the next Step. The
+// result fills every loadgen.TickInfo field but T. Steps must not
+// overlap; Plan may run alongside one.
 func (r *Replanner) Step(ctx context.Context, rates []float64, alive []bool) loadgen.TickInfo {
 	r.mu.Lock()
 	info := loadgen.TickInfo{Epoch: r.epoch, Degraded: degraded(r.alive), Alive: alive, Rates: rates}
@@ -532,7 +533,14 @@ func (r *Replanner) Step(ctx context.Context, rates []float64, alive []bool) loa
 	r.mu.Unlock()
 
 	lambda := 0.0
-	for _, rate := range rates {
+	for i, rate := range rates {
+		if math.IsNaN(rate) || math.IsInf(rate, 0) {
+			// A non-finite λ would fail the gate below and the drift test
+			// alike, freezing the plan without a trace.
+			info.Rejected = true
+			r.obs.RecoveryEvent(r.node, info.Epoch, "replan-error", fmt.Sprintf("sensed rate %d is %v", i, rate))
+			return info
+		}
 		lambda += rate
 	}
 	if replan && lambda > minLambda {

@@ -150,6 +150,8 @@ func TestReplannerStep(t *testing.T) {
 		{"membership change under minLambda", []float64{5e-4, 5e-4, 0}, []bool{true, false, true}, 1, "", false},
 		{"replan error on a negative rate", []float64{-1, 2, 2}, all, 1, "replan-error", true},
 		{"replan error with no node alive", []float64{2, 2, 2}, []bool{false, false, false}, 1, "replan-error", true},
+		{"replan error on a NaN rate", []float64{math.NaN(), 2, 2}, all, 1, "replan-error", true},
+		{"replan error on an infinite rate", []float64{math.Inf(1), 2, 2}, all, 1, "replan-error", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -59,6 +59,10 @@ import (
 // ErrCatalog reports invalid catalog configuration or misuse.
 var ErrCatalog = errors.New("catalog: invalid configuration")
 
+// driftThreshold is the relative rate deviation above which an object's
+// sensed node rate flags it for re-solve (see estimate.DriftExceeds).
+const driftThreshold = 0.2
+
 // Config sizes and parameterizes a catalog. The zero value of every
 // field except Objects picks a sensible default.
 type Config struct {
@@ -91,10 +95,6 @@ type Config struct {
 	// KKTTol is the relative tolerance of the VerifyKKT certificate on
 	// warm early-exits (default 1e-5).
 	KKTTol float64
-	// DriftThreshold is the relative rate deviation above which an
-	// object's sensed node rate flags it for re-solve (default 0.2; see
-	// estimate.DriftExceeds).
-	DriftThreshold float64
 	// DriftFraction is the fraction of objects whose demand is
 	// re-drawn each Drift epoch. Zero means demand never moves (there
 	// is no default — a drift-free catalog is meaningful, it is the
@@ -143,9 +143,6 @@ func (cfg *Config) applyDefaults() {
 	if cfg.KKTTol == 0 {
 		cfg.KKTTol = 1e-5
 	}
-	if cfg.DriftThreshold == 0 {
-		cfg.DriftThreshold = 0.2
-	}
 	if cfg.WarmSteps == 0 {
 		cfg.WarmSteps = 64
 	}
@@ -176,8 +173,6 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("%w: skew %v", ErrCatalog, cfg.Skew)
 	case cfg.DriftFraction < 0 || cfg.DriftFraction > 1 || math.IsNaN(cfg.DriftFraction):
 		return fmt.Errorf("%w: drift fraction %v", ErrCatalog, cfg.DriftFraction)
-	case cfg.DriftThreshold < 0 || cfg.DriftThreshold >= 1 || math.IsNaN(cfg.DriftThreshold):
-		return fmt.Errorf("%w: drift threshold %v", ErrCatalog, cfg.DriftThreshold)
 	case cfg.HalfLife <= 0 || math.IsNaN(cfg.HalfLife) || math.IsInf(cfg.HalfLife, 0):
 		return fmt.Errorf("%w: half-life %v", ErrCatalog, cfg.HalfLife)
 	case cfg.EpochWindow <= 0 || math.IsNaN(cfg.EpochWindow) || math.IsInf(cfg.EpochWindow, 0):
@@ -566,7 +561,7 @@ func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 	if err != nil {
 		return Stats{}, fmt.Errorf("catalog: drift check: %w", err)
 	}
-	nodes, threshold := c.cfg.Nodes, c.cfg.DriftThreshold
+	nodes := c.cfg.Nodes
 	per := make([]Stats, len(c.shards))
 	err = sweep.RunWithScratch(ctx, len(c.shards), sweep.WorkersFrom(ctx), c.newSolveScratch,
 		func(ctx context.Context, si int, s *solveScratch) error {
@@ -575,7 +570,7 @@ func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 			done := ctx.Done()
 			for o := 0; o < sh.count(); o++ {
 				lo, hi := o*nodes, (o+1)*nodes
-				if !sh.rates.Drifted(lo, hi, at, threshold) {
+				if !sh.rates.Drifted(lo, hi, at, driftThreshold) {
 					st.Skipped++
 					continue
 				}

@@ -34,7 +34,6 @@ func TestCatalogValidation(t *testing.T) {
 		{Objects: 4, Mu: 1, Lambda: 2},        // unstable full placement
 		{Objects: 4, DriftFraction: 1.5},      // fraction outside [0, 1]
 		{Objects: 4, DriftFraction: -0.1},     // fraction outside [0, 1]
-		{Objects: 4, DriftThreshold: 1},       // threshold outside [0, 1)
 		{Objects: 4, Skew: math.NaN()},        // NaN skew
 		{Objects: 4, EpochWindow: math.NaN()}, // NaN window
 		// Sensing settings the rate estimators cannot use are
@@ -92,7 +91,7 @@ func TestShardSensingAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		for o := 0; o < sh.count(); o++ {
 			c.senseRow(sh, o, win)
-			if sh.rates.Drifted(o*nodes, (o+1)*nodes, end, c.cfg.DriftThreshold) {
+			if sh.rates.Drifted(o*nodes, (o+1)*nodes, end, driftThreshold) {
 				sh.rates.MarkPlanned(o*nodes, (o+1)*nodes, end)
 			}
 		}

@@ -139,27 +139,31 @@ func WithSecondOrder() Option {
 	return func(a *Allocator) { a.secondOrder = true }
 }
 
-// AdaptAlphaConfig tunes the oscillation-triggered stepsize decay used for
-// discontinuous objectives such as the multiple-copy ring (section 7.3).
-type AdaptAlphaConfig struct {
-	// Patience is the number of utility decreases tolerated before α is
-	// reduced.
-	Patience int
-	// Factor multiplies α at each reduction; must be in (0, 1).
-	Factor float64
-	// MinAlpha stops further reductions.
-	MinAlpha float64
-	// CostDelta, when positive, stops the run once |ΔU| between
-	// successive iterations falls below it (the paper's modified
-	// termination rule for oscillatory problems).
-	CostDelta float64
-}
+// Section 7.3's stepsize decay: "the value of the stepsize parameter α is
+// decreased by a fixed amount after a certain predetermined number of
+// iterations". Every caller decays the same way, so the policy is fixed.
+const (
+	// decayPatience is the number of utility decreases tolerated before
+	// α is reduced.
+	decayPatience = 3
+	// decayFactor multiplies α at each reduction.
+	decayFactor = 0.7
+	// minDecayedAlpha stops further reductions.
+	minDecayedAlpha = 1e-4
+)
 
-// WithAdaptiveAlpha enables section 7.3's oscillation handling: when the
-// utility decreases Patience times since the last reduction, α is multiplied
-// by Factor; the run additionally stops when |ΔU| < CostDelta.
-func WithAdaptiveAlpha(cfg AdaptAlphaConfig) Option {
-	return func(a *Allocator) { a.adapt = &cfg }
+// WithAdaptiveAlpha enables section 7.3's oscillation handling for
+// discontinuous objectives such as the multiple-copy ring: when the
+// utility has decreased three times since the last reduction, α is
+// multiplied by 0.7, down to a floor of 1e-4. costDelta, when positive,
+// additionally stops the run once |ΔU| between successive iterations
+// falls below it (the paper's modified termination rule for oscillatory
+// problems).
+func WithAdaptiveAlpha(costDelta float64) Option {
+	return func(a *Allocator) {
+		a.adaptive = true
+		a.costDelta = costDelta
+	}
 }
 
 // WithKKTCheck additionally requires, for termination, that every variable
@@ -184,7 +188,8 @@ type Allocator struct {
 	trace   func(Iteration)
 
 	dynamicSafety float64
-	adapt         *AdaptAlphaConfig
+	adaptive      bool
+	costDelta     float64
 	alphaSet      bool
 	secondOrder   bool
 	kktCheck      bool
@@ -226,14 +231,6 @@ func NewAllocator(obj Objective, opts ...Option) (*Allocator, error) {
 	}
 	if a.dynamicSafety > 0 && a.secondOrder {
 		return nil, fmt.Errorf("%w: second-order step and dynamic alpha are mutually exclusive", ErrBadConfig)
-	}
-	if a.adapt != nil {
-		if a.adapt.Factor <= 0 || a.adapt.Factor >= 1 {
-			return nil, fmt.Errorf("%w: adaptive-alpha factor = %v", ErrBadConfig, a.adapt.Factor)
-		}
-		if a.adapt.Patience < 1 {
-			return nil, fmt.Errorf("%w: adaptive-alpha patience = %d", ErrBadConfig, a.adapt.Patience)
-		}
 	}
 	if g, ok := obj.(Grouped); ok {
 		a.groups = g.Groups()
@@ -570,17 +567,17 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 			a.trace(Iteration{Index: iter, X: x, Utility: u, Spread: spread, Alpha: alpha})
 		}
 
-		if a.adapt != nil {
+		if a.adaptive {
 			if u < prevU {
 				decreases++
-				if decreases >= a.adapt.Patience {
+				if decreases >= decayPatience {
 					decreases = 0
-					if next := alpha * a.adapt.Factor; next >= a.adapt.MinAlpha {
+					if next := alpha * decayFactor; next >= minDecayedAlpha {
 						alpha = next
 					}
 				}
 			}
-			if a.adapt.CostDelta > 0 && math.Abs(u-prevU) < a.adapt.CostDelta {
+			if a.costDelta > 0 && math.Abs(u-prevU) < a.costDelta {
 				return Result{X: x, Utility: u, Iterations: iter, Reason: StopCostDelta, Converged: true}, false, nil
 			}
 		}

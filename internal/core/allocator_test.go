@@ -219,7 +219,7 @@ func TestAllocatorAdaptiveAlphaStopsOnCostDelta(t *testing.T) {
 	alloc, err := NewAllocator(q,
 		WithAlpha(0.3),
 		WithEpsilon(1e-300), // unreachable: force the cost-delta rule to fire
-		WithAdaptiveAlpha(AdaptAlphaConfig{Patience: 2, Factor: 0.5, MinAlpha: 1e-6, CostDelta: 1e-12}),
+		WithAdaptiveAlpha(1e-12),
 		WithMaxIterations(100000),
 	)
 	if err != nil {
@@ -275,8 +275,6 @@ func TestNewAllocatorValidation(t *testing.T) {
 		{"zero epsilon", q, []Option{WithEpsilon(0)}},
 		{"zero iterations", q, []Option{WithMaxIterations(0)}},
 		{"bad safety", q, []Option{WithDynamicAlpha(2)}},
-		{"bad adapt factor", q, []Option{WithAdaptiveAlpha(AdaptAlphaConfig{Patience: 1, Factor: 1.5})}},
-		{"bad adapt patience", q, []Option{WithAdaptiveAlpha(AdaptAlphaConfig{Patience: 0, Factor: 0.5})}},
 		{"dynamic alpha without curvature", &noCurvature{}, []Option{WithDynamicAlpha(0.5)}},
 	}
 	for _, tt := range tests {

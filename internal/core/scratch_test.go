@@ -27,8 +27,7 @@ func TestRunWithScratchMatchesRun(t *testing.T) {
 	}{
 		{"fixed-alpha", quad{n: 8}, seqInit(8), []Option{WithAlpha(0.01), WithEpsilon(1e-9)}},
 		{"dynamic-alpha", quad{n: 8}, seqInit(8), []Option{WithAlpha(0.001), WithEpsilon(1e-9), WithDynamicAlpha(0.5)}},
-		{"adaptive", quad{n: 6}, seqInit(6), []Option{WithAlpha(0.02), WithEpsilon(1e-9),
-			WithAdaptiveAlpha(AdaptAlphaConfig{Patience: 2, Factor: 0.5, MinAlpha: 1e-6, CostDelta: 1e-12})}},
+		{"adaptive", quad{n: 6}, seqInit(6), []Option{WithAlpha(0.02), WithEpsilon(1e-9), WithAdaptiveAlpha(1e-12)}},
 		{"smaller-dim-after-larger", quad{n: 4}, seqInit(4), []Option{WithAlpha(0.05), WithEpsilon(1e-9)}},
 		{"kkt-check", quad{n: 8}, seqInit(8), []Option{WithAlpha(0.01), WithEpsilon(1e-9), WithKKTCheck()}},
 	}

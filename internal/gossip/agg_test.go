@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"filealloc/internal/protocol"
@@ -146,7 +147,7 @@ func TestPickPeerDeterministicAndInRange(t *testing.T) {
 		if p != pickPeer(42, 0, 1, tick, 7, neighbors) {
 			t.Fatal("pickPeer not deterministic")
 		}
-		if !containsInt(neighbors, p) {
+		if !slices.Contains(neighbors, p) {
 			t.Fatalf("pick %d outside neighbor set", p)
 		}
 		seen[p] = true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"filealloc/internal/agent"
@@ -297,7 +298,7 @@ func (e *engine) collectUps(ctx context.Context, round, pass int, children []int
 	got := make(map[int]protocol.Aggregate, len(children))
 	take := func(from int, env protocol.Envelope) {
 		up := env.AggUp
-		if up == nil || up.Round != round || up.Pass != pass || !containsInt(children, from) {
+		if up == nil || up.Round != round || up.Pass != pass || !slices.Contains(children, from) {
 			return
 		}
 		if _, dup := got[from]; !dup {
@@ -441,13 +442,4 @@ func (e *engine) send(ctx context.Context, to int, payload []byte) error {
 	e.messages++
 	e.bytes += int64(len(payload))
 	return nil
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"filealloc/internal/core"
 	"filealloc/internal/protocol"
@@ -183,7 +184,7 @@ func (e *engine) collectTick(ctx context.Context, round, tick int, neighbors []i
 	var bad error
 	take := func(from int, env protocol.Envelope) {
 		m := env.GossipExtrema
-		if m == nil || m.Round != round || m.Tick != tick || !containsInt(neighbors, from) {
+		if m == nil || m.Round != round || m.Tick != tick || !slices.Contains(neighbors, from) {
 			return
 		}
 		if _, dup := got[from]; dup {

@@ -3,6 +3,7 @@ package gossip
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"filealloc/internal/topology"
@@ -36,7 +37,7 @@ func TestBuildTreeRing(t *testing.T) {
 		if p < 0 {
 			t.Fatalf("node %d has no parent", v)
 		}
-		if !containsInt(tree.Children[p], v) {
+		if !slices.Contains(tree.Children[p], v) {
 			t.Errorf("node %d missing from children of %d", v, p)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 )
 
@@ -100,6 +102,27 @@ func EncodeJSON(s Snapshot) ([]byte, error) {
 		return nil, fmt.Errorf("metrics: encoding snapshot: %w", err)
 	}
 	return append(b, '\n'), nil
+}
+
+// WriteSnapshot writes reg's snapshot, encoded by EncodeJSON, to the file
+// at path, or to w when path is "-". A nil registry writes nothing. This
+// is the -metrics-out writer of the commands.
+func WriteSnapshot(reg *Registry, path string, w io.Writer) error {
+	if reg == nil {
+		return nil
+	}
+	b, err := EncodeJSON(reg.Snapshot())
+	if err != nil {
+		return fmt.Errorf("encoding metrics snapshot: %w", err)
+	}
+	if path == "-" {
+		_, err := w.Write(b)
+		return err
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		return fmt.Errorf("writing metrics snapshot: %w", err)
+	}
+	return nil
 }
 
 // DecodeSnapshot parses and validates snapshot JSON produced by

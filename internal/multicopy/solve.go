@@ -8,24 +8,18 @@ import (
 	"filealloc/internal/core"
 )
 
-// SolveConfig tunes the oscillation-tolerant solver of section 7.3.
+// solveEpsilon is the marginal-utility spread threshold of the
+// oscillation-tolerant solver. With a discontinuous objective it may never
+// be met, in which case core's stepsize decay and the cost-delta rule end
+// the run.
+const solveEpsilon = 1e-3
+
+// SolveConfig tunes the oscillation-tolerant solver of section 7.3. The
+// stepsize decay itself is core's fixed policy (core.WithAdaptiveAlpha).
 type SolveConfig struct {
 	// Alpha is the initial stepsize (default 0.1, the paper's figure-9
 	// setting).
 	Alpha float64
-	// Epsilon is the marginal-utility spread threshold; with a
-	// discontinuous objective it may never be met, in which case the
-	// decay/cost-delta machinery terminates the run (default 1e-3).
-	Epsilon float64
-	// DecayPatience is the number of cost increases tolerated before the
-	// stepsize is decayed (default 3: "the value of the stepsize
-	// parameter α is decreased by a fixed amount after a certain
-	// predetermined number of iterations").
-	DecayPatience int
-	// DecayFactor multiplies α at each decay (default 0.7).
-	DecayFactor float64
-	// MinAlpha floors the decay (default 1e-4).
-	MinAlpha float64
 	// CostDelta stops the run when the cost change between successive
 	// iterations falls below it (default 1e-9).
 	CostDelta float64
@@ -43,18 +37,6 @@ type SolveConfig struct {
 func (c *SolveConfig) fill() {
 	if c.Alpha == 0 {
 		c.Alpha = 0.1
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 1e-3
-	}
-	if c.DecayPatience == 0 {
-		c.DecayPatience = 3
-	}
-	if c.DecayFactor == 0 {
-		c.DecayFactor = 0.7
-	}
-	if c.MinAlpha == 0 {
-		c.MinAlpha = 1e-4
 	}
 	if c.CostDelta == 0 {
 		c.CostDelta = 1e-9
@@ -109,15 +91,10 @@ func solveObjective(ctx context.Context, obj core.Objective, init []float64, cfg
 	}
 	alloc, err := core.NewAllocator(obj,
 		core.WithAlpha(cfg.Alpha),
-		core.WithEpsilon(cfg.Epsilon),
+		core.WithEpsilon(solveEpsilon),
 		core.WithMaxIterations(cfg.MaxIterations),
 		core.WithTrace(observe),
-		core.WithAdaptiveAlpha(core.AdaptAlphaConfig{
-			Patience:  cfg.DecayPatience,
-			Factor:    cfg.DecayFactor,
-			MinAlpha:  cfg.MinAlpha,
-			CostDelta: cfg.CostDelta,
-		}),
+		core.WithAdaptiveAlpha(cfg.CostDelta),
 	)
 	if err != nil {
 		return SolveResult{}, fmt.Errorf("multicopy: configuring solver: %w", err)

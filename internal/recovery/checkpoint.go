@@ -248,37 +248,33 @@ func Decode(b []byte) (Checkpoint, error) {
 	return c, nil
 }
 
+// storeKeep is the number of checkpoint files a Store retains: the
+// current round and its predecessor, so an invalid newest file still
+// leaves a resume point.
+const storeKeep = 2
+
 // Store is the durable agent.CheckpointSink: one directory per node,
 // one file per round, atomic writes, and pruning of all but the newest
-// Keep files. It also serves as the resume source via Latest.
+// storeKeep files. It also serves as the resume source via Latest.
 type Store struct {
 	dir   string
 	node  int
 	peers int
-	keep  int
 
 	mu     sync.Mutex
 	rounds []int // saved rounds, ascending
 }
 
 // NewStore opens (creating if needed) a checkpoint directory for one node
-// of a cluster of peers nodes. keep bounds the files retained (minimum
-// and default 2: the current round and its predecessor, so an invalid
-// newest file still leaves a resume point).
-func NewStore(dir string, node, peers, keep int) (*Store, error) {
+// of a cluster of peers nodes.
+func NewStore(dir string, node, peers int) (*Store, error) {
 	if peers < 2 || node < 0 || node >= peers {
 		return nil, fmt.Errorf("recovery: node %d outside cluster of %d", node, peers)
-	}
-	if keep == 0 {
-		keep = 2
-	}
-	if keep < 2 {
-		return nil, fmt.Errorf("recovery: keep = %d (need at least 2)", keep)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: creating checkpoint dir: %w", err)
 	}
-	return &Store{dir: dir, node: node, peers: peers, keep: keep}, nil
+	return &Store{dir: dir, node: node, peers: peers}, nil
 }
 
 // Dir returns the store's directory.
@@ -298,7 +294,7 @@ func (s *Store) SaveRound(st agent.RoundState) error {
 	defer s.mu.Unlock()
 	s.rounds = append(s.rounds, st.Round)
 	sort.Ints(s.rounds)
-	for len(s.rounds) > s.keep {
+	for len(s.rounds) > storeKeep {
 		old := s.rounds[0]
 		s.rounds = s.rounds[1:]
 		if err := os.Remove(filepath.Join(s.dir, fileName(old))); err != nil && !os.IsNotExist(err) {

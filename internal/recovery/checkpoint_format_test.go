@@ -34,7 +34,7 @@ func TestCheckpointFileFormatPinned(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := NewStore(dir, 1, 4, 0)
+			s, err := NewStore(dir, 1, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestEarlyReportsSurviveWireAndCheckpoint(t *testing.T) {
 		}
 		early = append(early, *env.Report)
 	}
-	s, err := NewStore(t.TempDir(), 1, 4, 0)
+	s, err := NewStore(t.TempDir(), 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func TestCheckpointSupportAndSum(t *testing.T) {
 
 func TestStoreSaveLatestPrune(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStore(dir, 1, 4, 3)
+	s, err := NewStore(dir, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestStoreSaveLatestPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 3 {
-		t.Errorf("store holds %d files after pruning, want 3", len(entries))
+	if len(entries) != 2 {
+		t.Errorf("store holds %d files after pruning, want 2", len(entries))
 	}
 	ck, ok, err := s.Latest()
 	if err != nil || !ok {
@@ -225,7 +225,7 @@ func TestStoreSaveLatestPrune(t *testing.T) {
 
 func TestStoreLatestEmptyAndAllCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewStore(dir, 0, 2, 0)
+	s, err := NewStore(dir, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestStoreRejectsForeignCheckpoint(t *testing.T) {
 	if err := WriteFile(filepath.Join(dir, fileName(2)), c); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStore(dir, 0, 4, 0)
+	s, err := NewStore(dir, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,10 +57,6 @@ type SupervisorConfig struct {
 	Seed int64
 	// Clock injects the wait primitive (default TimerClock).
 	Clock Clock
-	// Retryable classifies which errors the supervisor restarts on; any
-	// other error is returned immediately. Default: the run died on an
-	// injected or real endpoint crash (transport.ErrCrashed).
-	Retryable func(error) bool
 }
 
 func (c *SupervisorConfig) fill() {
@@ -75,9 +71,6 @@ func (c *SupervisorConfig) fill() {
 	}
 	if c.Clock == nil {
 		c.Clock = TimerClock{}
-	}
-	if c.Retryable == nil {
-		c.Retryable = func(err error) bool { return errors.Is(err, transport.ErrCrashed) }
 	}
 }
 
@@ -100,8 +93,9 @@ func backoff(c SupervisorConfig, rng *rand.Rand, restart int) time.Duration {
 	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
-// Supervise runs `run` until it succeeds, fails non-retryably, or the
-// restart budget is exhausted. run receives the attempt number (0 for the
+// Supervise runs `run` until it succeeds, fails with anything but an
+// injected or real endpoint crash (transport.ErrCrashed), or the restart
+// budget is exhausted. run receives the attempt number (0 for the
 // first run, k for the k-th restart). It returns the number of attempts
 // made and the final error; a budget exhaustion wraps both
 // ErrRestartBudget and the last run error.
@@ -111,7 +105,7 @@ func Supervise(ctx context.Context, cfg SupervisorConfig, run func(ctx context.C
 	for attempt := 0; ; attempt++ {
 		err = run(ctx, attempt)
 		attempts = attempt + 1
-		if err == nil || !cfg.Retryable(err) || ctx.Err() != nil {
+		if err == nil || !errors.Is(err, transport.ErrCrashed) || ctx.Err() != nil {
 			return attempts, err
 		}
 		if attempt >= cfg.MaxRestarts {

@@ -70,6 +70,25 @@ func Star(n int, linkCost float64) (*Graph, error) {
 	return g, nil
 }
 
+// Named builds the uniform-cost topology the commands' -topology flag
+// names: "ring", "mesh" or "star" of n nodes. ok is false for any other
+// name, so each command reports an unknown name in its own words.
+func Named(name string, n int, linkCost float64) (g *Graph, ok bool, err error) {
+	var build func(int, float64) (*Graph, error)
+	switch name {
+	case "ring":
+		build = Ring
+	case "mesh":
+		build = FullMesh
+	case "star":
+		build = Star
+	default:
+		return nil, false, nil
+	}
+	g, err = build(n, linkCost)
+	return g, true, err
+}
+
 // Line returns a path graph 0-1-2-...-n-1 with uniform link cost.
 func Line(n int, linkCost float64) (*Graph, error) {
 	if n < 2 {

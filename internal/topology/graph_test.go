@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -177,6 +178,28 @@ func TestGeneratorValidation(t *testing.T) {
 				t.Error("expected error, got nil")
 			}
 		})
+	}
+}
+
+// TestNamed checks that each flag name builds the same graph as its
+// generator, that a too-small size keeps the generator's error, and that
+// an unknown name is reported as such rather than as a build error.
+func TestNamed(t *testing.T) {
+	for _, tt := range []struct {
+		name  string
+		build func(int, float64) (*Graph, error)
+	}{{"ring", Ring}, {"mesh", FullMesh}, {"star", Star}} {
+		g, ok, err := Named(tt.name, 5, 2)
+		want, _ := tt.build(5, 2)
+		if !ok || err != nil || !reflect.DeepEqual(g, want) {
+			t.Errorf("Named(%q, 5, 2) = %v, %v, %v; want the generator's graph", tt.name, g, ok, err)
+		}
+		if _, ok, err := Named(tt.name, 1, 2); !ok || err == nil {
+			t.Errorf("Named(%q, 1, 2) = ok %v, err %v; want ok and the generator's error", tt.name, ok, err)
+		}
+	}
+	if g, ok, err := Named("torus", 5, 2); ok || g != nil || err != nil {
+		t.Errorf("Named(torus) = %v, %v, %v; want nil, false, nil", g, ok, err)
 	}
 }
 

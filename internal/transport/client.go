@@ -24,6 +24,16 @@ var (
 	ErrNoCandidates = errors.New("transport: no alive candidate nodes")
 )
 
+const (
+	// backoffBase and backoffCap bound the retry backoff: the first
+	// retry waits up to backoffBase, each later one twice as long, up to
+	// backoffCap.
+	backoffBase = time.Millisecond
+	backoffCap  = 50 * time.Millisecond
+	// maxInFlight bounds concurrently admitted requests (backpressure).
+	maxInFlight = 256
+)
+
 // ClientConfig configures a hardened request/reply client over an
 // Endpoint. The client never parses payloads: ReplyID is the injected
 // protocol hook (cf. FaultConfig.RoundOf) that extracts the correlation
@@ -40,13 +50,9 @@ type ClientConfig struct {
 	RequestTimeout time.Duration
 	// Retries is the number of extra attempts after the first failure.
 	// Default 0 (single attempt); Do retries with seeded-jitter capped
-	// exponential backoff between attempts.
+	// exponential backoff between attempts (1 ms, doubling to a 50 ms
+	// cap).
 	Retries int
-	// BackoffBase and BackoffCap bound the retry backoff (same shape as
-	// recovery.SupervisorConfig: doubling, capped, jittered into
-	// [d/2, d]). Defaults 1ms and 50ms.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Seed feeds the backoff jitter; same seed, same jitter sequence.
 	Seed int64
 	// HedgeDelay, when positive, arms DoHedged: if the primary has not
@@ -54,9 +60,6 @@ type ClientConfig struct {
 	// node and the first reply wins. Derive it from a measured p99 so
 	// hedges only fire on tail-latency requests. Zero disables hedging.
 	HedgeDelay time.Duration
-	// MaxInFlight bounds concurrently admitted requests (backpressure).
-	// Default 256.
-	MaxInFlight int
 	// DownAfter is the failure-detector threshold: this many consecutive
 	// failed attempts (requests or probes) marks a node down; any
 	// success marks it up again. Default 3.
@@ -136,22 +139,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Second
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 50 * time.Millisecond
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 256
-	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 3
 	}
 	c := &Client{
 		cfg:     cfg,
 		m:       newClientMetrics(cfg.Registry),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
+		sem:     make(chan struct{}, maxInFlight),
 		closed:  make(chan struct{}),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		pending: make(map[uint64]chan []byte),
@@ -226,7 +220,7 @@ func (c *Client) admit(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		c.m.overloads.Inc()
-		return fmt.Errorf("%w: %d in flight", ErrOverloaded, c.cfg.MaxInFlight)
+		return fmt.Errorf("%w: %d in flight", ErrOverloaded, maxInFlight)
 	case <-c.closed:
 		return ErrClosed
 	}
@@ -238,16 +232,16 @@ func (c *Client) release() {
 }
 
 // backoff returns the jittered delay before retry attempt a (1-based):
-// doubling from BackoffBase, capped at BackoffCap, jittered into
+// doubling from backoffBase, capped at backoffCap, jittered into
 // [d/2, d] from the seeded stream — the same shape as the recovery
 // supervisor's restart backoff.
 func (c *Client) backoff(a int) time.Duration {
-	d := c.cfg.BackoffBase
-	for i := 1; i < a && d < c.cfg.BackoffCap; i++ {
+	d := backoffBase
+	for i := 1; i < a && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > c.cfg.BackoffCap {
-		d = c.cfg.BackoffCap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	c.mu.Lock()
 	jitter := c.rng.Int63n(int64(d/2) + 1)

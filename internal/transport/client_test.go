@@ -121,8 +121,6 @@ func TestClientRetriesUntilSuccess(t *testing.T) {
 	c := newClientCluster(t, 2, ClientConfig{
 		RequestTimeout: time.Second,
 		Retries:        3,
-		BackoffBase:    time.Millisecond,
-		BackoffCap:     2 * time.Millisecond,
 	}, func(ep Endpoint) Endpoint {
 		return &flakyEndpoint{Endpoint: ep, failures: 2}
 	})
@@ -150,8 +148,6 @@ func TestClientDropMarksNodeDown(t *testing.T) {
 	c := newClientCluster(t, 3, ClientConfig{
 		RequestTimeout: 50 * time.Millisecond,
 		Retries:        1,
-		BackoffBase:    time.Millisecond,
-		BackoffCap:     time.Millisecond,
 		DownAfter:      2,
 	}, func(ep Endpoint) Endpoint {
 		fep, err := NewFaultEndpoint(ep, cfg)
@@ -258,14 +254,14 @@ func TestClientHedgeDisabledFallsBackToDo(t *testing.T) {
 }
 
 func TestClientBackpressure(t *testing.T) {
-	// A partitioned server never replies, so the single in-flight slot
-	// stays occupied; the second request must shed as ErrOverloaded.
+	// A partitioned server never replies, so every admitted request keeps
+	// its in-flight slot until its deadline; once all maxInFlight slots
+	// are held, one more request must shed as ErrOverloaded.
 	cfg := FaultConfig{Seed: 1, Rules: []FaultRule{
 		{Kind: FaultPartition, Direction: DirSend, Peers: []int{0}, Probability: 1},
 	}}
 	c := newClientCluster(t, 2, ClientConfig{
-		RequestTimeout: 500 * time.Millisecond,
-		MaxInFlight:    1,
+		RequestTimeout: 2 * time.Second,
 	}, func(ep Endpoint) Endpoint {
 		fep, err := NewFaultEndpoint(ep, cfg)
 		if err != nil {
@@ -273,27 +269,32 @@ func TestClientBackpressure(t *testing.T) {
 		}
 		return fep
 	})
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		close(started)
-		_, err := c.Do(context.Background(), 0, 1, testPayload(1))
-		done <- err
-	}()
-	<-started
-	// Give the first request time to take the slot.
-	time.Sleep(20 * time.Millisecond)
+	done := make(chan error, maxInFlight)
+	for id := uint64(1); id <= maxInFlight; id++ {
+		go func() {
+			_, err := c.Do(context.Background(), 0, id, testPayload(id))
+			done <- err
+		}()
+	}
+	// Wait for the saturating requests to take every slot.
+	for deadline := time.Now().Add(time.Second); len(c.sem) < maxInFlight; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d slots taken after 1s", len(c.sem), maxInFlight)
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := c.Do(ctx, 0, 2, testPayload(2))
+	_, err := c.Do(ctx, 0, maxInFlight+1, testPayload(maxInFlight+1))
 	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second Do = %v, want ErrOverloaded", err)
+		t.Fatalf("Do past %d in flight = %v, want ErrOverloaded", maxInFlight, err)
 	}
 	if got := c.m.overloads.Value(); got != 1 {
 		t.Fatalf("overloads counter = %d, want 1", got)
 	}
-	if err := <-done; !errors.Is(err, ErrNoReply) {
-		t.Fatalf("first Do = %v, want ErrNoReply", err)
+	for i := 0; i < maxInFlight; i++ {
+		if err := <-done; !errors.Is(err, ErrNoReply) {
+			t.Fatalf("saturating Do = %v, want ErrNoReply", err)
+		}
 	}
 }
 

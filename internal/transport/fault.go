@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -334,10 +335,10 @@ func (e *FaultEndpoint) match(dir FaultDirection, peer int, payload []byte) (Fau
 		if r.Kind == FaultReorder && dir == DirSend {
 			continue
 		}
-		if len(r.Nodes) > 0 && !containsInt(r.Nodes, e.inner.ID()) {
+		if len(r.Nodes) > 0 && !slices.Contains(r.Nodes, e.inner.ID()) {
 			continue
 		}
-		if len(r.Peers) > 0 && !containsInt(r.Peers, peer) {
+		if len(r.Peers) > 0 && !slices.Contains(r.Peers, peer) {
 			continue
 		}
 		if r.FromRound != 0 || r.ToRound != 0 {
@@ -359,15 +360,6 @@ func (e *FaultEndpoint) match(dir FaultDirection, peer int, payload []byte) (Fau
 		return r, i, true
 	}
 	return FaultRule{}, -1, false
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Send implements Endpoint, applying send-direction rules.

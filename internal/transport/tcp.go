@@ -16,8 +16,8 @@ import (
 // goroutines block (exerting TCP back-pressure) when it is full.
 const tcpInboxSize = 1024
 
-// defaultMaxFrameBytes bounds a single frame body on the wire.
-const defaultMaxFrameBytes = 16 * 1024 * 1024
+// maxFrameBytes bounds a single frame body on the wire (16 MiB).
+const maxFrameBytes = 16 * 1024 * 1024
 
 // tcpFrameMagic opens every wire frame.
 const tcpFrameMagic = 0xFD
@@ -44,11 +44,6 @@ func WithReadErrorHook(fn func(remote string, err error)) TCPOption {
 	return func(e *TCPEndpoint) { e.readErrHook = fn }
 }
 
-// WithMaxFrameBytes overrides the per-frame size limit (default 16 MiB).
-func WithMaxFrameBytes(n int) TCPOption {
-	return func(e *TCPEndpoint) { e.maxFrameBytes = n }
-}
-
 // TCPEndpoint connects one node of the allocation protocol to its peers
 // over TCP. Every message travels as one length-prefixed frame,
 // [0xFD][uvarint len][uvarint from][payload], where len counts the
@@ -62,8 +57,7 @@ type TCPEndpoint struct {
 	addrs []string
 	ln    net.Listener
 
-	maxFrameBytes int
-	readErrHook   func(remote string, err error)
+	readErrHook func(remote string, err error)
 
 	mu    sync.Mutex
 	conns map[int]*tcpConn
@@ -86,12 +80,11 @@ func ListenTCP(id int, addrs []string, opts ...TCPOption) (*TCPEndpoint, error) 
 		return nil, fmt.Errorf("%w: node %d of %d", ErrUnknownPeer, id, len(addrs))
 	}
 	ep := &TCPEndpoint{
-		id:            id,
-		addrs:         append([]string(nil), addrs...),
-		maxFrameBytes: defaultMaxFrameBytes,
-		conns:         make(map[int]*tcpConn),
-		inbox:         make(chan Message, tcpInboxSize),
-		done:          make(chan struct{}),
+		id:    id,
+		addrs: append([]string(nil), addrs...),
+		conns: make(map[int]*tcpConn),
+		inbox: make(chan Message, tcpInboxSize),
+		done:  make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(ep)
@@ -200,7 +193,7 @@ func (e *TCPEndpoint) readLoop(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	var readErr error
 	for {
-		from, payload, err := readFrame(r, e.maxFrameBytes, len(e.addrs))
+		from, payload, err := readFrame(r, maxFrameBytes, len(e.addrs))
 		if err != nil {
 			readErr = err
 			break
