@@ -336,9 +336,10 @@ func newBenchCatalog(b *testing.B) *catalog.Catalog {
 	return cat
 }
 
-// BenchmarkCatalogNew measures laying out the benchmark catalog: demand,
-// planned access costs and sensing slabs for every object, and one solver
-// kit to check the settings. Allocations are per shard, not per object.
+// BenchmarkCatalogNew measures laying out the benchmark catalog: the
+// allocation slab plus per-object generations and the sensing slab for
+// every object, and one solver kit to check the settings. Allocations
+// are per shard, not per object.
 func BenchmarkCatalogNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -15,13 +15,18 @@
 //
 // Solving keeps no per-object solver objects either. Every object is
 // the paper's single-file problem with the same μ, λ, k and solver
-// settings; objects differ only in their access costs C_i. So each
-// shard holds one row-major slab of the access costs every object's
-// plan last assumed, and each sweep worker owns one solver kit — one
-// costmodel.SingleFile, one second-order core.Allocator and one
-// core.WarmSolver certified by that model's VerifyKKT. A solve first
-// copies the object's row into the kit's model, so it runs on exactly
-// the inputs and arithmetic a per-object model would.
+// settings; objects differ only in their access costs C_i, and those are
+// a pure function of the object's demand, which is itself a pure
+// function of (seed, object id, demand generation). So each shard holds
+// only the allocation slab plus per-object generations — the current
+// demand generation and the one the plan was solved for — 264 B per
+// object at 8 nodes, counting the sensing slab below. Each sweep worker
+// owns one solver kit — one costmodel.SingleFile, one second-order
+// core.Allocator, one core.WarmSolver certified by that model's
+// VerifyKKT, and a demand and an access-cost row. A solve first rebuilds
+// the object's access costs from its planned generation into the kit's
+// model, so it runs on exactly the inputs and arithmetic a per-object
+// model would.
 //
 // Sensing keeps no estimator objects. Each shard holds one
 // estimate.Slab: the decayed event mass, last event time and planned
@@ -216,14 +221,15 @@ func (s *Stats) add(o Stats) {
 
 // shard is one contiguous range of object ids with structure-of-arrays
 // state. A shard is only ever touched by the single sweep worker that
-// claimed it, so it needs no locking.
+// claimed it, so it needs no locking. Demand and access costs are not
+// stored: fillDemand derives an object's demand from its id and a
+// generation, and accessCosts its access costs from that demand.
 type shard struct {
-	lo, hi int           // object ids [lo, hi)
-	demand []float64     // true demand rates, (hi-lo)×nodes row-major
-	x      []float64     // current allocation, same layout
-	access []float64     // access costs C_i each plan last assumed, same layout
-	gen    []int         // demand generation, bumped per applied drift
-	rates  estimate.Slab // sensed rate estimators, same layout
+	lo, hi  int           // object ids [lo, hi)
+	x       []float64     // current allocation, (hi-lo)×nodes row-major
+	gen     []int32       // true demand generation, bumped per applied drift
+	planGen []int32       // demand generation each object's plan was solved for
+	rates   estimate.Slab // sensed rate estimators, same layout as x
 }
 
 func (sh *shard) count() int { return sh.hi - sh.lo }
@@ -256,11 +262,12 @@ type Catalog struct {
 	m      *meters
 }
 
-// New lays out a catalog: per shard, the demand, allocation, planned
-// access-cost and rate-estimator slabs. It holds no per-object solver:
-// each sweep worker builds its own solver kit when a pass starts. New
-// builds one kit itself, so settings the solvers reject fail here. No
-// solves happen yet.
+// New lays out a catalog: per shard, the allocation and rate-estimator
+// slabs plus per-object generations, all zero. It holds no per-object
+// solver: each sweep worker builds its own solver kit when a pass
+// starts. New builds one kit itself, so settings the solvers reject
+// fail here. It only allocates: no demand is derived and no solves
+// happen yet.
 func New(cfg Config) (*Catalog, error) {
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
@@ -284,27 +291,21 @@ func New(cfg Config) (*Catalog, error) {
 	}
 
 	nodes := cfg.Nodes
+	c.shards = make([]*shard, 0, (cfg.Objects+cfg.ShardSize-1)/cfg.ShardSize)
 	for lo := 0; lo < cfg.Objects; lo += cfg.ShardSize {
 		hi := lo + cfg.ShardSize
 		if hi > cfg.Objects {
 			hi = cfg.Objects
 		}
 		n := hi - lo
-		sh := &shard{
-			lo:     lo,
-			hi:     hi,
-			demand: make([]float64, n*nodes),
-			x:      make([]float64, n*nodes),
-			access: make([]float64, n*nodes),
-			gen:    make([]int, n),
-			rates:  estimate.NewSlab(n * nodes),
-		}
-		for o := 0; o < n; o++ {
-			lo, hi := o*nodes, (o+1)*nodes
-			c.fillDemand(sh.lo+o, 0, sh.demand[lo:hi])
-			c.accessCosts(sh.demand[lo:hi], sh.access[lo:hi])
-		}
-		c.shards = append(c.shards, sh)
+		c.shards = append(c.shards, &shard{
+			lo:      lo,
+			hi:      hi,
+			x:       make([]float64, n*nodes),
+			gen:     make([]int32, n),
+			planGen: make([]int32, n),
+			rates:   estimate.NewSlab(n * nodes),
+		})
 	}
 	return c, nil
 }
@@ -366,13 +367,16 @@ func (c *Catalog) record(st Stats) {
 // solveScratch is one sweep worker's solver kit: a model, the cold
 // allocator and warm solver over it, and the buffers they reuse, so
 // steady-state solves allocate nothing per object. Before each solve the
-// worker copies the object's planned access-cost row into the model.
+// worker derives the object's planned demand and access costs into its
+// rows and loads the access costs into the model.
 type solveScratch struct {
-	model *costmodel.SingleFile
-	cold  *core.Allocator
-	warm  *core.WarmSolver
-	core  *core.Scratch
-	init  []float64 // the uniform allocation cold solves start from
+	model  *costmodel.SingleFile
+	cold   *core.Allocator
+	warm   *core.WarmSolver
+	core   *core.Scratch
+	init   []float64 // the uniform allocation cold solves start from
+	demand []float64 // the object's demand at its planned generation
+	access []float64 // the access costs derived from demand
 }
 
 // newKit builds one solver kit from the catalog's settings. Its model's
@@ -403,8 +407,30 @@ func (c *Catalog) newKit() (*solveScratch, error) {
 	for j := range init {
 		init[j] = 1 / float64(cfg.Nodes)
 	}
-	return &solveScratch{model: model, cold: cold, warm: warm, core: core.NewScratch(), init: init}, nil
+	return &solveScratch{
+		model:  model,
+		cold:   cold,
+		warm:   warm,
+		core:   core.NewScratch(),
+		init:   init,
+		demand: make([]float64, cfg.Nodes),
+		access: make([]float64, cfg.Nodes),
+	}, nil
 }
+
+// load derives object id's demand at generation gen and its access
+// costs, and loads them into the kit's model.
+//
+//fap:zeroalloc
+func (c *Catalog) load(s *solveScratch, id int, gen int32) error {
+	c.fillDemand(id, gen, s.demand)
+	c.accessCosts(s.demand, s.access)
+	return s.model.SetAccessCosts(s.access)
+}
+
+// newDemandRow is the scratch constructor of the sensing passes: one
+// Nodes-long row each worker derives demand into.
+func (c *Catalog) newDemandRow() []float64 { return make([]float64, c.cfg.Nodes) }
 
 // newSolveScratch is newKit as the scratch constructor of
 // sweep.RunWithScratch, which cannot fail. New has built a kit from the
@@ -430,11 +456,11 @@ func canceled(done <-chan struct{}) bool {
 }
 
 // SolveCold solves every object from the uniform initial allocation —
-// the catalog fill. Each object is solved for the access costs its plan
-// last assumed (its demand at New, or at the ReSolve that last re-planned
-// it), not for demand that drifted since. It can be called again at any
-// time to re-solve the whole catalog from scratch (the results are
-// idempotent for unchanged plans).
+// the catalog fill. Each object is solved for the demand generation its
+// plan last assumed (generation 0 from New, or the generation at the
+// ReSolve that last re-planned it), not for demand that drifted since.
+// It can be called again at any time to re-solve the whole catalog from
+// scratch (the results are idempotent for unchanged plans).
 func (c *Catalog) SolveCold(ctx context.Context) (Stats, error) {
 	nodes := c.cfg.Nodes
 	per := make([]Stats, len(c.shards))
@@ -447,15 +473,14 @@ func (c *Catalog) SolveCold(ctx context.Context) (Stats, error) {
 				if canceled(done) {
 					return ctx.Err()
 				}
-				lo, hi := o*nodes, (o+1)*nodes
-				if err := s.model.SetAccessCosts(sh.access[lo:hi]); err != nil {
+				if err := c.load(s, sh.lo+o, sh.planGen[o]); err != nil {
 					return fmt.Errorf("catalog: loading object %d: %w", sh.lo+o, err)
 				}
 				res, err := s.cold.Solve(ctx, s.init, s.core)
 				if err != nil {
 					return fmt.Errorf("catalog: cold solve of object %d: %w", sh.lo+o, err)
 				}
-				copy(sh.x[lo:hi], res.X)
+				copy(sh.x[o*nodes:(o+1)*nodes], res.X)
 				st.Cold++
 				st.Steps += int64(res.Iterations)
 			}
@@ -484,14 +509,16 @@ func (c *Catalog) Sense(ctx context.Context) error {
 		return err
 	}
 	end := win.End()
-	err = sweep.Run(ctx, len(c.shards), sweep.WorkersFrom(ctx), func(ctx context.Context, si int) error {
-		sh := c.shards[si]
-		for o := 0; o < sh.count(); o++ {
-			c.senseRow(sh, o, win)
-		}
-		sh.rates.MarkPlanned(0, sh.count()*c.cfg.Nodes, end)
-		return nil
-	})
+	err = sweep.RunWithScratch(ctx, len(c.shards), sweep.WorkersFrom(ctx), c.newDemandRow,
+		func(ctx context.Context, si int, demand []float64) error {
+			sh := c.shards[si]
+			for o := 0; o < sh.count(); o++ {
+				c.fillDemand(sh.lo+o, sh.gen[o], demand)
+				c.senseRow(sh, o, demand, win)
+			}
+			sh.rates.MarkPlanned(0, sh.count()*c.cfg.Nodes, end)
+			return nil
+		})
 	if err != nil {
 		return err
 	}
@@ -517,20 +544,20 @@ func (c *Catalog) Drift(ctx context.Context) (int, error) {
 	c.epoch++
 	epoch := c.epoch
 	applied := make([]int, len(c.shards))
-	err = sweep.Run(ctx, len(c.shards), sweep.WorkersFrom(ctx), func(ctx context.Context, si int) error {
-		sh := c.shards[si]
-		nodes := c.cfg.Nodes
-		for o := 0; o < sh.count(); o++ {
-			id := sh.lo + o
-			if c.drifts(id, epoch) {
-				sh.gen[o]++
-				c.fillDemand(id, sh.gen[o], sh.demand[o*nodes:(o+1)*nodes])
-				applied[si]++
+	err = sweep.RunWithScratch(ctx, len(c.shards), sweep.WorkersFrom(ctx), c.newDemandRow,
+		func(ctx context.Context, si int, demand []float64) error {
+			sh := c.shards[si]
+			for o := 0; o < sh.count(); o++ {
+				id := sh.lo + o
+				if c.drifts(id, epoch) {
+					sh.gen[o]++
+					applied[si]++
+				}
+				c.fillDemand(id, sh.gen[o], demand)
+				c.senseRow(sh, o, demand, win)
 			}
-			c.senseRow(sh, o, win)
-		}
-		return nil
-	})
+			return nil
+		})
 	if err != nil {
 		return 0, err
 	}
@@ -547,12 +574,12 @@ func (c *Catalog) Drift(ctx context.Context) (int, error) {
 }
 
 // ReSolve is the warm pass: every object whose rate estimates drifted
-// above the threshold from its baselines is re-solved through the
-// worker's WarmSolver seeded from the previous allocation, after its
-// planned access-cost row is refreshed from the current demand and
-// loaded into the model; everything else is skipped untouched. Flagged
-// objects re-mark their baselines, so a stable demand stops being
-// re-solved after one pass.
+// above the threshold from its baselines is re-planned for its current
+// demand generation — its access costs are derived from that demand and
+// loaded into the model — and re-solved through the worker's WarmSolver
+// seeded from the previous allocation; everything else is skipped
+// untouched. Flagged objects re-mark their baselines, so a stable demand
+// stops being re-solved after one pass.
 func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 	if !c.sensed {
 		return Stats{}, fmt.Errorf("%w: ReSolve before Sense", ErrCatalog)
@@ -578,9 +605,8 @@ func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 					return ctx.Err()
 				}
 				st.Drifted++
-				row := sh.access[lo:hi]
-				c.accessCosts(sh.demand[lo:hi], row)
-				if err := s.model.SetAccessCosts(row); err != nil {
+				sh.planGen[o] = sh.gen[o]
+				if err := c.load(s, sh.lo+o, sh.planGen[o]); err != nil {
 					return fmt.Errorf("catalog: updating object %d: %w", sh.lo+o, err)
 				}
 				xrow := sh.x[lo:hi]
@@ -627,19 +653,16 @@ func (c *Catalog) window() (*estimate.EvenWindow, error) {
 }
 
 // senseRow feeds object o's estimators round(rate·w) evenly spaced
-// events per node over the window, the last landing exactly on the
-// window's end. An unchanged demand therefore produces an identical
-// event pattern every epoch, and the estimator's warm-up correction
-// cancels the window-to-window accumulation exactly — un-drifted
-// estimates are epoch-constant, which is what makes skip decisions
-// reliable.
+// events per node over the window for its demand row, the last landing
+// exactly on the window's end. An unchanged demand therefore produces an
+// identical event pattern every epoch, and the estimator's warm-up
+// correction cancels the window-to-window accumulation exactly —
+// un-drifted estimates are epoch-constant, which is what makes skip
+// decisions reliable.
 //
 //fap:zeroalloc
-func (c *Catalog) senseRow(sh *shard, o int, win *estimate.EvenWindow) {
-	nodes, w := c.cfg.Nodes, c.cfg.EpochWindow
-	for j, r := range sh.demand[o*nodes : (o+1)*nodes] {
-		sh.rates.Sense(o*nodes+j, int(math.Round(r*w)), win)
-	}
+func (c *Catalog) senseRow(sh *shard, o int, demand []float64, win *estimate.EvenWindow) {
+	sh.rates.SenseRow(o*c.cfg.Nodes, demand, win)
 }
 
 // fillDemand writes object id's demand vector at the given drift
@@ -651,17 +674,21 @@ func (c *Catalog) senseRow(sh *shard, o int, win *estimate.EvenWindow) {
 // stays put so the drifted problem remains in warm-start range.
 //
 //fap:zeroalloc
-func (c *Catalog) fillDemand(id, gen int, out []float64) {
-	nodes := c.cfg.Nodes
+func (c *Catalog) fillDemand(id int, gen int32, out []float64) {
+	nodes := len(out)
 	h := mix64(c.cfg.Seed ^ mix64(uint64(id)+1) ^ mix64(uint64(gen)<<20))
 	var sum float64
-	for j := 0; j < nodes; j++ {
-		w := c.zipf.Prob((j+id)%nodes) * (0.5 + unitFloat(mix64(h^uint64(j))))
+	for j, k := 0, id%nodes; j < nodes; j++ {
+		w := c.zipf.Prob(k) * (0.5 + unitFloat(mix64(h^uint64(j))))
 		out[j] = w
 		sum += w
+		if k++; k == nodes {
+			k = 0
+		}
 	}
+	scale := c.cfg.Lambda / sum
 	for j := range out {
-		out[j] *= c.cfg.Lambda / sum
+		out[j] *= scale
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -88,9 +89,11 @@ func TestShardSensingAllocatesNothing(t *testing.T) {
 	}
 	end := win.End()
 	sh, nodes := c.shards[0], c.cfg.Nodes
+	demand := c.newDemandRow()
 	allocs := testing.AllocsPerRun(20, func() {
 		for o := 0; o < sh.count(); o++ {
-			c.senseRow(sh, o, win)
+			c.fillDemand(sh.lo+o, sh.gen[o], demand)
+			c.senseRow(sh, o, demand, win)
 			if sh.rates.Drifted(o*nodes, (o+1)*nodes, end, driftThreshold) {
 				sh.rates.MarkPlanned(o*nodes, (o+1)*nodes, end)
 			}
@@ -154,6 +157,43 @@ func TestNewAllocatesPerShard(t *testing.T) {
 	}
 	if few, many := passAllocs(256), passAllocs(4096); many > few {
 		t.Errorf("SolveCold + Drift + ReSolve: %v allocs at 256 objects, %v at 4096; want no more", few, many)
+	}
+}
+
+// TestCatalogLayoutBytes pins what a catalog stores per object: New
+// allocates the allocation row, the three sensing floats per node and
+// the two demand generations, and nothing else that grows with the
+// catalog — demand and access costs are derived when needed, never
+// stored. Two layouts that differ only in their object count are
+// compared, which cancels New's fixed cost (ring, Zipf shape, one solver
+// kit); each extra shard may add a small header on top of its rows.
+func TestCatalogLayoutBytes(t *testing.T) {
+	// As in TestNewAllocatesPerShard, collections are held off so only
+	// New's own allocations move TotalAlloc.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const (
+		nodes      = 8
+		shardSize  = 256
+		shardSlack = 512 // bytes per shard beyond its rows
+		perObject  = nodes*8 + 3*nodes*8 + 2*4
+		small      = 16 * shardSize
+		large      = 64 * shardSize
+	)
+	newBytes := func(objects int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := New(Config{Objects: objects, Nodes: nodes, ShardSize: shardSize}); err != nil {
+			t.Fatalf("New(%d objects): %v", objects, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	grown := newBytes(large) - newBytes(small)
+	extra := uint64(large - small)
+	t.Logf("New: %.1f B per object", float64(grown)/float64(extra))
+	if budget := extra*perObject + extra/shardSize*shardSlack; grown > budget {
+		t.Errorf("New: %d more objects allocate %d more bytes (%.1f B/object), want at most %d (%d B/object plus %d B/shard)",
+			extra, grown, float64(grown)/float64(extra), budget, perObject, shardSlack)
 	}
 }
 
@@ -336,9 +376,9 @@ func TestCatalogZeroDriftSkipsEverything(t *testing.T) {
 // seeded drift epochs shaped like the benchmark catalog's (8-node ring,
 // 10% drift): every drifted object finishes on the warm path, none falls
 // back, and every object's plan — re-solved or kept — passes
-// costmodel.VerifyKKT at cfg.KKTTol against a model built from its
-// planned access-cost row, priced by the independent water-filling
-// solve.
+// costmodel.VerifyKKT at cfg.KKTTol against a model built from the
+// access costs of its planned demand generation, priced by the
+// independent water-filling solve.
 func TestCatalogReSolveCertifiesWarm(t *testing.T) {
 	c, err := New(Config{Objects: 2000, DriftFraction: 0.1, Seed: 3})
 	if err != nil {
@@ -352,6 +392,7 @@ func TestCatalogReSolveCertifiesWarm(t *testing.T) {
 		t.Fatalf("Sense: %v", err)
 	}
 	nodes, tol := c.cfg.Nodes, c.cfg.KKTTol
+	demand, access := make([]float64, nodes), make([]float64, nodes)
 	for epoch := 1; epoch <= 3; epoch++ {
 		if _, err := c.Drift(ctx); err != nil {
 			t.Fatalf("epoch %d: Drift: %v", epoch, err)
@@ -367,7 +408,9 @@ func TestCatalogReSolveCertifiesWarm(t *testing.T) {
 		for _, sh := range c.shards {
 			for o := 0; o < sh.count(); o++ {
 				x := sh.x[o*nodes : (o+1)*nodes]
-				model, err := costmodel.NewSingleFile(sh.access[o*nodes:(o+1)*nodes], []float64{c.cfg.Mu}, c.cfg.Lambda, c.cfg.K)
+				c.fillDemand(sh.lo+o, sh.planGen[o], demand)
+				c.accessCosts(demand, access)
+				model, err := costmodel.NewSingleFile(access, []float64{c.cfg.Mu}, c.cfg.Lambda, c.cfg.K)
 				if err != nil {
 					t.Fatalf("epoch %d object %d: NewSingleFile: %v", epoch, sh.lo+o, err)
 				}

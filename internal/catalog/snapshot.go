@@ -41,7 +41,10 @@ func (c *Catalog) Snapshot() Snapshot {
 	}
 	for _, sh := range c.shards {
 		copy(s.X[sh.lo*nodes:sh.hi*nodes], sh.x)
-		copy(s.Demand[sh.lo*nodes:sh.hi*nodes], sh.demand)
+		for o := 0; o < sh.count(); o++ {
+			id := sh.lo + o
+			c.fillDemand(id, sh.gen[o], s.Demand[id*nodes:(id+1)*nodes])
+		}
 	}
 	return s
 }

@@ -52,7 +52,7 @@ const maxTabledEvents = 256
 
 // NewEvenWindow builds the table for the window (t0, t0+w] at the given
 // half-life, for event counts up to maxEvents or maxTabledEvents,
-// whichever is smaller. Sense accepts any event count; a count beyond
+// whichever is smaller. SenseRow accepts any rate; an event count beyond
 // the table costs one exp per event.
 func NewEvenWindow(halfLife, t0, w float64, maxEvents int) (*EvenWindow, error) {
 	omega, err := omegaFor(halfLife)
@@ -100,42 +100,50 @@ func (win *EvenWindow) run(m int) []float64 {
 // End returns the Reading at the window's end, t0 + w.
 func (win *EvenWindow) End() Reading { return newReading(win.omega, win.t0+win.w) }
 
-// Sense feeds estimator i m evenly spaced events over the window, as m
-// calls of RateEstimator.Observe at the window's event times would: the
-// mass decays and gains 1 per event in the same order, and the last
-// event time becomes t0 + w. The first event's decay comes from the
-// table when the estimator's last event is t0, which is what a previous
-// window with events leaves; only an estimator that has seen events but
-// none in the previous window pays one exp. m ≤ 0 feeds nothing.
+// SenseRow feeds estimators lo, lo+1, … one window of events for the
+// rates r of row: m = round(r·w) evenly spaced events each, as m calls
+// of RateEstimator.Observe at the window's event times would. The mass
+// decays and gains 1 per event in the same order, and the last event
+// time becomes t0 + w. The first event's decay comes from the table when
+// the estimator's last event is t0, which is what a previous window with
+// events leaves; only an estimator that has seen events but none in the
+// previous window pays one exp. A rate with m ≤ 0 feeds nothing. One
+// call per row, rather than per estimator, keeps the row's bookkeeping
+// out of the per-estimator loop.
 //
 //fap:zeroalloc
-func (s Slab) Sense(i, m int, win *EvenWindow) {
-	if m <= 0 {
-		return
-	}
-	if m > win.tabled {
-		s.senseEach(i, m, win)
-		return
-	}
-	run := win.run(m)
-	sum := s.sum[i]
-	switch {
-	case sum == 0:
-		sum = 1
-	case s.last[i] == win.t0:
-		sum = float64(sum*run[0]) + 1
-	default:
-		sum = float64(sum*math.Exp(-win.omega*(win.time(m, m-1)-s.last[i]))) + 1
-	}
-	for _, q := range run[1:] {
-		sum = float64(sum*q) + 1
-	}
-	s.sum[i] = sum
+func (s Slab) SenseRow(lo int, row []float64, win *EvenWindow) {
+	sums, lasts := s.sum[lo:lo+len(row)], s.last[lo:lo+len(row)]
+	t0, w, tabled := win.t0, win.w, win.tabled
 	// Event k = 0 lands at t0 + w − w·0/m, which is exactly t0 + w.
-	s.last[i] = win.t0 + win.w
+	end := t0 + w
+	for j, r := range row {
+		m := int(math.Round(r * w))
+		if m <= 0 {
+			continue
+		}
+		if m > tabled {
+			s.senseEach(lo+j, m, win)
+			continue
+		}
+		run := win.run(m)
+		sum := sums[j]
+		switch {
+		case sum == 0:
+			sum = 1
+		case lasts[j] == t0:
+			sum = float64(sum*run[0]) + 1
+		default:
+			sum = float64(sum*math.Exp(-win.omega*(win.time(m, m-1)-lasts[j]))) + 1
+		}
+		for _, q := range run[1:] {
+			sum = float64(sum*q) + 1
+		}
+		sums[j], lasts[j] = sum, end
+	}
 }
 
-// senseEach is Sense for an event count beyond the table: one exp per
+// senseEach is SenseRow for an event count beyond the table: one exp per
 // event, in Observe's arithmetic.
 //
 //fap:zeroalloc

@@ -75,7 +75,7 @@ func TestSlabMatchesRateEstimator(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				slab.Sense(i, m, table)
+				slab.SenseRow(i, []float64{r}, table)
 				if slab.sum[i] != est.sum || slab.last[i] != est.last {
 					t.Fatalf("trial %d window %d estimator %d (m = %d): slab (sum %v, last %v), estimator (sum %v, last %v)",
 						trial, win, i, m, slab.sum[i], slab.last[i], est.sum, est.last)

@@ -102,9 +102,10 @@ echo "== catalog determinism under -race"
 # determinism and digest pins are exactly the kind of contract a data race
 # would break silently, so run them explicitly under the race detector
 # too, with the sensing slab's differential property against per-event
-# RateEstimators, its zero-alloc pin, the sensing config checks and the
-# pin that layout and passes allocate per shard, not per object.
-CATALOG_RUN='TestCatalogDeterminism|TestCatalogDigests|TestCatalogExperimentDeterminism|TestCatalogLifecycle|TestCatalogReSolveCertifiesWarm|TestCatalogValidation|TestShardSensingAllocatesNothing|TestSlabMatchesRateEstimator|TestNewAllocatesPerShard'
+# RateEstimators, its zero-alloc pin, the sensing config checks, the
+# pin that layout and passes allocate per shard, not per object, and the
+# pin on the bytes the layout stores per object.
+CATALOG_RUN='TestCatalogDeterminism|TestCatalogDigests|TestCatalogExperimentDeterminism|TestCatalogLifecycle|TestCatalogReSolveCertifiesWarm|TestCatalogValidation|TestShardSensingAllocatesNothing|TestSlabMatchesRateEstimator|TestNewAllocatesPerShard|TestCatalogLayoutBytes'
 CATALOG_PKGS='./internal/catalog/ ./internal/experiments/ ./internal/estimate/'
 require_tests "$CATALOG_RUN" $CATALOG_PKGS
 go test -race -count 1 -run "$CATALOG_RUN" $CATALOG_PKGS
