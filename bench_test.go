@@ -205,7 +205,7 @@ func BenchmarkAblationSecondOrder(b *testing.B) {
 
 // BenchmarkDecentralizedRuntime regenerates the E9 table: full protocol
 // runs (broadcast and coordinator) over the in-memory transport, including
-// goroutine spawn, JSON codec, and round synchronization.
+// goroutine spawn, the binary codec, and round synchronization.
 func BenchmarkDecentralizedRuntime(b *testing.B) {
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {

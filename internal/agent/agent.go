@@ -10,6 +10,12 @@
 // round data, the distributed trajectory is bit-identical to the
 // centralized Allocator's — verified by the integration tests and the E9
 // ablation.
+//
+// Every endpoint-backed solve runs the one round loop in round.go and
+// reads through the one Inbox; the exchange is an Aggregator. This
+// package has the broadcast and coordinator aggregators, and the gossip
+// package runs its spanning-tree and push-sum aggregators on the same
+// loop through RunWith and RunCluster.
 package agent
 
 import (
@@ -325,8 +331,10 @@ type Outcome struct {
 	Rounds int
 	// Converged reports whether the ε-criterion fired (vs MaxRounds).
 	Converged bool
-	// MessagesSent counts protocol messages this agent sent.
+	// MessagesSent counts protocol messages this agent sent, and
+	// BytesSent their payload bytes.
 	MessagesSent int
+	BytesSent    int
 	// Alive is the node's final live-membership view, populated with
 	// FullX; entries are false for peers declared departed during the
 	// run.
@@ -337,21 +345,26 @@ type Outcome struct {
 // cancellation. It is the caller's responsibility to run one agent per
 // node id of the endpoint's cluster.
 func Run(ctx context.Context, cfg Config) (Outcome, error) {
+	out, err := RunWith(ctx, cfg, nil)
+	if err != nil {
+		return Outcome{MessagesSent: out.MessagesSent, BytesSent: out.BytesSent}, err
+	}
+	return out, nil
+}
+
+// RunWith runs the agent's round loop on the aggregator agg, or on
+// cfg.Mode's when agg is nil. A custom aggregator takes no checkpoints.
+// Unlike Run's, the outcome carries the node's fragment and the rounds
+// it completed even when the run fails, so a supervisor can carry a
+// survivor's state into a new membership epoch.
+func RunWith(ctx context.Context, cfg Config, agg Aggregator) (Outcome, error) {
 	init := cfg.Init
 	if cfg.Resume != nil {
 		init = cfg.Resume.X
 	}
-	l, err := newRoundLoop(cfg, cfg.Model, []float64{init}, false)
+	n, err := newNode(cfg, cfg.Model, []float64{init}, agg, false)
 	if err != nil {
 		return Outcome{}, err
 	}
-	if err := l.run(ctx); err != nil {
-		return Outcome{MessagesSent: l.sent}, err
-	}
-	out := Outcome{X: l.x[0], Rounds: l.rounds, Converged: l.converged, MessagesSent: l.sent}
-	if l.plans {
-		out.FullX = append([]float64(nil), l.xs...)
-		out.Alive = append([]bool(nil), l.alive...)
-	}
-	return out, nil
+	return n.run(ctx)
 }

@@ -55,9 +55,10 @@ type ClusterConfig struct {
 	// Init is the initial (feasible) allocation.
 	Init []float64
 	// InitAlive, when set, starts a new epoch with this membership view:
-	// every node resumes at round 0 from its Init fragment. An alive node
-	// with a zero fragment is a rejoiner, announced by a "rejoin"
-	// recovery event.
+	// every alive node resumes at round 0 from its Init fragment, and a
+	// node outside it sits the epoch out (no run, no outcome, and it
+	// holds 0 in the result). An alive node with a zero fragment is a
+	// rejoiner, announced by a "rejoin" recovery event.
 	InitAlive []bool
 	// Endpoints, when set, carries node i on Endpoints[i] (loopback TCP,
 	// say); the caller owns and closes them. Nil runs the cluster over
@@ -72,7 +73,8 @@ type ClusterConfig struct {
 	// node's restarts.
 	Metrics *metrics.Registry
 	// Run executes one node (default Run). The recovery package passes
-	// its supervised runner here.
+	// its supervised runner here, and the gossip package its tree and
+	// push-sum nodes.
 	Run func(ctx context.Context, cfg Config) (Outcome, error)
 }
 
@@ -118,7 +120,10 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	}
 	eps := cfg.Endpoints
 	if eps == nil {
-		net, err := transport.NewMemoryNetwork(n)
+		// A node holds at most one message per peer for its stage and
+		// one for the stage after (2n, for any aggregator and degree);
+		// 64 more absorb duplicated sends.
+		net, err := transport.NewMemoryNetwork(n, transport.WithBufferSize(2*n+64))
 		if err != nil {
 			return ClusterResult{}, fmt.Errorf("agent: building memory network: %w", err)
 		}
@@ -172,6 +177,9 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	res := ClusterResult{Outcomes: make([]Outcome, n), Errs: make([]error, n)}
 	var wg sync.WaitGroup
 	for i, ep := range nodeEps {
+		if !cfg.alive(i) {
+			continue
+		}
 		acfg := cfg.Agent
 		acfg.Endpoint, acfg.Model, acfg.Init, acfg.Resume = ep, cfg.Models[i], cfg.Init[i], nil
 		if cfg.InitAlive != nil {
@@ -197,7 +205,7 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 		}
 	}
 	for i, err := range res.Errs {
-		if err == nil {
+		if err == nil && cfg.alive(i) {
 			res.Survivors = append(res.Survivors, i)
 		}
 	}
@@ -213,6 +221,9 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	}
 	return res, res.agree()
 }
+
+// alive reports whether node i runs in this epoch.
+func (cfg *ClusterConfig) alive(i int) bool { return cfg.InitAlive == nil || cfg.InitAlive[i] }
 
 // drain reads every surviving fault endpoint's inbox for one shared
 // window before the fault stats are read. Recv-side rules (a partition

@@ -126,7 +126,7 @@ func RunMultiFile(ctx context.Context, cfg MultiFileAgentConfig) (MultiFileOutco
 	if len(cfg.Init) != files {
 		return MultiFileOutcome{}, fmt.Errorf("%w: %d initial fragments for %d files", ErrBadConfig, len(cfg.Init), files)
 	}
-	l, err := newRoundLoop(Config{
+	n, err := newNode(Config{
 		Endpoint:     cfg.Endpoint,
 		Alpha:        cfg.Alpha,
 		Epsilon:      cfg.Epsilon,
@@ -134,12 +134,12 @@ func RunMultiFile(ctx context.Context, cfg MultiFileAgentConfig) (MultiFileOutco
 		RoundTimeout: cfg.RoundTimeout,
 		SendRetries:  cfg.SendRetries,
 		Observer:     cfg.Observer,
-	}, cfg.Model, cfg.Init, true)
+	}, cfg.Model, cfg.Init, nil, true)
 	if err != nil {
 		return MultiFileOutcome{}, err
 	}
-	if err := l.run(ctx); err != nil {
-		return MultiFileOutcome{MessagesSent: l.sent}, err
+	if _, err := n.run(ctx); err != nil {
+		return MultiFileOutcome{MessagesSent: n.sent}, err
 	}
-	return MultiFileOutcome{X: l.x, Rounds: l.rounds, Converged: l.converged, MessagesSent: l.sent}, nil
+	return MultiFileOutcome{X: n.X, Rounds: n.rounds, Converged: n.converged, MessagesSent: n.sent}, nil
 }

@@ -21,69 +21,250 @@ func (m LocalModel) marginals(g, x []float64) (err error) {
 	return err
 }
 
-// roundLoop is one agent's run of the section 5.2 iteration, shared by Run
-// and RunMultiFile. Its state is F fragments per node (F = 1 for Run, one
-// per file for RunMultiFile), laid out file-major like costmodel.MultiFile
-// (variable f·n + i), and every round plans with core.PlanStep over one
-// constraint group per file — section 5.4's multi-file problem stays
-// exactly as decentralized as the single-file one. The mode decides only
-// who sends to whom and who plans: in broadcast mode every live node
-// reports to every live peer and plans; in coordinator mode a worker
-// reports to the coordinator and applies the Update it gets back.
-//
-// With Quorum/DepartAfter set the loop also carries the churn protocol:
-// rounds may complete short on their deadline, silent peers are declared
-// departed after DepartAfter consecutive misses and their fraction
-// redistributed over the survivors, and every partial-round step is
-// re-certified against Theorem 2 (predicted ΔU ≥ 0) before being applied.
-// Termination fires only on full rounds, so the run either converges with
-// every live peer in agreement or fails with a typed error — it never
-// exits on a partial view.
-type roundLoop struct {
-	cfg          Config
-	model        localModel
-	n, id        int       // cluster size, own id
-	plans        bool      // plans steps: every node in broadcast mode, or the coordinator
-	central      bool      // coordinator mode
-	curved       bool      // exchanges curvatures (one file only)
-	start        int       // first round: 0, or the resumed round
-	alpha        float64   // stepsize; dynamic α replaces it per round
-	x, g         []float64 // own fragments and marginals, one per file
-	h            float64   // own curvature when curved
-	xs, gs, hs   []float64 // full view, file-major; hs is one file's curvatures
-	alive        []bool
-	missing      []int // consecutive rounds each peer went unreported
-	planned      uint64
-	groups       [][]int     // the round's planning group, per file
-	steps        []core.Step // the round's plan, per file
-	reports      *protocol.RoundBuffer[protocol.Report]
-	vectors      *protocol.RoundBuffer[protocol.VectorReport]
-	rounds, sent int // outcome: rounds run, messages sent
-	converged    bool
+// Aggregator is one exchange scheme of the section 5.2 iteration: each
+// round it trades the node's marginals and curvature with the peers,
+// decides the round and applies the decision to the node's fragments.
+// Broadcast and coordinator aggregation live here; the gossip package
+// adds the spanning-tree and push-sum schemes.
+type Aggregator interface {
+	// Round runs one round. done ends the run without a step
+	// (converged when the ε-criterion fired); otherwise the round's
+	// step is applied to n.X.
+	Round(ctx context.Context, n *Node, round int) (done, converged bool, err error)
 }
 
-// newRoundLoop validates cfg and sets up the loop from the node's initial
+// Node is one agent's run of the round loop, the only loop an
+// endpoint-backed solve runs: Run and RunMultiFile in broadcast or
+// coordinator mode, the gossip package's nodes through RunWith. Each
+// round it saves the checkpoint, computes the node's marginals (and a
+// single-file node's curvature) and hands them to its aggregator.
+type Node struct {
+	// ID is the node's id in the cluster.
+	ID int
+	// X holds the node's own fragments and G their marginal utilities,
+	// one per file; H is a single-file node's curvature ∂²U/∂x².
+	X, G []float64
+	H    float64
+	// Inbox is the node's one receive path.
+	Inbox *Inbox
+
+	cfg         Config
+	model       localModel
+	agg         Aggregator
+	view        *planner // a planner's full view; nil on workers and custom aggregators
+	start       int      // first round: 0, or the resumed round
+	rounds      int
+	converged   bool
+	sent, bytes int // messages and payload bytes sent
+}
+
+// newNode validates cfg and sets up the loop from the node's initial
 // fragments init (one per file) or, when cfg.Resume is set, its saved
-// round state. vector selects the multi-file wire report, VectorReport,
-// over Report.
-func newRoundLoop(cfg Config, model localModel, init []float64, vector bool) (*roundLoop, error) {
+// round state. A nil agg runs cfg.Mode's aggregator; vector selects the
+// multi-file wire report, VectorReport, over Report.
+func newNode(cfg Config, model localModel, init []float64, agg Aggregator, vector bool) (*Node, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
+	}
+	if agg != nil && cfg.Checkpoint != nil {
+		return nil, fmt.Errorf("%w: checkpoints need broadcast aggregation", ErrBadConfig)
 	}
 	for f, v := range init {
 		if v < 0 || math.IsNaN(v) {
 			return nil, fmt.Errorf("%w: initial fragment %d = %v", ErrBadConfig, f, v)
 		}
 	}
-	n, files := cfg.Endpoint.Peers(), len(init)
-	l := &roundLoop{
-		cfg: cfg, model: model, n: n, id: cfg.Endpoint.ID(),
-		plans:   cfg.Mode == Broadcast || cfg.Endpoint.ID() == cfg.CoordinatorID,
+	n := &Node{
+		ID: cfg.Endpoint.ID(), X: append([]float64(nil), init...), G: make([]float64, len(init)),
+		Inbox: NewInbox(cfg.Endpoint), cfg: cfg, model: model, agg: agg,
+	}
+	if cfg.Resume != nil {
+		n.start = cfg.Resume.Round
+	}
+	if agg != nil {
+		return n, nil
+	}
+	if cfg.Mode == Coordinator && n.ID != cfg.CoordinatorID {
+		n.agg = worker{}
+		return n, nil
+	}
+	var err error
+	n.view, err = newPlanner(n, vector)
+	n.agg = n.view
+	return n, err
+}
+
+// run executes rounds until the aggregator ends the run, MaxRounds, or an
+// error. The outcome carries the node's state on every exit.
+func (n *Node) run(ctx context.Context) (Outcome, error) {
+	cfg := &n.cfg
+	for round := n.start; round < cfg.MaxRounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return n.outcome(), fmt.Errorf("agent: canceled at round %d: %w", round, err)
+		}
+		if cfg.Checkpoint != nil {
+			// Save before the round's first send: a crash anywhere in the
+			// round resumes here, and the re-broadcast of the identical
+			// report is discarded by peers as a benign duplicate. Reports
+			// for this round already read ahead are saved with it.
+			v := n.view
+			st := RoundState{Round: round, X: n.X[0], FullX: v.xs, Alive: v.alive, Planned: v.planned, Early: v.reports.Peek(round)}
+			if err := cfg.Checkpoint.SaveRound(st); err != nil {
+				return n.outcome(), fmt.Errorf("%w: round %d: %v", ErrCheckpoint, round, err)
+			}
+			cfg.Observer.CheckpointSaved(n.ID, round)
+		}
+		cfg.Observer.RoundStarted(n.ID, round)
+		err := n.model.marginals(n.G, n.X)
+		if m, ok := n.model.(LocalModel); ok && err == nil {
+			n.H, err = m.Curvature(n.X[0])
+		}
+		if err != nil {
+			return n.outcome(), fmt.Errorf("agent: round %d: %w", round, err)
+		}
+		done, converged, err := n.agg.Round(ctx, n, round)
+		if err != nil {
+			return n.outcome(), err
+		}
+		if done {
+			return n.finish(round, converged)
+		}
+		n.rounds = round + 1
+	}
+	return n.finish(cfg.MaxRounds, false)
+}
+
+// finish records the run's end and announces it.
+func (n *Node) finish(rounds int, converged bool) (Outcome, error) {
+	n.rounds, n.converged = rounds, converged
+	n.cfg.Observer.RunFinished(n.ID, rounds, converged)
+	return n.outcome(), nil
+}
+
+// outcome reports the node's fragment, rounds and traffic, plus a
+// planner's full view.
+func (n *Node) outcome() Outcome {
+	out := Outcome{X: n.X[0], Rounds: n.rounds, Converged: n.converged, MessagesSent: n.sent, BytesSent: n.bytes}
+	if n.view != nil {
+		out.FullX = append([]float64(nil), n.view.xs...)
+		out.Alive = append([]bool(nil), n.view.alive...)
+	}
+	return out
+}
+
+// Config returns the node's configuration with its defaults filled in;
+// an aggregator reads it and must not change it.
+func (n *Node) Config() *Config { return &n.cfg }
+
+// Send delivers payload to one peer, retrying a failed send up to
+// SendRetries times, and bills the message once it is through.
+func (n *Node) Send(ctx context.Context, round, to int, payload []byte) error {
+	cfg := &n.cfg
+	var err error
+	for attempt := 0; attempt <= cfg.SendRetries; attempt++ {
+		if err = cfg.Endpoint.Send(ctx, to, payload); err == nil {
+			n.sent++
+			n.bytes += len(payload)
+			return nil
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		if attempt < cfg.SendRetries {
+			cfg.Observer.SendRetried(n.ID, round, to, attempt+1, err)
+		}
+	}
+	return fmt.Errorf("agent: sending round %d to node %d: %w", round, to, err)
+}
+
+// worker is the worker's side of the coordinator aggregator: it reports
+// to the coordinator and applies the Update it gets back. A stale update
+// is discarded; an update for a future round means this worker's report
+// was skipped and lockstep is broken, and any other kind is a protocol
+// violation.
+type worker struct{}
+
+func (worker) Round(ctx context.Context, n *Node, round int) (bool, bool, error) {
+	payload, err := protocol.EncodeReport(protocol.Report{Round: round, Node: n.ID, Marginal: n.G[0], Alloc: n.X[0]})
+	if err != nil {
+		return false, false, err
+	}
+	if err := n.Send(ctx, round, n.cfg.CoordinatorID, payload); err != nil {
+		return false, false, err
+	}
+	deadline, cancel := context.WithTimeout(ctx, n.cfg.RoundTimeout)
+	defer cancel()
+	for {
+		l, err := n.Inbox.Next(deadline, round, 0)
+		if err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
+				return false, false, fmt.Errorf("agent: receiving round %d: %w", round, err)
+			}
+			n.cfg.Observer.TimeoutFired(n.ID, round)
+			return false, false, fmt.Errorf("%w: waiting for round %d update", ErrRoundTimeout, round)
+		}
+		upd := l.Env.Update
+		switch {
+		case upd == nil:
+			return false, false, fmt.Errorf("%w: unexpected %q message while awaiting update", ErrProtocol, l.Env.Kind)
+		case upd.Round > round:
+			return false, false, fmt.Errorf("%w: update for round %d while in round %d", ErrProtocol, upd.Round, round)
+		case upd.Round < round:
+			n.cfg.Observer.MessageDiscarded(n.ID, round, "stale update")
+		case upd.Done:
+			return true, true, nil
+		case n.ID >= len(upd.Delta):
+			return false, false, fmt.Errorf("%w: update with %d deltas for node %d", ErrProtocol, len(upd.Delta), n.ID)
+		default:
+			n.X[0] = core.ClampResidue(n.X[0] + upd.Delta[n.ID])
+			return false, false, nil
+		}
+	}
+}
+
+// planner is the aggregator of a planning node: the broadcast aggregator
+// (every live node reports to every live peer, and every node plans the
+// identical step from the same reports) and the coordinator's side of
+// the coordinator aggregator (it plans from the workers' reports and
+// sends each round's Update). Its full view holds F fragments per
+// node (F = 1 for Run, one per file for RunMultiFile), laid out
+// file-major like costmodel.MultiFile (variable f·n + i), and every round
+// plans with core.PlanStep over one constraint group per file — section
+// 5.4's multi-file problem stays exactly as decentralized as the
+// single-file one.
+//
+// With Quorum/DepartAfter set the planner also carries the churn
+// protocol: rounds may complete short on their deadline, silent peers are
+// declared departed after DepartAfter consecutive misses and their
+// fraction redistributed over the survivors, and every partial-round step
+// is re-certified against Theorem 2 (predicted ΔU ≥ 0) before being
+// applied. Termination fires only on full rounds, so the run either
+// converges with every live peer in agreement or fails with a typed
+// error — it never exits on a partial view.
+type planner struct {
+	n          int       // cluster size
+	central    bool      // the coordinator: sends each round's Update
+	curved     bool      // exchanges curvatures (one file only)
+	alpha      float64   // stepsize; dynamic α replaces it per round
+	xs, gs, hs []float64 // full view, file-major; hs is one file's curvatures
+	alive      []bool
+	missing    []int // consecutive rounds each peer went unreported
+	planned    uint64
+	groups     [][]int     // the round's planning group, per file
+	steps      []core.Step // the round's plan, per file
+	reports    *protocol.RoundBuffer[protocol.Report]
+	vectors    *protocol.RoundBuffer[protocol.VectorReport]
+}
+
+// newPlanner sets up node's full view, from cfg.Resume when set.
+func newPlanner(node *Node, vector bool) (*planner, error) {
+	cfg := &node.cfg
+	n, files := cfg.Endpoint.Peers(), len(node.X)
+	p := &planner{
+		n:       n,
 		central: cfg.Mode == Coordinator,
 		curved:  cfg.DynamicAlphaSafety > 0 || cfg.SecondOrder,
 		alpha:   cfg.Alpha,
-		x:       append([]float64(nil), init...),
-		g:       make([]float64, files),
 		xs:      make([]float64, files*n),
 		gs:      make([]float64, files*n),
 		hs:      make([]float64, n),
@@ -92,108 +273,183 @@ func newRoundLoop(cfg Config, model localModel, init []float64, vector bool) (*r
 		groups:  make([][]int, files),
 		steps:   make([]core.Step, files),
 	}
-	for f := range l.groups {
-		l.groups[f] = make([]int, 0, n)
+	for f := range p.groups {
+		p.groups[f] = make([]int, 0, n)
 	}
-	for i := range l.alive {
-		l.alive[i] = true
+	for i := range p.alive {
+		p.alive[i] = true
 	}
 	if vector {
-		l.vectors = protocol.NewRoundBuffer[protocol.VectorReport](n)
+		p.vectors = protocol.NewRoundBuffer[protocol.VectorReport](n)
 	} else {
-		l.reports = protocol.NewRoundBuffer[protocol.Report](n)
+		p.reports = protocol.NewRoundBuffer[protocol.Report](n)
 	}
-	if r := cfg.Resume; r != nil {
-		l.start, l.planned = r.Round, r.Planned
-		copy(l.xs, r.FullX)
-		if r.Alive != nil {
-			copy(l.alive, r.Alive)
+	r := cfg.Resume
+	if r == nil {
+		return p, nil
+	}
+	p.planned = r.Planned
+	copy(p.xs, r.FullX)
+	if r.Alive != nil {
+		copy(p.alive, r.Alive)
+	}
+	for _, rep := range r.Early {
+		if err := p.reports.Add(rep); err != nil {
+			return nil, fmt.Errorf("agent: restoring early report: %w", err)
 		}
-		for _, rep := range r.Early {
-			if err := l.reports.Add(rep); err != nil {
+		// Read ahead before the restart and never counted, the report
+		// counts when the resumed round collects, at its wire size.
+		if node.Inbox.count != nil {
+			payload, err := protocol.EncodeReport(rep)
+			if err != nil {
 				return nil, fmt.Errorf("agent: restoring early report: %w", err)
 			}
+			node.Inbox.ahead = append(node.Inbox.ahead, Letter{Round: rep.Round, size: len(payload)})
 		}
 	}
-	return l, nil
+	return p, nil
 }
 
-// run executes rounds until convergence, MaxRounds, or an error.
-func (l *roundLoop) run(ctx context.Context) error {
-	cfg, id := &l.cfg, l.id
-	for round := l.start; round < cfg.MaxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("agent: canceled at round %d: %w", round, err)
-		}
-		if cfg.Checkpoint != nil {
-			// Save before the round's first send: a crash anywhere in the
-			// round resumes here, and the re-broadcast of the identical
-			// report is discarded by peers as a benign duplicate. Reports
-			// for this round already read ahead are saved with it.
-			st := RoundState{Round: round, X: l.x[0], FullX: l.xs, Alive: l.alive, Planned: l.planned, Early: l.reports.Peek(round)}
-			if err := cfg.Checkpoint.SaveRound(st); err != nil {
-				return fmt.Errorf("%w: round %d: %v", ErrCheckpoint, round, err)
-			}
-			cfg.Observer.CheckpointSaved(id, round)
-		}
-		cfg.Observer.RoundStarted(id, round)
-		if err := l.model.marginals(l.g, l.x); err != nil {
-			return fmt.Errorf("agent: round %d: %w", round, err)
-		}
-		if l.curved {
-			var err error
-			if l.h, err = cfg.Model.Curvature(l.x[0]); err != nil {
-				return fmt.Errorf("agent: round %d: %w", round, err)
-			}
-		}
-		if err := l.report(ctx, round); err != nil {
-			return err
-		}
-		upd, full, err := l.receive(ctx, round)
-		if err != nil {
-			return err
-		}
-		if !l.plans {
-			if upd.Done {
-				return l.finish(round, true)
-			}
-			if id >= len(upd.Delta) {
-				return fmt.Errorf("%w: update with %d deltas for node %d", ErrProtocol, len(upd.Delta), id)
-			}
-			l.x[0] = core.ClampResidue(l.x[0] + upd.Delta[id])
+// report encodes the node's round report.
+func (p *planner) report(n *Node, round int) ([]byte, error) {
+	if p.vectors != nil {
+		return protocol.EncodeVectorReport(protocol.VectorReport{Round: round, Node: n.ID, Marginals: n.G, Allocs: n.X})
+	}
+	rep := protocol.Report{Round: round, Node: n.ID, Marginal: n.G[0], Alloc: n.X[0], Planned: p.planned}
+	if p.curved {
+		rep.Curvature = n.H
+	}
+	return protocol.EncodeReport(rep)
+}
+
+// broadcast sends payload to every live peer.
+func (p *planner) broadcast(ctx context.Context, n *Node, round int, payload []byte) error {
+	for to, live := range p.alive {
+		if to == n.ID || !live {
 			continue
 		}
-		departed, err := l.gather(round)
-		if err != nil {
-			return err
-		}
-		if done, err := l.step(ctx, round, full, departed); done || err != nil {
+		if err := n.Send(ctx, round, to, payload); err != nil {
 			return err
 		}
 	}
-	return l.finish(cfg.MaxRounds, false)
+	return nil
 }
 
-// report sends the node's round report: to every live peer in broadcast
-// mode, to the coordinator from a worker. The coordinator sends none.
-func (l *roundLoop) report(ctx context.Context, round int) error {
-	if l.plans && l.central {
+// Round sends the node's report (the coordinator sends none), collects
+// the round's reports into the full view, and plans, certifies and
+// applies the step.
+func (p *planner) Round(ctx context.Context, n *Node, round int) (bool, bool, error) {
+	if !p.central {
+		payload, err := p.report(n, round)
+		if err != nil {
+			return false, false, err
+		}
+		if err := p.broadcast(ctx, n, round, payload); err != nil {
+			return false, false, err
+		}
+	}
+	full, err := p.collect(ctx, n, round)
+	if err != nil {
+		return false, false, err
+	}
+	departed, err := p.gather(n, round)
+	if err != nil {
+		return false, false, err
+	}
+	return p.step(ctx, n, round, full, departed)
+}
+
+// collect reads the round's reports until it has one from every live
+// peer or — when Quorum is set — until the RoundTimeout deadline fires
+// with at least Quorum reporters (including this node); it then reports
+// full=false and the step is planned over the reporters only.
+func (p *planner) collect(ctx context.Context, n *Node, round int) (full bool, err error) {
+	cfg, want := &n.cfg, countTrue(p.alive)-1
+	deadline, cancel := context.WithTimeout(ctx, cfg.RoundTimeout)
+	defer cancel()
+	for p.count(round) < want {
+		l, err := n.Inbox.Next(deadline, round, 0)
+		if err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
+				return false, fmt.Errorf("agent: receiving round %d: %w", round, err)
+			}
+			cfg.Observer.TimeoutFired(n.ID, round)
+			got := p.count(round)
+			cfg.Observer.ReportsCollected(n.ID, round, got, want)
+			if cfg.Quorum > 0 && got+1 >= cfg.Quorum {
+				cfg.Observer.RecoveryEvent(n.ID, round, "quorum", fmt.Sprintf("round completed short with %d of %d reports", got, want))
+				return false, nil
+			}
+			return false, fmt.Errorf("%w: %d of %d reports for round %d", ErrRoundTimeout, got, want, round)
+		}
+		if err := p.buffer(n, l, round); err != nil {
+			return false, err
+		}
+	}
+	cfg.Observer.ReportsCollected(n.ID, round, want, want)
+	return true, nil
+}
+
+// buffer checks one received report and stores it for its round. Stale
+// rebroadcasts, identical duplicates, and reports from departed nodes —
+// normal fallout of retries, faulty links, and churn — are discarded and
+// counted, never fatal; conflicting duplicates, impersonation and
+// messages of the wrong kind remain protocol violations. A report for a
+// round more than one ahead of ours is ErrLapped: the cluster
+// quorum-completed rounds without us and our state is stale.
+func (p *planner) buffer(n *Node, l *Letter, round int) error {
+	env, obs := &l.Env, n.cfg.Observer
+	var node int
+	switch {
+	case p.reports != nil && env.Report != nil:
+		node = env.Report.Node
+	case p.vectors != nil && env.Vector != nil:
+		v := env.Vector
+		if files := len(n.X); len(v.Marginals) != files || len(v.Allocs) != files {
+			return fmt.Errorf("%w: node %d reported %d/%d entries for %d files", ErrProtocol, v.Node, len(v.Marginals), len(v.Allocs), files)
+		}
+		node = v.Node
+	default:
+		return fmt.Errorf("%w: unexpected %q message during report collection", ErrProtocol, env.Kind)
+	}
+	if node != l.From {
+		return fmt.Errorf("%w: node %d sent a report claiming to be node %d", ErrProtocol, l.From, node)
+	}
+	if l.Round > round+1 {
+		return fmt.Errorf("%w: node %d is already at round %d while we are at round %d", ErrLapped, node, l.Round, round)
+	}
+	if l.Round < round {
+		// Stale rebroadcast — the round it belongs to already completed,
+		// so the data is redundant by construction.
+		obs.MessageDiscarded(n.ID, round, "stale report")
 		return nil
 	}
-	var payload []byte
+	if node >= 0 && node < p.n && !p.alive[node] {
+		// A node we already declared departed (its fraction is
+		// redistributed). Its late report cannot rejoin this epoch.
+		obs.MessageDiscarded(n.ID, round, "report from departed node")
+		return nil
+	}
 	var err error
-	if l.vectors != nil {
-		payload, err = protocol.EncodeVectorReport(protocol.VectorReport{Round: round, Node: l.id, Marginals: l.g, Allocs: l.x})
+	if p.reports != nil {
+		err = p.reports.Add(*env.Report)
 	} else {
-		payload, err = protocol.EncodeReport(protocol.Report{Round: round, Node: l.id, Marginal: l.g[0], Alloc: l.x[0], Curvature: l.h, Planned: l.planned})
+		err = p.vectors.Add(*env.Vector)
 	}
-	if err != nil {
-		return err
+	if errors.Is(err, protocol.ErrDuplicateReport) {
+		obs.MessageDiscarded(n.ID, round, "duplicate report")
+	} else if err != nil {
+		return fmt.Errorf("agent: round %d: %w", round, err)
 	}
-	if !l.plans {
-		return l.send(ctx, round, l.cfg.CoordinatorID, payload)
+	return nil
+}
+
+// count returns the number of reports buffered for the round.
+func (p *planner) count(round int) int {
+	if p.reports != nil {
+		return p.reports.Count(round)
 	}
-	return l.broadcast(ctx, round, payload)
+	return p.vectors.Count(round)
 }
 
 // gather loads the round's reports into the full view and builds each
@@ -203,44 +459,44 @@ func (l *roundLoop) report(ctx context.Context, round int) error {
 // match ours: a mismatch means an earlier round silently split the
 // cluster into different quorum subsets. It returns the live peers that
 // have now missed DepartAfter consecutive rounds.
-func (l *roundLoop) gather(round int) (departed []int, err error) {
-	n, id, churn := l.n, l.id, l.cfg.Quorum > 0
+func (p *planner) gather(nd *Node, round int) (departed []int, err error) {
+	n, id, churn := p.n, nd.ID, nd.cfg.Quorum > 0
 	var one map[int]protocol.Report
 	var many map[int]protocol.VectorReport
-	if l.vectors != nil {
-		many = l.vectors.Take(round)
+	if p.vectors != nil {
+		many = p.vectors.Take(round)
 	} else {
-		one = l.reports.Take(round)
+		one = p.reports.Take(round)
 	}
-	for f := range l.groups {
-		l.groups[f] = l.groups[f][:0]
-		l.xs[f*n+id], l.gs[f*n+id] = l.x[f], l.g[f]
+	for f := range p.groups {
+		p.groups[f] = p.groups[f][:0]
+		p.xs[f*n+id], p.gs[f*n+id] = nd.X[f], nd.G[f]
 	}
-	l.hs[id] = l.h
+	p.hs[id] = nd.H
 	for node := 0; node < n; node++ {
 		if node != id {
 			if rep, ok := one[node]; ok {
-				if churn && l.planned != 0 && rep.Planned != 0 && rep.Planned != l.planned {
-					return nil, fmt.Errorf("%w: node %d planned round %d over group %#x, we planned over %#x", ErrDesync, node, round-1, rep.Planned, l.planned)
+				if churn && p.planned != 0 && rep.Planned != 0 && rep.Planned != p.planned {
+					return nil, fmt.Errorf("%w: node %d planned round %d over group %#x, we planned over %#x", ErrDesync, node, round-1, rep.Planned, p.planned)
 				}
-				l.xs[node], l.gs[node], l.hs[node] = rep.Alloc, rep.Marginal, rep.Curvature
+				p.xs[node], p.gs[node], p.hs[node] = rep.Alloc, rep.Marginal, rep.Curvature
 			} else if rep, ok := many[node]; ok {
-				for f := range l.groups {
-					l.xs[f*n+node], l.gs[f*n+node] = rep.Allocs[f], rep.Marginals[f]
+				for f := range p.groups {
+					p.xs[f*n+node], p.gs[f*n+node] = rep.Allocs[f], rep.Marginals[f]
 				}
 			} else {
-				if churn && l.alive[node] {
-					l.missing[node]++
-					if l.cfg.DepartAfter > 0 && l.missing[node] >= l.cfg.DepartAfter {
+				if churn && p.alive[node] {
+					p.missing[node]++
+					if nd.cfg.DepartAfter > 0 && p.missing[node] >= nd.cfg.DepartAfter {
 						departed = append(departed, node)
 					}
 				}
 				continue
 			}
-			l.missing[node] = 0
+			p.missing[node] = 0
 		}
-		for f := range l.groups {
-			l.groups[f] = append(l.groups[f], f*n+node)
+		for f := range p.groups {
+			p.groups[f] = append(p.groups[f], f*n+node)
 		}
 	}
 	return departed, nil
@@ -249,14 +505,14 @@ func (l *roundLoop) gather(round int) (departed []int, err error) {
 // step plans the round's re-allocation over the gathered groups, sends the
 // coordinator's Update, and applies the step unless the run is done. It
 // then declares the departed peers gone and redistributes their fraction.
-func (l *roundLoop) step(ctx context.Context, round int, full bool, departed []int) (done bool, err error) {
-	cfg, obs, n, id := &l.cfg, l.cfg.Observer, l.n, l.id
+func (p *planner) step(ctx context.Context, nd *Node, round int, full bool, departed []int) (done, converged bool, err error) {
+	cfg, obs, n, id := &nd.cfg, nd.cfg.Observer, p.n, nd.ID
 	if cfg.DynamicAlphaSafety > 0 {
 		// fill rejects quorum with dynamic α, so every round is full
 		// and the planning group is every node: the bound matches the
 		// centralized allocator's bit for bit.
-		if dyn := core.DynamicAlpha(l.gs, l.hs, l.groups, cfg.DynamicAlphaSafety); dyn > 0 {
-			l.alpha = dyn
+		if dyn := core.DynamicAlpha(p.gs, p.hs, p.groups, cfg.DynamicAlphaSafety); dyn > 0 {
+			p.alpha = dyn
 		}
 	}
 	// ΔU sums each file's Theorem-2 certificate ⟨∇U, Δx⟩; it doubles as
@@ -265,23 +521,23 @@ func (l *roundLoop) step(ctx context.Context, round int, full bool, departed []i
 	// file's values bit for bit.
 	du, delta, spread := math.Copysign(0, -1), math.Copysign(0, -1), 0.0
 	converged, movable := true, false
-	for f, group := range l.groups {
-		st := &l.steps[f]
+	for f, group := range p.groups {
+		st := &p.steps[f]
 		if cfg.SecondOrder {
-			*st, err = core.PlanSecondOrderStep(l.xs, l.gs, l.hs, group, l.alpha)
+			*st, err = core.PlanSecondOrderStep(p.xs, p.gs, p.hs, group, p.alpha)
 		} else {
-			err = core.PlanStepInto(st, l.xs, l.gs, group, l.alpha)
+			err = core.PlanStepInto(st, p.xs, p.gs, group, p.alpha)
 		}
 		if err != nil {
-			return false, fmt.Errorf("agent: planning round %d: %w", round, err)
+			return false, false, fmt.Errorf("agent: planning round %d: %w", round, err)
 		}
-		a, err := core.Ascent(l.gs, group, *st)
+		a, err := core.Ascent(p.gs, group, *st)
 		if err != nil {
-			return false, fmt.Errorf("agent: certifying round %d: %w", round, err)
+			return false, false, fmt.Errorf("agent: certifying round %d: %w", round, err)
 		}
 		du += a
 		delta += deltaOf(*st, group, f*n+id)
-		sp := st.Spread(l.gs, group)
+		sp := st.Spread(p.gs, group)
 		spread = max(spread, sp)
 		converged = converged && sp < cfg.Epsilon
 		movable = movable || !st.IsNoOp()
@@ -295,206 +551,51 @@ func (l *roundLoop) step(ctx context.Context, round int, full bool, departed []i
 	}
 	obs.StepPlanned(id, round, spread, delta)
 	done = full && (converged || !movable)
-	if l.central {
-		payload, err := protocol.EncodeUpdate(protocol.Update{Round: round, Delta: l.steps[0].Delta, Done: done})
+	if p.central {
+		payload, err := protocol.EncodeUpdate(protocol.Update{Round: round, Delta: p.steps[0].Delta, Done: done})
 		if err != nil {
-			return false, err
+			return false, false, err
 		}
-		if err := l.broadcast(ctx, round, payload); err != nil {
-			return false, err
+		if err := p.broadcast(ctx, nd, round, payload); err != nil {
+			return false, false, err
 		}
 	}
 	if done {
-		return true, l.finish(round, converged)
+		return true, converged, nil
 	}
 	if !reject {
-		for f, group := range l.groups {
-			if err := l.steps[f].Apply(l.xs, group); err != nil {
-				return false, fmt.Errorf("agent: applying round %d: %w", round, err)
+		for f, group := range p.groups {
+			if err := p.steps[f].Apply(p.xs, group); err != nil {
+				return false, false, fmt.Errorf("agent: applying round %d: %w", round, err)
 			}
-			l.x[f] = l.xs[f*n+id]
+			nd.X[f] = p.xs[f*n+id]
 		}
-		obs.StepApplied(id, round, du, len(l.groups[0]))
+		obs.StepApplied(id, round, du, len(p.groups[0]))
 	}
-	l.planned = maskOf(l.groups[0])
+	p.planned = maskOf(p.groups[0])
 	if len(departed) == 0 {
-		return false, nil
+		return false, false, nil
 	}
 	for _, d := range departed {
-		l.alive[d] = false
-		obs.RecoveryEvent(id, round, "depart", fmt.Sprintf("node %d missed %d consecutive rounds; redistributing its fraction", d, l.missing[d]))
+		p.alive[d] = false
+		obs.RecoveryEvent(id, round, "depart", fmt.Sprintf("node %d missed %d consecutive rounds; redistributing its fraction", d, p.missing[d]))
 	}
 	// Feasibility-preserving redistribution (Theorem 1): the survivors
 	// rescale their own mutually-known fragments to sum to exactly 1,
 	// identically on every survivor.
-	for f, group := range l.groups {
+	for f, group := range p.groups {
 		group = group[:0]
-		for node, live := range l.alive {
+		for node, live := range p.alive {
 			if live {
 				group = append(group, f*n+node)
 			}
 		}
-		if err := core.Renormalize(l.xs, group); err != nil {
-			return false, fmt.Errorf("agent: redistributing after round %d: %w", round, err)
+		if err := core.Renormalize(p.xs, group); err != nil {
+			return false, false, fmt.Errorf("agent: redistributing after round %d: %w", round, err)
 		}
-		l.x[f] = l.xs[f*n+id]
+		nd.X[f] = p.xs[f*n+id]
 	}
-	return false, nil
-}
-
-// finish records the run's end and announces it.
-func (l *roundLoop) finish(rounds int, converged bool) error {
-	l.rounds, l.converged = rounds, converged
-	l.cfg.Observer.RunFinished(l.id, rounds, converged)
-	return nil
-}
-
-// send delivers payload to one peer, retrying a failed send up to
-// SendRetries times, and counts the message once it is through.
-func (l *roundLoop) send(ctx context.Context, round, to int, payload []byte) error {
-	cfg := &l.cfg
-	var err error
-	for attempt := 0; attempt <= cfg.SendRetries; attempt++ {
-		if err = cfg.Endpoint.Send(ctx, to, payload); err == nil {
-			l.sent++
-			return nil
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		if attempt < cfg.SendRetries {
-			cfg.Observer.SendRetried(l.id, round, to, attempt+1, err)
-		}
-	}
-	return fmt.Errorf("agent: sending round %d to node %d: %w", round, to, err)
-}
-
-// broadcast sends payload to every live peer.
-func (l *roundLoop) broadcast(ctx context.Context, round int, payload []byte) error {
-	for to, live := range l.alive {
-		if to == l.id || !live {
-			continue
-		}
-		if err := l.send(ctx, round, to, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// receive reads the round's messages until the round can proceed. A
-// planner waits for the report of every live peer or — when Quorum is set
-// — until the RoundTimeout deadline fires with at least Quorum reporters
-// (including this node); it then reports full=false and the step is
-// planned over the reporters only. A worker waits for the coordinator's
-// Update and returns it. Stale rebroadcasts, identical duplicates, and
-// reports from departed nodes — normal fallout of retries, faulty links,
-// and churn — are discarded and counted, never fatal; conflicting
-// duplicates, impersonation and messages of the wrong kind remain
-// protocol violations. A report for a round more than one ahead of ours
-// is ErrLapped: the cluster quorum-completed rounds without us and our
-// state is stale. An update for a future round means this worker's report
-// was skipped and lockstep is broken.
-func (l *roundLoop) receive(ctx context.Context, round int) (upd *protocol.Update, full bool, err error) {
-	cfg, id, want := &l.cfg, l.id, countTrue(l.alive)-1
-	deadline, cancel := context.WithTimeout(ctx, cfg.RoundTimeout)
-	defer cancel()
-	for !l.plans || l.count(round) < want {
-		msg, err := cfg.Endpoint.Recv(deadline)
-		if err != nil {
-			if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
-				return nil, false, fmt.Errorf("agent: receiving round %d: %w", round, err)
-			}
-			cfg.Observer.TimeoutFired(id, round)
-			if !l.plans {
-				return nil, false, fmt.Errorf("%w: waiting for round %d update", ErrRoundTimeout, round)
-			}
-			got := l.count(round)
-			cfg.Observer.ReportsCollected(id, round, got, want)
-			if cfg.Quorum > 0 && got+1 >= cfg.Quorum {
-				cfg.Observer.RecoveryEvent(id, round, "quorum", fmt.Sprintf("round completed short with %d of %d reports", got, want))
-				return nil, false, nil
-			}
-			return nil, false, fmt.Errorf("%w: %d of %d reports for round %d", ErrRoundTimeout, got, want, round)
-		}
-		env, err := protocol.Decode(msg.Payload)
-		if err != nil {
-			return nil, false, fmt.Errorf("agent: round %d: %w", round, err)
-		}
-		if !l.plans {
-			if env.Kind != protocol.KindUpdate {
-				return nil, false, fmt.Errorf("%w: unexpected %q message while awaiting update", ErrProtocol, env.Kind)
-			}
-			if env.Update.Round > round {
-				return nil, false, fmt.Errorf("%w: update for round %d while in round %d", ErrProtocol, env.Update.Round, round)
-			}
-			if env.Update.Round == round {
-				return env.Update, true, nil
-			}
-			cfg.Observer.MessageDiscarded(id, round, "stale update")
-			continue
-		}
-		if err := l.buffer(env, msg.From, round); err != nil {
-			return nil, false, err
-		}
-	}
-	cfg.Observer.ReportsCollected(id, round, want, want)
-	return nil, true, nil
-}
-
-// buffer checks one received report and stores it for its round.
-func (l *roundLoop) buffer(env protocol.Envelope, from, round int) error {
-	var repRound, node int
-	switch {
-	case l.reports != nil && env.Kind == protocol.KindReport:
-		repRound, node = env.Report.Round, env.Report.Node
-	case l.vectors != nil && env.Kind == protocol.KindVectorReport:
-		v := env.Vector
-		if files := len(l.x); len(v.Marginals) != files || len(v.Allocs) != files {
-			return fmt.Errorf("%w: node %d reported %d/%d entries for %d files", ErrProtocol, v.Node, len(v.Marginals), len(v.Allocs), files)
-		}
-		repRound, node = v.Round, v.Node
-	default:
-		return fmt.Errorf("%w: unexpected %q message during report collection", ErrProtocol, env.Kind)
-	}
-	if node != from {
-		return fmt.Errorf("%w: node %d sent a report claiming to be node %d", ErrProtocol, from, node)
-	}
-	if repRound > round+1 {
-		return fmt.Errorf("%w: node %d is already at round %d while we are at round %d", ErrLapped, node, repRound, round)
-	}
-	if repRound < round {
-		// Stale rebroadcast — the round it belongs to already completed,
-		// so the data is redundant by construction.
-		l.cfg.Observer.MessageDiscarded(l.id, round, "stale report")
-		return nil
-	}
-	if node >= 0 && node < l.n && !l.alive[node] {
-		// A node we already declared departed (its fraction is
-		// redistributed). Its late report cannot rejoin this epoch.
-		l.cfg.Observer.MessageDiscarded(l.id, round, "report from departed node")
-		return nil
-	}
-	var err error
-	if l.reports != nil {
-		err = l.reports.Add(*env.Report)
-	} else {
-		err = l.vectors.Add(*env.Vector)
-	}
-	if errors.Is(err, protocol.ErrDuplicateReport) {
-		l.cfg.Observer.MessageDiscarded(l.id, round, "duplicate report")
-	} else if err != nil {
-		return fmt.Errorf("agent: round %d: %w", round, err)
-	}
-	return nil
-}
-
-// count returns the number of reports buffered for the round.
-func (l *roundLoop) count(round int) int {
-	if l.reports != nil {
-		return l.reports.Count(round)
-	}
-	return l.vectors.Count(round)
+	return false, false, nil
 }
 
 // maskOf fingerprints a planning group as a bitmask (bit i = node i). It

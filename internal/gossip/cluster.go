@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"filealloc/internal/agent"
 	"filealloc/internal/core"
 	"filealloc/internal/costmodel"
 	"filealloc/internal/metrics"
-	"filealloc/internal/protocol"
 	"filealloc/internal/topology"
 	"filealloc/internal/transport"
 )
@@ -79,19 +77,15 @@ type Bill struct {
 }
 
 // MessagesPerRound averages the logical message count per round.
-func (b Bill) MessagesPerRound() float64 {
-	if b.Rounds == 0 {
-		return float64(b.Messages)
-	}
-	return float64(b.Messages) / float64(b.Rounds)
-}
+func (b Bill) MessagesPerRound() float64 { return b.perRound(b.Messages) }
 
 // BytesPerRound averages the wire bytes per round.
-func (b Bill) BytesPerRound() float64 {
-	if b.Rounds == 0 {
-		return float64(b.Bytes)
-	}
-	return float64(b.Bytes) / float64(b.Rounds)
+func (b Bill) BytesPerRound() float64 { return b.perRound(b.Bytes) }
+
+// perRound averages v over the rounds billed, or returns it whole when
+// no round completed.
+func (b Bill) perRound(v int64) float64 {
+	return float64(v) / float64(max(b.Rounds, 1))
 }
 
 // ClusterResult is the outcome of a cluster run.
@@ -124,11 +118,13 @@ type ClusterResult struct {
 func BroadcastMessages(n int) int64 { return int64(n) * int64(n-1) }
 
 // RunCluster runs the full decentralized allocation over an in-process
-// cluster, supervising membership churn: when a round fails, crashed
-// endpoints are detected, the surviving allocation mass is renormalized,
-// the spanning tree is rebuilt over the alive set, and the protocol
-// resumes under a fresh epoch. A converged allocation is always KKT
-// certified before it is returned.
+// cluster, supervising membership churn. Each epoch's alive nodes run
+// through agent.RunCluster, one agent round loop per node on the tree or
+// push-sum aggregator. When an epoch fails, nodes that crashed are
+// declared dead, the surviving allocation mass is renormalized, the
+// spanning tree is rebuilt over the alive set, and the protocol resumes
+// under a fresh epoch. A converged allocation is always KKT certified
+// before it is returned.
 func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	var res ClusterResult
 	if cfg.Graph == nil {
@@ -141,17 +137,10 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	if len(cfg.Init) != n {
 		return res, fmt.Errorf("gossip: %d initial fragments for %d nodes", len(cfg.Init), n)
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.1
-	}
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = 1e-3
-	}
+	// Alpha, Epsilon and RoundTimeout default in agent.Config; each
+	// node's aggregator reads them from Node.Config.
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 10000
-	}
-	if cfg.RoundTimeout == 0 {
-		cfg.RoundTimeout = 10 * time.Second
 	}
 	if cfg.KKTTol == 0 {
 		cfg.KKTTol = 0.02
@@ -159,46 +148,16 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = 2
 	}
-	// Fan-in bound: a node receives at most one message per neighbor per
-	// stage plus one round of pipelining; 2n is comfortably above that
-	// for any degree.
-	net, err := transport.NewMemoryNetwork(n, transport.WithBufferSize(2*n+64))
-	if err != nil {
-		return res, err
-	}
-	defer net.Close()
-
-	endpoints := make([]transport.Endpoint, n)
-	faultEps := make([]*transport.FaultEndpoint, n)
-	for i := 0; i < n; i++ {
-		ep, err := net.Endpoint(i)
-		if err != nil {
-			return res, err
-		}
-		if cfg.Faults != nil {
-			fc := *cfg.Faults
-			if fc.RoundOf == nil {
-				fc.RoundOf = protocol.RoundOf
-			}
-			fep, err := transport.NewFaultEndpoint(ep, fc)
-			if err != nil {
-				return res, err
-			}
-			faultEps[i] = fep
-			ep = fep
-		}
-		endpoints[i] = ep
-	}
 
 	xs := append([]float64(nil), cfg.Init...)
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
-	res.Alive = alive
+	res.X, res.Alive = xs, alive
 	retries := 0
-	for epoch := 0; ; epoch++ {
-		res.Epochs = epoch + 1
+	for num := 0; ; num++ {
+		res.Epochs = num + 1
 		group := aliveGroup(alive)
 		if len(group) == 0 {
 			return res, fmt.Errorf("%w: every node crashed", ErrRoundTimeout)
@@ -207,91 +166,62 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 		if err != nil {
 			return res, err
 		}
-		adj := aliveAdjacency(cfg.Graph, alive)
-		ticks := cfg.Ticks
-		if ticks == 0 {
-			ticks = 2*tree.Depth + 8
-		}
 		remaining := cfg.MaxRounds - res.Rounds
 		if remaining <= 0 {
-			res.X = xs
 			break
 		}
-
-		outcomes := make([]nodeOutcome, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for _, i := range group {
-			i := i
-			nc := nodeConfig{
-				endpoint:   endpoints[i],
-				model:      cfg.Models[i],
-				x:          xs[i],
-				alpha:      cfg.Alpha,
-				epsilon:    cfg.Epsilon,
-				maxRounds:  remaining,
-				mode:       cfg.Mode,
-				epoch:      epoch,
-				timeout:    cfg.RoundTimeout,
-				tree:       tree,
-				adj:        adj,
-				aliveCount: len(group),
-				seed:       cfg.Seed,
-				ticks:      ticks,
-			}
-			if cfg.OnRound != nil {
-				cb, node, ep := cfg.OnRound, i, epoch
-				nc.onRound = func(round int, x float64) { cb(ep, round, node, x) }
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				outcomes[i], errs[i] = runNode(ctx, nc)
-			}()
+		if len(group) == 1 {
+			// A lone node's active set is itself: a no-op step with zero
+			// spread, converged without a message.
+			res.Converged = true
+			break
 		}
-		wg.Wait()
-
-		roundsThisEpoch := 0
-		for _, i := range group {
-			xs[i] = outcomes[i].X
-			if outcomes[i].Rounds > roundsThisEpoch {
-				roundsThisEpoch = outcomes[i].Rounds
-			}
-			res.Bill.Messages += outcomes[i].Messages
-			res.Bill.Frames += outcomes[i].Messages
-			res.Bill.Bytes += outcomes[i].Bytes
+		e := &epoch{cfg: cfg, num: num, tree: tree, adj: aliveAdjacency(cfg.Graph, alive), alive: len(group), ticks: cfg.Ticks}
+		if e.ticks == 0 {
+			e.ticks = 2*tree.Depth + 8
 		}
-		res.Rounds += roundsThisEpoch
-
-		var joined []error
-		for _, i := range group {
-			if errs[i] != nil {
-				joined = append(joined, fmt.Errorf("node %d: %w", i, errs[i]))
-			}
-		}
-		if len(joined) == 0 {
-			first := group[0]
-			for _, i := range group {
-				if outcomes[i].Rounds != outcomes[first].Rounds ||
-					outcomes[i].Converged != outcomes[first].Converged {
-					return res, fmt.Errorf("%w: node %d finished (rounds=%d converged=%v), node %d (rounds=%d converged=%v)",
-						ErrProtocol,
-						first, outcomes[first].Rounds, outcomes[first].Converged,
-						i, outcomes[i].Rounds, outcomes[i].Converged)
+		out, err := agent.RunCluster(ctx, agent.ClusterConfig{
+			Agent:     agent.Config{Alpha: cfg.Alpha, Epsilon: cfg.Epsilon, MaxRounds: remaining, RoundTimeout: cfg.RoundTimeout},
+			Models:    cfg.Models,
+			Init:      xs,
+			InitAlive: alive,
+			Faults:    cfg.Faults,
+			Run: func(ctx context.Context, acfg agent.Config) (agent.Outcome, error) {
+				if cfg.Mode == ModeGossip {
+					return agent.RunWith(ctx, acfg, &pushSum{e: e})
 				}
+				return agent.RunWith(ctx, acfg, treeNode{e})
+			},
+		})
+		if out.Outcomes == nil {
+			return res, err
+		}
+		res.Faults.Add(out.Faults)
+		roundsThisEpoch, failed := 0, false
+		for _, i := range group {
+			o := out.Outcomes[i]
+			xs[i] = o.X
+			roundsThisEpoch = max(roundsThisEpoch, o.Rounds)
+			res.Bill.Messages += int64(o.MessagesSent)
+			res.Bill.Bytes += int64(o.BytesSent)
+			failed = failed || out.Errs[i] != nil
+		}
+		res.Bill.Frames = res.Bill.Messages
+		res.Rounds += roundsThisEpoch
+		if !failed {
+			// The survivors agreed on the outcome, or err says they did not.
+			res.Converged = out.Converged
+			if err != nil {
+				return res, err
 			}
-			res.Converged = outcomes[first].Converged
-			res.X = xs
 			break
 		}
-		joinErr := errors.Join(joined...)
 
 		// Churn: find who died, hand their mass to the survivors, retry
 		// under a fresh epoch.
 		newlyDead := 0
 		for _, i := range group {
-			crashed := faultEps[i] != nil && faultEps[i].Crashed()
-			if crashed || errors.Is(errs[i], transport.ErrCrashed) {
+			if errors.Is(out.Errs[i], transport.ErrCrashed) {
 				alive[i] = false
 				xs[i] = 0
 				newlyDead++
@@ -308,8 +238,7 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 				retries = 0
 			}
 			if retries > cfg.RetryBudget {
-				res.X = xs
-				return res, fmt.Errorf("%w: no progress after %d epochs: %w", ErrRoundTimeout, epoch+1, joinErr)
+				return res, fmt.Errorf("%w: no progress after %d epochs: %w", ErrRoundTimeout, num+1, err)
 			}
 		} else {
 			retries = 0
@@ -322,7 +251,6 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 		}
 	}
 
-	collectFaults(&res, faultEps)
 	if res.Converged {
 		q, err := certify(cfg.Models, xs, alive, cfg.KKTTol)
 		res.Q = q
@@ -338,6 +266,62 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterResult, error) {
 	return res, nil
 }
 
+// epoch is what every node of one membership epoch shares: the cluster's
+// settings, the epoch number, the spanning tree and the push-sum
+// schedule over the alive set.
+type epoch struct {
+	cfg   ClusterConfig
+	num   int
+	tree  *Tree
+	adj   [][]int // alive neighbors, ascending
+	alive int     // alive node count
+	ticks int     // push-sum ticks per round
+}
+
+// stepped reports a node's applied step to OnRound.
+func (e *epoch) stepped(round int, n *agent.Node) {
+	if e.cfg.OnRound != nil {
+		e.cfg.OnRound(e.num, round, n.ID, n.X[0])
+	}
+}
+
+// send ships one message to a peer. An injected drop is swallowed: a
+// lost frame shows up as a peer's round timeout (the loud failure path),
+// not as a local error that would kill a healthy node.
+func send(ctx context.Context, n *agent.Node, round, to int, payload []byte) error {
+	if err := n.Send(ctx, round, to, payload); err != nil && !errors.Is(err, transport.ErrDropped) {
+		return err
+	}
+	return nil
+}
+
+// collect reads n's inbox for stage (round, stage) until take has kept
+// want letters. Letters of later stages are held and those of earlier
+// ones discarded; take rules on the stage's own. The round's deadline
+// surfaces as ErrRoundTimeout.
+func collect(ctx context.Context, n *agent.Node, round, stage, want int, take func(*agent.Letter) (bool, error)) error {
+	for kept := 0; kept < want; {
+		l, err := n.Inbox.Next(ctx, round, stage)
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			return fmt.Errorf("%w: node %d stuck in round %d", ErrRoundTimeout, n.ID, round)
+		case err != nil:
+			return err
+		case l.After(round, stage):
+			n.Inbox.Hold(l)
+		case l.Round == round && l.Stage == stage:
+			ok, err := take(l)
+			if err != nil {
+				return err
+			}
+			if ok {
+				kept++
+			}
+		}
+	}
+	return nil
+}
+
 // aliveGroup lists the alive node ids in ascending order.
 func aliveGroup(alive []bool) []int {
 	var group []int
@@ -347,15 +331,6 @@ func aliveGroup(alive []bool) []int {
 		}
 	}
 	return group
-}
-
-// collectFaults aggregates the injected-fault counters.
-func collectFaults(res *ClusterResult, faultEps []*transport.FaultEndpoint) {
-	for _, fep := range faultEps {
-		if fep != nil {
-			res.Faults.Add(fep.Stats())
-		}
-	}
 }
 
 // certify derives the Lagrange multiplier q (costmodel's Price: the mean

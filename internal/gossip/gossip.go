@@ -23,12 +23,14 @@
 //     one message per neighbor per tick: the share rides in the message
 //     to the chosen neighbor.
 //
-// Membership churn is handled by the cluster supervisor: when an
-// injected crash kills a node mid-round, the survivors' round times out,
-// the supervisor probes for crashed endpoints, renormalizes the
-// surviving allocation mass, re-roots the tree over the alive set, and
-// retries under a fresh epoch. Messages from stale epochs are discarded
-// on receipt.
+// Both are agent.Aggregators: every node runs the agent package's one
+// round loop and reads through its inbox, and each membership epoch runs
+// through agent.RunCluster. Membership churn is handled by the epoch
+// supervisor, RunCluster: when an injected crash kills a node mid-round,
+// the survivors' round times out, the supervisor marks the crashed nodes
+// dead, renormalizes the surviving allocation mass, re-roots the tree
+// over the alive set, and retries under a fresh epoch on a fresh
+// network, so no message crosses from one epoch into the next.
 package gossip
 
 import (

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"filealloc/internal/agent"
 	"filealloc/internal/core"
 	"filealloc/internal/protocol"
 )
@@ -38,95 +39,50 @@ func pickPeer(seed int64, epoch, round, tick, node int, neighbors []int) int {
 	return neighbors[z%uint64(len(neighbors))]
 }
 
-// runGossip executes rounds of push-sum aggregation until the flooded
-// termination condition holds, rounds run out, or the round deadline
-// fires. Unlike the tree mode it is approximate: each node steps against
-// its own estimate of the average marginal, and a multiplicative Σx
-// repair against the push-sum mass estimate bounds feasibility drift.
-func (e *engine) runGossip(ctx context.Context) error {
-	neighbors := e.cfg.adj[e.id]
-	havePrev := false
-	prevEst := 0.0
-	for round := 0; round < e.cfg.maxRounds; round++ {
-		rctx, cancel := context.WithTimeout(ctx, e.cfg.timeout)
-		st, err := e.gossipRound(rctx, round, neighbors, havePrev, prevEst)
-		cancel()
-		if err != nil {
-			return err
-		}
-		converged := st.ext.BoundOK &&
-			(!st.ext.HasInt || st.ext.IntMaxG-st.ext.IntMinG < e.cfg.epsilon)
-		if converged {
-			e.converged = true
-			e.rounds = round
-			return nil
-		}
-		// Interior nodes step toward the estimated average; the flooded
-		// best-excluded node re-admits itself (the distributed analogue of
-		// core.PlanStep's single re-admission per pass).
-		if !math.IsNaN(st.est) && (st.interior || (st.ext.HasOut && st.ext.OutNode == e.id)) {
-			e.x += e.cfg.alpha * (st.g - st.est)
-			if e.x < 0 {
-				e.x = 0
-			}
-		}
-		if st.sumEst > 0 && !math.IsInf(st.sumEst, 0) && !math.IsNaN(st.sumEst) {
-			e.x /= st.sumEst
-		}
-		e.rounds = round + 1
-		havePrev = !math.IsNaN(st.est)
-		prevEst = st.est
-		if e.cfg.onRound != nil {
-			e.cfg.onRound(round, e.x)
-		}
-	}
-	return nil
+// pushSum is one node's push-sum aggregator. Unlike the tree it is
+// approximate: each node steps against its own estimate of the average
+// marginal, and a multiplicative Σx repair against the push-sum mass
+// estimate bounds feasibility drift. It keeps the previous round's
+// estimate for the boundary KKT check.
+type pushSum struct {
+	e        *epoch
+	havePrev bool
+	prevEst  float64
 }
 
-// gossipState is what one push-sum round leaves behind.
-type gossipState struct {
-	est      float64 // estimated average marginal over interior nodes (NaN if no mass arrived)
-	sumEst   float64 // estimated Σx over alive nodes
-	ext      protocol.GossipExtrema
-	g        float64
-	interior bool
-}
-
-// gossipRound runs the configured number of ticks and returns the
-// node's estimates and the flooded extrema.
-func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, havePrev bool, prevEst float64) (gossipState, error) {
-	var st gossipState
-	g, err := e.cfg.model.Marginal(e.x)
-	if err != nil {
-		return st, err
-	}
-	st.g = g
-	st.interior = e.x > core.BoundaryTol
-	ext := protocol.GossipExtrema{Node: e.id, OutNode: -1, BoundOK: true}
-	if st.interior {
+// Round runs the round's ticks under the round deadline, ends the run
+// once the flooded termination condition holds, and otherwise steps.
+func (p *pushSum) Round(ctx context.Context, n *agent.Node, round int) (done, converged bool, err error) {
+	e, cfg, x, g := p.e, n.Config(), n.X[0], n.G[0]
+	ctx, cancel := context.WithTimeout(ctx, cfg.RoundTimeout)
+	defer cancel()
+	neighbors := e.adj[n.ID]
+	interior := x > core.BoundaryTol
+	ext := protocol.GossipExtrema{Node: n.ID, OutNode: -1, BoundOK: true}
+	if interior {
 		ext.HasInt, ext.IntMinG, ext.IntMaxG = true, g, g
 	} else {
 		// Boundary KKT check: staying at zero is optimal iff the marginal
 		// utility does not exceed the (previous round's) average beyond
 		// the slack; with no estimate yet the node cannot certify.
-		ext.BoundOK = havePrev && g <= prevEst+e.cfg.epsilon
-		if havePrev && g > prevEst {
-			ext.HasOut, ext.OutG, ext.OutNode = true, g, e.id
+		ext.BoundOK = p.havePrev && g <= p.prevEst+cfg.Epsilon
+		if p.havePrev && g > p.prevEst {
+			ext.HasOut, ext.OutG, ext.OutNode = true, g, n.ID
 		}
 	}
 	var sgHi, sgLo, wa float64
-	if st.interior {
+	if interior {
 		sgHi, wa = g, 1
 	}
-	sxHi, sxLo, wn := e.x, 0.0, 1.0
-	for tick := 0; tick < e.cfg.ticks; tick++ {
+	sxHi, sxLo, wn := x, 0.0, 1.0
+	for tick := 0; tick < e.ticks; tick++ {
 		msg := ext
-		msg.Round, msg.Tick, msg.Epoch = round, tick, e.cfg.epoch
+		msg.Round, msg.Tick, msg.Epoch = round, tick, e.num
 		flood, err := protocol.EncodeGossipExtrema(msg)
 		if err != nil {
-			return st, err
+			return false, false, err
 		}
-		target := pickPeer(e.cfg.seed, e.cfg.epoch, round, tick, e.id, neighbors)
+		target := pickPeer(e.cfg.Seed, e.num, round, tick, n.ID, neighbors)
 		var share []byte
 		if target >= 0 {
 			sgHi, sgLo, wa = sgHi/2, sgLo/2, wa/2
@@ -135,7 +91,7 @@ func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, ha
 			msg.SG, msg.SGC, msg.WA = sgHi, sgLo, wa
 			msg.SX, msg.SXC, msg.WN = sxHi, sxLo, wn
 			if share, err = protocol.EncodeGossipExtrema(msg); err != nil {
-				return st, err
+				return false, false, err
 			}
 		}
 		for _, nb := range neighbors {
@@ -143,13 +99,13 @@ func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, ha
 			if nb == target {
 				payload = share
 			}
-			if err := e.send(ctx, nb, payload); err != nil {
-				return st, err
+			if err := send(ctx, n, round, nb, payload); err != nil {
+				return false, false, err
 			}
 		}
-		got, err := e.collectTick(ctx, round, tick, neighbors)
+		got, err := p.collectTick(ctx, n, round, tick)
 		if err != nil {
-			return st, err
+			return false, false, err
 		}
 		// Fold in ascending sender order so the double-double bits are
 		// reproducible run-to-run.
@@ -164,50 +120,52 @@ func (e *engine) gossipRound(ctx context.Context, round int, neighbors []int, ha
 			mergeExtrema(&ext, m)
 		}
 	}
-	st.est = math.NaN()
-	if wa > 0 {
-		st.est = ddValue(sgHi, sgLo) / wa
+	if ext.BoundOK && (!ext.HasInt || ext.IntMaxG-ext.IntMinG < cfg.Epsilon) {
+		return true, true, nil
 	}
-	st.sumEst = ddValue(sxHi, sxLo) / wn * float64(e.cfg.aliveCount)
-	st.ext = ext
-	return st, nil
+	// est is the estimated average marginal over interior nodes (NaN if
+	// no mass arrived), sumEst the estimated Σx over alive nodes.
+	est, sumEst := math.NaN(), ddValue(sxHi, sxLo)/wn*float64(e.alive)
+	if wa > 0 {
+		est = ddValue(sgHi, sgLo) / wa
+	}
+	// Interior nodes step toward the estimated average; the flooded
+	// best-excluded node re-admits itself (the distributed analogue of
+	// core.PlanStep's single re-admission per pass).
+	if !math.IsNaN(est) && (interior || (ext.HasOut && ext.OutNode == n.ID)) {
+		if x += cfg.Alpha * (g - est); x < 0 {
+			x = 0
+		}
+	}
+	if sumEst > 0 && !math.IsInf(sumEst, 0) && !math.IsNaN(sumEst) {
+		x /= sumEst
+	}
+	n.X[0] = x
+	p.havePrev, p.prevEst = !math.IsNaN(est), est
+	e.stepped(round, n)
+	return false, false, nil
 }
 
 // collectTick gathers the tick's one message from every neighbor. The
 // message from a neighbor whose hashed pick lands on this node must
 // carry its push-sum share and every other message must not; a mismatch
 // is ErrProtocol. Duplicates are discarded (accepting a second copy of a
-// share would double-count its mass); later ticks and rounds are
-// buffered.
-func (e *engine) collectTick(ctx context.Context, round, tick int, neighbors []int) (map[int]protocol.GossipExtrema, error) {
+// share would double-count its mass).
+func (p *pushSum) collectTick(ctx context.Context, n *agent.Node, round, tick int) (map[int]protocol.GossipExtrema, error) {
+	e := p.e
+	neighbors := e.adj[n.ID]
 	got := make(map[int]protocol.GossipExtrema, len(neighbors))
-	var bad error
-	take := func(from int, env protocol.Envelope) {
-		m := env.GossipExtrema
-		if m == nil || m.Round != round || m.Tick != tick || !slices.Contains(neighbors, from) {
-			return
+	err := collect(ctx, n, round, tick, len(neighbors), func(l *agent.Letter) (bool, error) {
+		m := l.Env.GossipExtrema
+		if _, dup := got[l.From]; m == nil || dup || !slices.Contains(neighbors, l.From) {
+			return false, nil
 		}
-		if _, dup := got[from]; dup {
-			return
+		if want := pickPeer(e.cfg.Seed, e.num, round, tick, l.From, e.adj[l.From]) == n.ID; m.HasShare != want {
+			return false, fmt.Errorf("%w: node %d's round %d tick %d message has share=%v, want %v",
+				ErrProtocol, l.From, round, tick, m.HasShare, want)
 		}
-		want := pickPeer(e.cfg.seed, e.cfg.epoch, round, tick, from, e.cfg.adj[from]) == e.id
-		if m.HasShare != want && bad == nil {
-			bad = fmt.Errorf("%w: node %d's round %d tick %d message has share=%v, want %v",
-				ErrProtocol, from, round, tick, m.HasShare, want)
-		}
-		got[from] = *m
-	}
-	e.drainPending(round, tick, take)
-	for bad == nil && len(got) < len(neighbors) {
-		from, env, err := e.recvEnv(ctx, round)
-		if err != nil {
-			return nil, err
-		}
-		before := len(got)
-		take(from, env)
-		if len(got) == before {
-			e.buffer(from, env, round, tick)
-		}
-	}
-	return got, bad
+		got[l.From] = *m
+		return true, nil
+	})
+	return got, err
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"filealloc/internal/agent"
 	"filealloc/internal/protocol"
 	"filealloc/internal/topology"
 	"filealloc/internal/transport"
@@ -102,8 +103,8 @@ func TestCollectTickRejectsMisplacedShare(t *testing.T) {
 		if err := ep1.Send(ctx, 0, payload); err != nil {
 			t.Fatal(err)
 		}
-		e := &engine{cfg: nodeConfig{endpoint: ep0, adj: adj, seed: 1}}
-		if _, err := e.collectTick(ctx, 0, tick, adj[0]); !errors.Is(err, ErrProtocol) {
+		p := &pushSum{e: &epoch{cfg: ClusterConfig{Seed: 1}, adj: adj}}
+		if _, err := p.collectTick(ctx, &agent.Node{ID: 0, Inbox: agent.NewInbox(ep0)}, 0, tick); !errors.Is(err, ErrProtocol) {
 			t.Errorf("tick %d, share=%v: err = %v, want ErrProtocol", tick, wrong, err)
 		}
 	}

@@ -120,21 +120,30 @@ func RoundOf(payload []byte) (int, bool) {
 	if err != nil {
 		return 0, false
 	}
-	switch env.Kind {
+	round, _, ok := env.Stage()
+	return round, ok
+}
+
+// Stage returns the round a message belongs to and its stage within the
+// round: the pass of a tree-aggregation message, the tick of a push-sum
+// one, 0 for reports and updates. ok is false for the kinds that belong
+// to no round.
+func (e *Envelope) Stage() (round, stage int, ok bool) {
+	switch e.Kind {
 	case KindReport:
-		return env.Report.Round, true
+		return e.Report.Round, 0, true
 	case KindUpdate:
-		return env.Update.Round, true
+		return e.Update.Round, 0, true
 	case KindVectorReport:
-		return env.Vector.Round, true
+		return e.Vector.Round, 0, true
 	case KindAggUp:
-		return env.AggUp.Round, true
+		return e.AggUp.Round, e.AggUp.Pass, true
 	case KindAggDown:
-		return env.AggDown.Round, true
+		return e.AggDown.Round, e.AggDown.Pass, true
 	case KindGossipExtrema:
-		return env.GossipExtrema.Round, true
+		return e.GossipExtrema.Round, e.GossipExtrema.Tick, true
 	default:
-		return 0, false
+		return 0, 0, false
 	}
 }
 

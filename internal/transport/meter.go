@@ -73,14 +73,29 @@ func (m *MeteredEndpoint) Send(ctx context.Context, to int, payload []byte) erro
 }
 
 func (m *MeteredEndpoint) Recv(ctx context.Context) (Message, error) {
+	msg, err := m.RecvUncounted(ctx)
+	if err == nil {
+		m.CountRecv(len(msg.Payload))
+	}
+	return msg, err
+}
+
+// RecvUncounted receives like Recv but leaves counting the delivery to
+// the caller's CountRecv, so a round loop that reads ahead can count a
+// message when its round takes it rather than when the wire delivered
+// it. Errors count at once.
+func (m *MeteredEndpoint) RecvUncounted(ctx context.Context) (Message, error) {
 	msg, err := m.inner.Recv(ctx)
 	if err != nil {
 		m.recvErrs.Inc()
-		return msg, err
 	}
+	return msg, err
+}
+
+// CountRecv counts one delivered message of size payload bytes.
+func (m *MeteredEndpoint) CountRecv(size int) {
 	m.recvs.Inc()
-	m.recvBytes.Observe(int64(len(msg.Payload)))
-	return msg, nil
+	m.recvBytes.Observe(int64(size))
 }
 
 func (m *MeteredEndpoint) Close() error { return m.inner.Close() }
