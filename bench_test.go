@@ -24,6 +24,7 @@ import (
 	"filealloc/internal/experiments"
 	"filealloc/internal/gossip"
 	"filealloc/internal/multicopy"
+	"filealloc/internal/protocol"
 	"filealloc/internal/sim"
 	"filealloc/internal/sweep"
 	"filealloc/internal/topology"
@@ -621,4 +622,56 @@ func BenchmarkGossipRound(b *testing.B) {
 	}
 	b.ReportMetric(bill.MessagesPerRound(), "msgs/round")
 	b.ReportMetric(bill.BytesPerRound(), "bytes/round")
+}
+
+// BenchmarkReportCodec times one encode plus one decode of each message
+// the hot exchanges send: a broadcast or coordinator round's Report and
+// 16-node Update, a tree pass's AggUp and AggDown, a push-sum tick's
+// GossipExtrema with its share, and a serving Access.
+func BenchmarkReportCodec(b *testing.B) {
+	delta := make([]float64, 16)
+	for i := range delta {
+		delta[i] = (float64(i) - 7.5) / 3e4
+	}
+	cases := []struct {
+		name   string
+		encode func() ([]byte, error)
+	}{
+		{"report", func() ([]byte, error) {
+			return protocol.EncodeReport(protocol.Report{Round: 70, Node: 3, Marginal: -2.9387528349794507, Alloc: 0.0625, Curvature: -0.5, Planned: 0xFFFF})
+		}},
+		{"update16", func() ([]byte, error) {
+			return protocol.EncodeUpdate(protocol.Update{Round: 70, Delta: delta})
+		}},
+		{"aggup", func() ([]byte, error) {
+			return protocol.EncodeAggUp(protocol.CodecBinary, protocol.AggUp{Round: 88, Pass: 1, Node: 17, Agg: protocol.Aggregate{
+				SumG: -2.9387528349794507, SumH: -1, SumX: 0.015625, Count: 1,
+				MinG: -2.9387528349794507, MaxG: -2.9387528349794507, OutNode: -1,
+			}})
+		}},
+		{"aggdown", func() ([]byte, error) {
+			return protocol.EncodeAggDown(protocol.CodecBinary, protocol.AggDown{Round: 88, Pass: 1, Avg: -2.9387528349794507, Count: 64, Readmit: -1, Final: true, Truncation: 1, Spread: 1e-4})
+		}},
+		{"extrema", func() ([]byte, error) {
+			return protocol.EncodeGossipExtrema(protocol.GossipExtrema{Round: 12, Tick: 5, Node: 17, HasInt: true, IntMinG: -3.25, IntMaxG: -2.75, BoundOK: true, OutNode: -1,
+				HasShare: true, SG: -1.4693764174897253, WA: 0.5, SX: 0.0078125, WN: 0.5})
+		}},
+		{"access", func() ([]byte, error) {
+			return protocol.EncodeAccess(protocol.Access{ID: 123456, Origin: 3, T: 417.25, Epoch: 4})
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := c.encode()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := protocol.Decode(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

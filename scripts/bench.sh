@@ -9,19 +9,19 @@
 #
 #	scripts/bench.sh [bench-regex] [benchtime]
 #
-# defaults: 'Fig|Catalog|Gossip|DecentralizedRuntime' (every figure
-# benchmark, the catalog cold/warm contrast, and both users of the agent
-# round loop: the gossip wire-bill round and the E9 broadcast/coordinator
-# runs) and 5x. BENCH_OUT overrides
-# the output path (check.sh's floor gate writes to a temp file so the
-# committed trajectory is untouched). The JSON is built by
+# defaults: 'Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec' (every
+# figure benchmark, the catalog cold/warm contrast, both users of the
+# agent round loop: the gossip wire-bill round and the E9
+# broadcast/coordinator runs, and the wire codec's per-kind cost) and 5x.
+# BENCH_OUT overrides the output path (check.sh's floor gate writes to a
+# temp file so the committed trajectory is untouched). The JSON is built by
 # scripts/bench_json.awk from `go test -bench` output — no extra tooling
 # required; the awk stage itself is pinned by a fixture diff in check.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-Fig|Catalog|Gossip|DecentralizedRuntime}"
+PATTERN="${1:-Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec}"
 BENCHTIME="${2:-5x}"
 OUT="${BENCH_OUT:-BENCH_figures.json}"
 RAW="$(mktemp)"

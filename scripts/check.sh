@@ -83,6 +83,14 @@ GOSSIP_RUN='TestChaosMatrix|TestProperty|TestPushSumDeterminismPin|TestTreeBillP
 require_tests "$GOSSIP_RUN" ./internal/gossip/ ./cmd/fapctl/
 go test -race -count 1 -short -run "$GOSSIP_RUN" ./internal/gossip/ ./cmd/fapctl/
 
+echo "== bounded codec fuzzing (10s per target)"
+# go test replays only the seed corpora; this runs the fuzz engine on the
+# wire decoder for a fixed budget. -fuzz must match exactly one target,
+# hence one invocation each.
+for target in FuzzBinaryCodec FuzzDecode; do
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/protocol
+done
+
 echo "== closed-loop serving smoke under -race"
 # The fapload gate: a steady phase then a crash phase over a live 5-node
 # serving cluster, fired through the hardened client path. The test itself
@@ -172,7 +180,8 @@ fi
 echo "== BENCH_figures.json trajectory"
 # The perf trajectory is committed; it must exist and must cover every
 # figure benchmark currently in bench_test.go, plus both users of the
-# agent round loop (gossip and the E9 runtime), so adding a benchmark
+# agent round loop (gossip and the E9 runtime) and the wire codec's
+# per-kind cost, so adding a benchmark
 # without re-running scripts/bench.sh fails here instead of silently
 # shipping a stale record.
 if [ ! -f BENCH_figures.json ]; then
@@ -180,7 +189,7 @@ if [ ! -f BENCH_figures.json ]; then
 	exit 1
 fi
 STALE=0
-for bench in $(go test -list '^Benchmark(Fig|Catalog|Gossip|DecentralizedRuntime)' . | grep '^Benchmark'); do
+for bench in $(go test -list '^Benchmark(Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec)' . | grep '^Benchmark'); do
 	if ! grep -q "\"name\": \"$bench" BENCH_figures.json; then
 		echo "BENCH_figures.json has no entry for $bench -- stale; re-run scripts/bench.sh" >&2
 		STALE=1
