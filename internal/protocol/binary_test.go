@@ -123,15 +123,14 @@ func TestBinaryRejectsBadFrames(t *testing.T) {
 	}
 	// An integer field carrying a value outside int32 must be rejected,
 	// not silently wrapped into a plausible node id.
-	var w binWriter
-	w.varint(int64(math.MaxInt32) + 1)
-	w.varint(0)
-	w.float(0)
-	w.float(0)
-	w.float(0)
-	w.uvarint(0)
-	frame := []byte{binMagic, BinaryVersion, codeReport, byte(len(w.buf))}
-	frame = append(frame, w.buf...)
+	// The encoder refuses such a value, so the report body is built by
+	// hand: round, node 0, three zero floats, planned 0.
+	body := binary.AppendVarint(nil, int64(math.MaxInt32)+1)
+	body = append(body, 0)
+	body = append(body, make([]byte, 3*8)...)
+	body = append(body, 0)
+	frame := []byte{binMagic, BinaryVersion, codeReport, byte(len(body))}
+	frame = append(frame, body...)
 	if _, err := Decode(frame); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("out-of-range int field: err=%v, want ErrBadMessage", err)
 	}
@@ -269,5 +268,69 @@ func TestGossipKindEncoders(t *testing.T) {
 		if _, err := EncodeAggDown(c, AggDown{}); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("EncodeAggDown with codec %d: err=%v, want ErrBadMessage", c, err)
 		}
+	}
+}
+
+// TestBinaryRejectsOutOfRangeInts pins the int32 range of int fields on
+// the encode side too: a frame the decoder would reject is never
+// written. AccessReply.LatencyMicros is an int64 on both sides and is
+// not narrowed.
+func TestBinaryRejectsOutOfRangeInts(t *testing.T) {
+	cases := map[string]func(v int) Envelope{
+		"report round":     func(v int) Envelope { return Envelope{Kind: KindReport, Report: &Report{Round: v}} },
+		"report node":      func(v int) Envelope { return Envelope{Kind: KindReport, Report: &Report{Node: v}} },
+		"update round":     func(v int) Envelope { return Envelope{Kind: KindUpdate, Update: &Update{Round: v}} },
+		"vector node":      func(v int) Envelope { return Envelope{Kind: KindVectorReport, Vector: &VectorReport{Node: v}} },
+		"access origin":    func(v int) Envelope { return Envelope{Kind: KindAccess, Access: &Access{Origin: v}} },
+		"access epoch":     func(v int) Envelope { return Envelope{Kind: KindAccess, Access: &Access{Epoch: v}} },
+		"reply node":       func(v int) Envelope { return Envelope{Kind: KindAccessReply, AccessReply: &AccessReply{Node: v}} },
+		"plan epoch":       func(v int) Envelope { return Envelope{Kind: KindPlan, Plan: &Plan{Epoch: v}} },
+		"plan-ack node":    func(v int) Envelope { return Envelope{Kind: KindPlanAck, PlanAck: &PlanAck{Node: v}} },
+		"pong epoch":       func(v int) Envelope { return Envelope{Kind: KindPong, Pong: &Pong{Epoch: v}} },
+		"agg-up pass":      func(v int) Envelope { return Envelope{Kind: KindAggUp, AggUp: &AggUp{Pass: v}} },
+		"agg-up count":     func(v int) Envelope { return Envelope{Kind: KindAggUp, AggUp: &AggUp{Agg: Aggregate{Count: v}}} },
+		"agg-up ratio n":   func(v int) Envelope { return Envelope{Kind: KindAggUp, AggUp: &AggUp{Agg: Aggregate{RatioCount: v}}} },
+		"agg-down readmit": func(v int) Envelope { return Envelope{Kind: KindAggDown, AggDown: &AggDown{Readmit: v}} },
+		"extrema out node": func(v int) Envelope {
+			return Envelope{Kind: KindGossipExtrema, GossipExtrema: &GossipExtrema{OutNode: v}}
+		},
+	}
+	for name, build := range cases {
+		for _, v := range []int{math.MaxInt32, math.MinInt32} {
+			if _, err := EncodeBinary(build(v)); err != nil {
+				t.Errorf("%s = %d: %v", name, v, err)
+			}
+		}
+		for _, v := range []int{math.MaxInt32 + 1, math.MinInt32 - 1} {
+			if frame, err := EncodeBinary(build(v)); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("%s = %d: encoded %x, err=%v, want ErrBadMessage", name, v, frame, err)
+			}
+		}
+	}
+	reply := AccessReply{LatencyMicros: math.MaxInt32 + 1}
+	frame, err := EncodeAccessReply(reply)
+	if err != nil {
+		t.Fatalf("int64 latency: %v", err)
+	}
+	if env, err := Decode(frame); err != nil || env.AccessReply.LatencyMicros != reply.LatencyMicros {
+		t.Fatalf("int64 latency round trip: %+v, %v", env.AccessReply, err)
+	}
+}
+
+// TestCodecAllocs pins the codec's allocations: encoding a report costs
+// the frame, decoding it the message, and the coder itself none.
+func TestCodecAllocs(t *testing.T) {
+	rep := &Report{Round: 70, Node: 3, Marginal: -2.5, Alloc: 0.0625}
+	allocs := testing.AllocsPerRun(100, func() {
+		frame, err := EncodeBinary(Envelope{Kind: KindReport, Report: rep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("report encode+decode: %v allocs, want 2", allocs)
 	}
 }
