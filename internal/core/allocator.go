@@ -469,11 +469,11 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 		movable := false
 		spread := 0.0
 		for gi, g := range a.groups {
-			if err := planInto(&steps[gi], x, grad, dir, g, alpha); err != nil {
+			st := &steps[gi]
+			sp, moves, err := planInto(st, x, grad, dir, g, alpha)
+			if err != nil {
 				return Result{}, false, fmt.Errorf("core: planning iteration %d: %w", iter, err)
 			}
-			st := steps[gi]
-			sp := st.Spread(grad, g)
 			if sp > spread {
 				spread = sp
 			}
@@ -482,9 +482,7 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 			} else if kkt && !kktHolds(st, grad, x, g, a.epsilon) {
 				converged = false
 			}
-			if !st.IsNoOp() {
-				movable = true
-			}
+			movable = movable || moves
 		}
 		if converged {
 			if w != nil && w.certify != nil && len(a.groups) == 1 {
@@ -542,7 +540,7 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 				alpha /= 2
 				copy(x, xPrev)
 				for gi, g := range a.groups {
-					if err := planInto(&steps[gi], x, grad, dir, g, alpha); err != nil {
+					if _, _, err := planInto(&steps[gi], x, grad, dir, g, alpha); err != nil {
 						return Result{}, false, fmt.Errorf("core: replanning iteration %d: %w", iter, err)
 					}
 					if err := steps[gi].Apply(x, g); err != nil {
@@ -591,7 +589,7 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 // ∂U/∂x_i ≤ q + ε.
 //
 //fap:zeroalloc
-func kktHolds(st Step, grad, x []float64, group []int, eps float64) bool {
+func kktHolds(st *Step, grad, x []float64, group []int, eps float64) bool {
 	for k, gi := range group {
 		if st.Active[k] {
 			continue
