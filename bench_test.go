@@ -25,6 +25,7 @@ import (
 	"filealloc/internal/gossip"
 	"filealloc/internal/multicopy"
 	"filealloc/internal/protocol"
+	"filealloc/internal/records"
 	"filealloc/internal/sim"
 	"filealloc/internal/sweep"
 	"filealloc/internal/topology"
@@ -516,6 +517,69 @@ func BenchmarkSolveKKT(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSolveSecondOrder8 measures one cold Newton solve of a
+// catalog-shaped object, the work a catalog fill repeats per object: an
+// 8-node unit ring, skew-1 Zipf demand scaled by a random factor per
+// node, μ = 1.5, λ = 1, K = 1, solved from the uniform allocation with
+// WithSecondOrder, ε = 1e-6 and the KKT check through RunWithScratch on
+// one reused model and scratch, as a catalog sweep worker does. Ops cycle
+// over 64 demand draws. steps/op is the mean number of Newton steps per
+// solve; 100k × ns/op sets against one BenchmarkCatalogCold pass on one
+// worker.
+func BenchmarkSolveSecondOrder8(b *testing.B) {
+	const nodes, shapes = 8, 64
+	ring, err := topology.Ring(nodes, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zipf, err := records.Zipf(nodes, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]float64, shapes)
+	demand := make([]float64, nodes)
+	for o := range rows {
+		for j := range demand {
+			demand[j] = zipf.Prob((j+o)%nodes) * (0.5 + rng.Float64())
+		}
+		if rows[o], err = topology.AccessCosts(ring, demand, topology.RoundTrip); err != nil {
+			b.Fatal(err)
+		}
+	}
+	model, err := costmodel.NewSingleFile(rows[0], []float64{1.5}, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	alloc, err := core.NewAllocator(model, core.WithSecondOrder(), core.WithEpsilon(1e-6), core.WithKKTCheck())
+	if err != nil {
+		b.Fatal(err)
+	}
+	init := make([]float64, nodes)
+	for j := range init {
+		init[j] = 1.0 / nodes
+	}
+	ctx := context.Background()
+	scratch := core.NewScratch()
+	steps := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := model.SetAccessCosts(rows[i%shapes]); err != nil {
+			b.Fatal(err)
+		}
+		res, err := alloc.RunWithScratch(ctx, init, scratch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatalf("object %d: %v after %d steps", i%shapes, res.Reason, res.Iterations)
+		}
+		steps += res.Iterations
+	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
 
 // BenchmarkRingGradient measures the piecewise-analytic gradient of the
