@@ -11,6 +11,7 @@ package filealloc
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -29,6 +30,7 @@ import (
 	"filealloc/internal/sim"
 	"filealloc/internal/sweep"
 	"filealloc/internal/topology"
+	"filealloc/internal/transport"
 )
 
 // benchWorkers gives each figure benchmark a serial and a parallel
@@ -465,7 +467,8 @@ func BenchmarkGradient64(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanStep64 measures one active-set re-allocation plan.
+// BenchmarkPlanStep64 measures one active-set re-allocation plan into a
+// reused Step, the way every solver plans.
 func BenchmarkPlanStep64(b *testing.B) {
 	m := benchModel(b, 64)
 	x := make([]float64, 64)
@@ -478,9 +481,10 @@ func BenchmarkPlanStep64(b *testing.B) {
 	for i := range group {
 		group[i] = i
 	}
+	var st core.Step
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PlanStep(x, grad, group, 0.1); err != nil {
+		if _, _, err := core.PlanStepInto(&st, x, grad, nil, group, 0.1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -738,4 +742,44 @@ func BenchmarkReportCodec(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTCPSendRecv sends Report-sized payloads from one endpoint to
+// another over loopback TCP and reports delivered messages per second.
+func BenchmarkTCPSendRecv(b *testing.B) {
+	eps, err := transport.ListenLoopback(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer transport.CloseAll(eps)
+	a, c := eps[0], eps[1]
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte{0xAB}, 33)       // a binary Report frame
+	if err := a.Send(ctx, 1, payload); err != nil { // dial outside the timer
+		b.Fatal(err)
+	}
+	if _, err := c.Recv(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	recvd := make(chan error, 1)
+	go func() {
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Recv(ctx); err != nil {
+				recvd <- err
+				return
+			}
+		}
+		recvd <- nil
+	}()
+	for i := 0; i < b.N; i++ {
+		if err := a.Send(ctx, 1, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := <-recvd; err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 }

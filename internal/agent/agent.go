@@ -6,10 +6,10 @@
 // deterministic re-allocation every peer computes (broadcast mode) or the
 // deltas a designated central agent distributes (coordinator mode).
 //
-// Because every node plans steps with the same core.PlanStep over the same
-// round data, the distributed trajectory is bit-identical to the
-// centralized Allocator's — verified by the integration tests and the E9
-// ablation.
+// Because every node plans and decides its rounds with core.PlanRound, as
+// the centralized Allocator does, over the same round data, the
+// distributed trajectory is bit-identical to the Allocator's — verified
+// by the integration tests and the E9 ablation.
 //
 // Every endpoint-backed solve runs the one round loop in round.go and
 // reads through the one Inbox; the exchange is an Aggregator. This
@@ -120,7 +120,7 @@ func (m LocalModel) Marginal(x float64) (float64, error) {
 }
 
 // Curvature returns ∂²U/∂x_i² at the local fragment size x, the quantity
-// exchanged for the dynamic Theorem-2 stepsize.
+// exchanged for the section 8.2 second-order step.
 func (m LocalModel) Curvature(x float64) (float64, error) {
 	room := m.ServiceRate - m.Lambda*x
 	if room <= 0 {
@@ -179,18 +179,10 @@ type Config struct {
 	// rounds are lockstep, so a retried duplicate can never arrive —
 	// each (round, node) report is sent exactly once successfully.
 	SendRetries int
-	// DynamicAlphaSafety, when in (0, 1], makes every node evaluate the
-	// Theorem-2 stepsize from the round's exchanged marginals and
-	// curvatures (scaled by the safety factor) instead of the fixed
-	// Alpha — the appendix's "dynamically calculate it at each
-	// iteration" suggestion, computed identically on every node.
-	// Broadcast mode only.
-	DynamicAlphaSafety float64
 	// SecondOrder switches the re-allocation rule to the section 8.2
 	// curvature-scaled step (Δx_i = α(g_i − ν)/|h_i| with the weighted
 	// average ν); curvatures are exchanged alongside marginals. Alpha
-	// then defaults to 1, the Newton step. Broadcast mode only;
-	// mutually exclusive with DynamicAlphaSafety.
+	// then defaults to 1, the Newton step. Broadcast mode only.
 	SecondOrder bool
 	// Observer receives round-level events (default: none). A shared
 	// Observer must be safe for concurrent use.
@@ -201,9 +193,9 @@ type Config struct {
 	// this one) reported; the round's step is then planned over the
 	// reporters only. Must be in [2, n]. Broadcast mode only, n ≤ 64
 	// (the Planned fingerprint is a 64-bit mask), and incompatible with
-	// DynamicAlphaSafety and SecondOrder, whose stepsize math assumes
-	// full rounds. Zero (the default) keeps the strict lockstep
-	// protocol: a short round is ErrRoundTimeout.
+	// SecondOrder, whose stepsize math assumes full rounds. Zero (the
+	// default) keeps the strict lockstep protocol: a short round is
+	// ErrRoundTimeout.
 	Quorum int
 	// DepartAfter, when nonzero, declares a peer departed after it
 	// missed that many consecutive quorum rounds; the survivors then
@@ -265,14 +257,8 @@ func (c *Config) fill() error {
 	if c.SendRetries < 0 {
 		return fmt.Errorf("%w: send retries = %d", ErrBadConfig, c.SendRetries)
 	}
-	if c.DynamicAlphaSafety < 0 || c.DynamicAlphaSafety > 1 || math.IsNaN(c.DynamicAlphaSafety) {
-		return fmt.Errorf("%w: dynamic-alpha safety = %v", ErrBadConfig, c.DynamicAlphaSafety)
-	}
-	if c.Mode != Broadcast && (c.DynamicAlphaSafety > 0 || c.SecondOrder || c.Quorum != 0 || c.Checkpoint != nil || c.Resume != nil) {
-		return fmt.Errorf("%w: dynamic alpha, second-order steps, quorum rounds, checkpoints and resuming require broadcast mode", ErrBadConfig)
-	}
-	if c.SecondOrder && c.DynamicAlphaSafety > 0 {
-		return fmt.Errorf("%w: second-order step and dynamic alpha are mutually exclusive", ErrBadConfig)
+	if c.Mode != Broadcast && (c.SecondOrder || c.Quorum != 0 || c.Checkpoint != nil || c.Resume != nil) {
+		return fmt.Errorf("%w: second-order steps, quorum rounds, checkpoints and resuming require broadcast mode", ErrBadConfig)
 	}
 	n := c.Endpoint.Peers()
 	if c.Quorum != 0 {
@@ -282,8 +268,8 @@ func (c *Config) fill() error {
 		if n > 64 {
 			return fmt.Errorf("%w: quorum rounds need n ≤ 64 (planning-group fingerprint is a 64-bit mask), have %d", ErrBadConfig, n)
 		}
-		if c.DynamicAlphaSafety > 0 || c.SecondOrder {
-			return fmt.Errorf("%w: quorum rounds are incompatible with dynamic alpha and second-order steps", ErrBadConfig)
+		if c.SecondOrder {
+			return fmt.Errorf("%w: quorum rounds are incompatible with second-order steps", ErrBadConfig)
 		}
 	}
 	if c.DepartAfter < 0 {

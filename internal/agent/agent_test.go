@@ -227,48 +227,6 @@ func TestClusterSurvivesCancellation(t *testing.T) {
 	}
 }
 
-func TestDynamicAlphaClusterMatchesCentralized(t *testing.T) {
-	// With curvature exchanged each round, the whole cluster evaluates
-	// the identical Theorem-2 stepsize — and must track the centralized
-	// dynamic-α solver bit for bit.
-	m := fig3Model(t)
-	init := []float64{0.8, 0.1, 0.1, 0}
-	central, err := core.NewAllocator(m,
-		core.WithAlpha(0.1),
-		core.WithEpsilon(1e-6),
-		core.WithDynamicAlpha(0.5),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	centralRes, err := central.Run(context.Background(), init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !centralRes.Converged {
-		t.Fatalf("central dynamic-α did not converge: %v", centralRes.Reason)
-	}
-	res, err := RunCluster(context.Background(), ClusterConfig{
-		Agent:  Config{Alpha: 0.1, Epsilon: 1e-6, DynamicAlphaSafety: 0.5},
-		Models: ModelsFromSingleFile(m),
-		Init:   init,
-	})
-	if err != nil {
-		t.Fatalf("RunCluster: %v", err)
-	}
-	if !res.Converged {
-		t.Fatalf("cluster did not converge (%d rounds)", res.Rounds)
-	}
-	if res.Rounds != centralRes.Iterations {
-		t.Errorf("rounds %d vs central iterations %d", res.Rounds, centralRes.Iterations)
-	}
-	for i := range res.X {
-		if res.X[i] != centralRes.X[i] {
-			t.Errorf("x[%d] = %v vs central %v (must be bit-identical)", i, res.X[i], centralRes.X[i])
-		}
-	}
-}
-
 func TestLocalModelCurvatureMatchesObjective(t *testing.T) {
 	m := fig3Model(t)
 	models := ModelsFromSingleFile(m)
@@ -288,25 +246,6 @@ func TestLocalModelCurvatureMatchesObjective(t *testing.T) {
 	}
 	if _, err := models[0].Curvature(2); !errors.Is(err, core.ErrUnstable) {
 		t.Errorf("saturated curvature error = %v, want ErrUnstable", err)
-	}
-}
-
-func TestDynamicAlphaRequiresBroadcast(t *testing.T) {
-	net, err := transport.NewMemoryNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	ep, _ := net.Endpoint(0)
-	_, err = Run(context.Background(), Config{
-		Endpoint:           ep,
-		Model:              LocalModel{AccessCost: 1, ServiceRate: 2, Lambda: 1, K: 1},
-		Init:               0.5,
-		Mode:               Coordinator,
-		DynamicAlphaSafety: 0.5,
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("error = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -370,12 +309,6 @@ func TestSecondOrderConfigValidation(t *testing.T) {
 	coord.CoordinatorID = 1
 	if _, err := Run(context.Background(), coord); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("second order + coordinator: error = %v", err)
-	}
-	both := base
-	both.SecondOrder = true
-	both.DynamicAlphaSafety = 0.5
-	if _, err := Run(context.Background(), both); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("second order + dynamic alpha: error = %v", err)
 	}
 }
 

@@ -229,9 +229,9 @@ func (worker) Round(ctx context.Context, n *Node, round int) (bool, bool, error)
 // sends each round's Update). Its full view holds F fragments per
 // node (F = 1 for Run, one per file for RunMultiFile), laid out
 // file-major like costmodel.MultiFile (variable f·n + i), and every round
-// plans with core.PlanStep over one constraint group per file — section
-// 5.4's multi-file problem stays exactly as decentralized as the
-// single-file one.
+// plans and decides with core.PlanRound over one constraint group per
+// file — section 5.4's multi-file problem stays exactly as decentralized
+// as the single-file one, and the round stops on the allocator's test.
 //
 // With Quorum/DepartAfter set the planner also carries the churn
 // protocol: rounds may complete short on their deadline, silent peers are
@@ -244,8 +244,6 @@ func (worker) Round(ctx context.Context, n *Node, round int) (bool, bool, error)
 type planner struct {
 	n          int       // cluster size
 	central    bool      // the coordinator: sends each round's Update
-	curved     bool      // exchanges curvatures (one file only)
-	alpha      float64   // stepsize; dynamic α replaces it per round
 	xs, gs, hs []float64 // full view, file-major; hs is one file's curvatures
 	alive      []bool
 	missing    []int // consecutive rounds each peer went unreported
@@ -263,8 +261,6 @@ func newPlanner(node *Node, vector bool) (*planner, error) {
 	p := &planner{
 		n:       n,
 		central: cfg.Mode == Coordinator,
-		curved:  cfg.DynamicAlphaSafety > 0 || cfg.SecondOrder,
-		alpha:   cfg.Alpha,
 		xs:      make([]float64, files*n),
 		gs:      make([]float64, files*n),
 		hs:      make([]float64, n),
@@ -316,7 +312,7 @@ func (p *planner) report(n *Node, round int) ([]byte, error) {
 		return protocol.EncodeVectorReport(protocol.VectorReport{Round: round, Node: n.ID, Marginals: n.G, Allocs: n.X})
 	}
 	rep := protocol.Report{Round: round, Node: n.ID, Marginal: n.G[0], Alloc: n.X[0], Planned: p.planned}
-	if p.curved {
+	if n.cfg.SecondOrder {
 		rep.Curvature = n.H
 	}
 	return protocol.EncodeReport(rep)
@@ -507,40 +503,26 @@ func (p *planner) gather(nd *Node, round int) (departed []int, err error) {
 // then declares the departed peers gone and redistributes their fraction.
 func (p *planner) step(ctx context.Context, nd *Node, round int, full bool, departed []int) (done, converged bool, err error) {
 	cfg, obs, n, id := &nd.cfg, nd.cfg.Observer, p.n, nd.ID
-	if cfg.DynamicAlphaSafety > 0 {
-		// fill rejects quorum with dynamic α, so every round is full
-		// and the planning group is every node: the bound matches the
-		// centralized allocator's bit for bit.
-		if dyn := core.DynamicAlpha(p.gs, p.hs, p.groups, cfg.DynamicAlphaSafety); dyn > 0 {
-			p.alpha = dyn
-		}
+	var hess []float64
+	if cfg.SecondOrder {
+		hess = p.hs
+	}
+	spread, converged, movable, err := core.PlanRound(p.steps, p.xs, p.gs, hess, p.groups, cfg.Alpha, cfg.Epsilon, false)
+	if err != nil {
+		return false, false, fmt.Errorf("agent: planning round %d: %w", round, err)
 	}
 	// ΔU sums each file's Theorem-2 certificate ⟨∇U, Δx⟩; it doubles as
 	// the per-round utility-gain metric reported via StepApplied. The sums
 	// start at −0, the additive identity, so with one file they are that
 	// file's values bit for bit.
-	du, delta, spread := math.Copysign(0, -1), math.Copysign(0, -1), 0.0
-	converged, movable := true, false
+	du, delta := math.Copysign(0, -1), math.Copysign(0, -1)
 	for f, group := range p.groups {
-		st := &p.steps[f]
-		if cfg.SecondOrder {
-			*st, err = core.PlanSecondOrderStep(p.xs, p.gs, p.hs, group, p.alpha)
-		} else {
-			err = core.PlanStepInto(st, p.xs, p.gs, group, p.alpha)
-		}
-		if err != nil {
-			return false, false, fmt.Errorf("agent: planning round %d: %w", round, err)
-		}
-		a, err := core.Ascent(p.gs, group, *st)
+		a, err := core.Ascent(p.gs, group, p.steps[f])
 		if err != nil {
 			return false, false, fmt.Errorf("agent: certifying round %d: %w", round, err)
 		}
 		du += a
-		delta += deltaOf(*st, group, f*n+id)
-		sp := st.Spread(p.gs, group)
-		spread = max(spread, sp)
-		converged = converged && sp < cfg.Epsilon
-		movable = movable || !st.IsNoOp()
+		delta += deltaOf(p.steps[f], group, f*n+id)
 	}
 	// Theorem-2 guard: a step planned from a partial report set must
 	// still predict ΔU ≥ 0, or it is rejected (a no-op round) —

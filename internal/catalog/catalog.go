@@ -5,7 +5,7 @@
 // with section 8.2's second-derivative (Newton) step, guarded by the
 // Theorem-2 backtracking of core.WithSecondOrder. Cold fills solve
 // every object from the uniform allocation; after demand drifts,
-// re-solves go through the core.Solver interface's warm path — each
+// re-solves take the warm path — each
 // object's per-node rate estimates flag drift against the demand its
 // current plan assumed, un-drifted objects are skipped entirely, and
 // drifted ones are re-solved incrementally from their previous

@@ -120,9 +120,9 @@ func WithDynamicAlpha(safety float64) Option {
 }
 
 // WithSecondOrder switches the step direction to section 8.2's
-// second-derivative step (PlanSecondOrderStep): each deviation from the
-// curvature-weighted average is scaled by 1/|∂²U/∂x_i²|. The objective
-// must implement Curvature and be strictly concave along every
+// second-derivative step (PlanStepInto with curvature): each deviation
+// from the curvature-weighted average is scaled by 1/|∂²U/∂x_i²|. The
+// objective must implement Curvature and be strictly concave along every
 // coordinate. α then defaults to 1, the Newton step, and dynamic α is
 // rejected — the normalized step already carries its own scale.
 //
@@ -177,8 +177,8 @@ func WithKKTCheck() Option {
 }
 
 // Allocator runs the decentralized file allocation iteration in-process.
-// It is the centralized counterpart of the agent runtime: both plan steps
-// with PlanStep, so their trajectories are identical.
+// It is the centralized counterpart of the agent runtime: both plan and
+// decide their rounds with PlanRound, so their trajectories are identical.
 type Allocator struct {
 	obj     Objective
 	groups  [][]int
@@ -457,7 +457,7 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 			}
 		}
 		if a.dynamicSafety > 0 {
-			if dyn := DynamicAlpha(grad, hess, a.groups, a.dynamicSafety); dyn > 0 {
+			if dyn := dynamicAlpha(grad, hess, a.groups, a.dynamicSafety); dyn > 0 {
 				alpha = dyn
 			}
 		}
@@ -465,24 +465,9 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 			alpha = a.alpha // undo the last iteration's backtracking
 		}
 
-		converged := true
-		movable := false
-		spread := 0.0
-		for gi, g := range a.groups {
-			st := &steps[gi]
-			sp, moves, err := planInto(st, x, grad, dir, g, alpha)
-			if err != nil {
-				return Result{}, false, fmt.Errorf("core: planning iteration %d: %w", iter, err)
-			}
-			if sp > spread {
-				spread = sp
-			}
-			if sp >= a.epsilon {
-				converged = false
-			} else if kkt && !kktHolds(st, grad, x, g, a.epsilon) {
-				converged = false
-			}
-			movable = movable || moves
+		spread, converged, movable, err := PlanRound(steps, x, grad, dir, a.groups, alpha, a.epsilon, kkt)
+		if err != nil {
+			return Result{}, false, fmt.Errorf("core: planning iteration %d: %w", iter, err)
 		}
 		if converged {
 			if w != nil && w.certify != nil && len(a.groups) == 1 {
@@ -540,7 +525,7 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, w *WarmS
 				alpha /= 2
 				copy(x, xPrev)
 				for gi, g := range a.groups {
-					if _, _, err := planInto(&steps[gi], x, grad, dir, g, alpha); err != nil {
+					if _, _, err := PlanStepInto(&steps[gi], x, grad, dir, g, alpha); err != nil {
 						return Result{}, false, fmt.Errorf("core: replanning iteration %d: %w", iter, err)
 					}
 					if err := steps[gi].Apply(x, g); err != nil {
@@ -601,19 +586,18 @@ func kktHolds(st *Step, grad, x []float64, group []int, eps float64) bool {
 	return true
 }
 
-// DynamicAlpha evaluates the Theorem-2 stepsize bound
+// dynamicAlpha evaluates the Theorem-2 stepsize bound
 //
 //	α < 2·Σ g_i(g_i − ḡ) / |Σ h_i (g_i − ḡ)²|
 //
 // summed over every group (ḡ is the group's plain mean marginal utility)
 // and scaled by safety. grad and hess are the marginal utilities and
 // curvatures at the current point. It returns 0 when the expression is
-// degenerate (already converged or flat). WithDynamicAlpha and the
-// agent's broadcast rounds both size their steps with it, so the
-// distributed trajectory matches the centralized one bit for bit.
+// degenerate (already converged or flat). WithDynamicAlpha sizes its
+// steps with it.
 //
 //fap:zeroalloc
-func DynamicAlpha(grad, hess []float64, groups [][]int, safety float64) float64 {
+func dynamicAlpha(grad, hess []float64, groups [][]int, safety float64) float64 {
 	var num, den float64
 	for _, g := range groups {
 		var avg float64

@@ -36,16 +36,17 @@ func ExampleAllocator() {
 	// converged after 9 iterations to [0.25 0.25 0.25 0.25] (cost 2.80)
 }
 
-// ExamplePlanStep shows one raw re-allocation step: resource flows from
-// below-average to above-average marginal utility, zero-sum.
-func ExamplePlanStep() {
+// ExamplePlanStepInto shows one raw re-allocation step: resource flows
+// from below-average to above-average marginal utility, zero-sum.
+func ExamplePlanStepInto() {
 	x := []float64{0.5, 0.3, 0.2}
 	grad := []float64{-3, -2, -1} // variable 2 is most valuable
-	step, err := core.PlanStep(x, grad, []int{0, 1, 2}, 0.1)
+	var step core.Step
+	spread, moves, err := core.PlanStepInto(&step, x, grad, nil, []int{0, 1, 2}, 0.1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("deltas: %.2f\n", step.Delta)
+	fmt.Printf("deltas: %.2f, spread %g, moves %v\n", step.Delta, spread, moves)
 	// Output:
-	// deltas: [-0.10 0.00 0.10]
+	// deltas: [-0.10 0.00 0.10], spread 2, moves true
 }

@@ -17,7 +17,7 @@ import (
 // The proportional scale is followed by an exact residual fix-up on the
 // largest surviving variable, so the post-condition Σ_{i∈group} x_i = 1
 // holds to within 1 ulp (property-tested). Variables already at zero stay
-// at zero — they re-enter through the active-set mechanics of PlanStep if
+// at zero — they re-enter through the active-set mechanics of PlanStepInto if
 // the optimum wants mass there.
 //
 // When every surviving variable is zero (nothing to scale), the whole unit
@@ -97,7 +97,7 @@ func Renormalize(x []float64, group []int) error {
 }
 
 // Ascent reports the predicted objective change ⟨∇U, Δx⟩ of a planned step
-// over its group — the Theorem-2 monotonicity certificate. PlanStep's
+// over its group — the Theorem-2 monotonicity certificate. PlanStepInto's
 // construction makes it t·α·Σ(g−ḡ)² ≥ 0; quorum rounds re-check it before
 // applying a step planned from a partial report set and reject any step
 // that would decrease U.

@@ -96,7 +96,7 @@ func TestRenormalizeIsDeterministic(t *testing.T) {
 }
 
 // TestAscentNonNegativeOnPlannedSteps is the Theorem-2 certificate: the
-// step PlanStep constructs always predicts ΔU ≥ 0 over its own group,
+// step PlanStepInto constructs always predicts ΔU ≥ 0 over its own group,
 // whatever subset the quorum produced.
 func TestAscentNonNegativeOnPlannedSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1986))
@@ -115,7 +115,7 @@ func TestAscentNonNegativeOnPlannedSteps(t *testing.T) {
 		}
 		perm := rng.Perm(n)
 		group := perm[:2+rng.Intn(n-1)]
-		step, err := PlanStep(x, grad, group, 0.1+rng.Float64())
+		step, err := plan(x, grad, nil, group, 0.1+rng.Float64())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -5,14 +5,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
 // planRef is the plain multi-pass form of the section 5.2 step, kept as
-// a test-only reference for planInto: every fixed-point pass recomputes
-// the curvature weights and writes and divides every delta. planInto
-// must plan bit-identical steps and return identical errors.
+// a test-only reference for PlanStepInto: every fixed-point pass
+// recomputes the curvature weights and writes and divides every delta.
+// PlanStepInto must plan bit-identical steps and return identical errors.
 func planRef(step *Step, x, grad, hess []float64, group []int, alpha float64) error {
+	return planRefCycles(step, x, grad, hess, group, alpha, true)
+}
+
+// planRefCycles is planRef; with endCycles false it lacks the rule that
+// ends a drop and re-admit cycle, as the planner did before the rule, and
+// rejects such an input at the pass cap.
+func planRefCycles(step *Step, x, grad, hess []float64, group []int, alpha float64, endCycles bool) error {
 	if step == nil {
 		return fmt.Errorf("%w: nil step", ErrBadConfig)
 	}
@@ -55,7 +63,10 @@ func planRef(step *Step, x, grad, hess []float64, group []int, alpha float64) er
 	// variable whose marginal utility beats the A average, or terminates.
 	// Drops and re-admissions each happen at most once per variable per
 	// monotone phase, so 4m+4 passes are ample; exceeding the cap means a
-	// logic error, not a hard problem instance.
+	// logic error, not a hard problem instance. A pass that drops only
+	// the variable the previous pass re-admitted returns to that pass's
+	// A, which would re-admit it again: A is then final.
+	readmitted, settled := -1, false
 	for pass := 0; ; pass++ {
 		if pass > 4*m+4 {
 			return fmt.Errorf("%w: active-set computation did not reach a fixed point", ErrDiverged)
@@ -101,17 +112,22 @@ func planRef(step *Step, x, grad, hess []float64, group []int, alpha float64) er
 			// by construction); the plan is a no-op.
 			return nil
 		}
+		if settled {
+			break
+		}
 
 		// Paper step (i), boundary case: exclude variables at zero
 		// whose share would shrink further.
-		dropped := false
+		var dropped []int
 		for k, on := range step.Active {
 			if on && x[group[k]] <= BoundaryTol && step.Delta[k] <= 0 {
 				step.Active[k] = false
-				dropped = true
+				dropped = append(dropped, k)
 			}
 		}
-		if dropped {
+		if len(dropped) > 0 {
+			settled = endCycles && len(dropped) == 1 && dropped[0] == readmitted
+			readmitted = -1
 			continue
 		}
 
@@ -125,6 +141,7 @@ func planRef(step *Step, x, grad, hess []float64, group []int, alpha float64) er
 		}
 		if best >= 0 && grad[group[best]] > avg {
 			step.Active[best] = true
+			readmitted = best
 			continue
 		}
 		break
@@ -148,6 +165,44 @@ func planRef(step *Step, x, grad, hess []float64, group []int, alpha float64) er
 		}
 	}
 	return nil
+}
+
+// planInto names the planner under test, PlanStepInto, in the oracle
+// below.
+var planInto = PlanStepInto
+
+// IsNoOp reports whether the step moves nothing: the reference for the
+// moves flag PlanStepInto returns.
+func (s Step) IsNoOp() bool {
+	for _, d := range s.Delta {
+		if d != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Spread returns the largest pairwise difference of marginal utilities over
+// the active set, 0 for an empty one: the reference for the spread
+// PlanStepInto returns.
+func (s Step) Spread(grad []float64, group []int) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for k, gi := range group {
+		if !s.Active[k] {
+			continue
+		}
+		g := grad[gi]
+		if g < lo {
+			lo = g
+		}
+		if g > hi {
+			hi = g
+		}
+	}
+	if math.IsInf(lo, 1) {
+		return 0
+	}
+	return hi - lo
 }
 
 // curvedMeanRef returns the curvature-weighted average over the active
@@ -412,17 +467,6 @@ func TestPlanIntoMatchesReferenceErrors(t *testing.T) {
 		{"first bad curvature", false, x, g, []float64{-1, nan, 0}, seq(3), 0.1},
 		{"infinite curvature", false, x, g, []float64{-1, -2, -inf}, []int{2, 0}, 0.1},
 		{"positive curvature", false, x, g, []float64{-1, 2, -3}, []int{2, 1, 0}, 0.1},
-		// The third variable beats the mean of the first two and is
-		// re-admitted; its trial delta then underflows to zero against
-		// its huge curvature, so it is dropped again, until the pass
-		// cap ends the cycle.
-		{"drop and re-admit cycle", false, []float64{0.5, 0.5, 0}, []float64{-1, -1, -1 + 0x1p-52}, []float64{-1, -1, -1e308}, seq(3), 1e-10},
-		// The same cycle at ordinary values, first order: the fourth
-		// variable's marginal utility is the rounded mean of all four,
-		// so it is dropped with a zero trial delta and beats the mean of
-		// the other three. FuzzPlanStep found it; both planners reject
-		// this valid input.
-		{"rounding cycle", false, []float64{0.1111111111111111, 4.4, 41, 0}, []float64{-1, -1, -5, -2.333333333333333}, nil, seq(4), 34.4},
 	}
 	for _, c := range cases {
 		var got, want *Step
@@ -430,12 +474,105 @@ func TestPlanIntoMatchesReferenceErrors(t *testing.T) {
 			got, want = &Step{}, &Step{}
 		}
 		wantErr := planRef(want, c.x, c.grad, c.hess, c.group, c.alpha)
-		_, _, gotErr := planInto(got, c.x, c.grad, c.hess, c.group, c.alpha)
+		_, _, gotErr := PlanStepInto(got, c.x, c.grad, c.hess, c.group, c.alpha)
 		if wantErr == nil {
 			t.Fatalf("%s: reference accepted the instance", c.name)
 		}
 		if !sameError(gotErr, wantErr) {
 			t.Errorf("%s: error %v, want %v", c.name, gotErr, wantErr)
 		}
+	}
+}
+
+// TestPlanStepIntoEndsRoundingCycles pins inputs on which a pass drops
+// only the variable the previous pass re-admitted. The pair of passes
+// would repeat until the pass cap, so the planner ends the fixed point at
+// the active set without the newcomer. The reference without that rule
+// still rejects both inputs as ErrDiverged; the planner's step must match
+// the reference with it and be zero-sum, feasible and an ascent.
+func TestPlanStepIntoEndsRoundingCycles(t *testing.T) {
+	cases := []struct {
+		name          string
+		x, grad, hess []float64
+		alpha         float64
+	}{
+		// The fourth variable's marginal utility is the rounded mean
+		// of all four, so it is dropped with a zero trial delta and
+		// beats the mean of the other three. FuzzPlanStep found it.
+		{"rounding cycle", []float64{0.1111111111111111, 4.4, 41, 0}, []float64{-1, -1, -5, -2.333333333333333}, nil, 34.4},
+		// The third variable beats the mean of the first two and is
+		// re-admitted; its trial delta then underflows to zero against
+		// its huge curvature.
+		{"drop and re-admit cycle", []float64{0.5, 0.5, 0}, []float64{-1, -1, -1 + 0x1p-52}, []float64{-1, -1, -1e308}, 1e-10},
+	}
+	for _, c := range cases {
+		group := seq(len(c.x))
+		var st, ref, cyc Step
+		if _, _, err := PlanStepInto(&st, c.x, c.grad, c.hess, group, c.alpha); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := planRefCycles(&cyc, c.x, c.grad, c.hess, group, c.alpha, false); !errors.Is(err, ErrDiverged) {
+			t.Errorf("%s: reference without the cycle rule: error %v, want ErrDiverged", c.name, err)
+		}
+		if err := planRef(&ref, c.x, c.grad, c.hess, group, c.alpha); err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		if d := diffPlan(&st, &ref); d != "" {
+			t.Errorf("%s: %s", c.name, d)
+		}
+		if last := len(group) - 1; st.Active[last] {
+			t.Errorf("%s: the cycling variable stayed in the active set", c.name)
+		}
+		var sum, scale, dot float64
+		for k, gi := range group {
+			d := st.Delta[k]
+			sum += d
+			scale += math.Abs(d)
+			dot += c.grad[gi] * d
+			if c.x[gi]+d < 0 {
+				t.Errorf("%s: variable %d driven to %g", c.name, gi, c.x[gi]+d)
+			}
+		}
+		if math.Abs(sum) > 1e-15*(1+scale) || dot < 0 {
+			t.Errorf("%s: Σδ = %g, ⟨g, δ⟩ = %g, want 0 and ≥ 0 (δ = %v)", c.name, sum, dot, st.Delta)
+		}
+	}
+}
+
+// TestCycleRuleChangesOnlyRejectedPlans runs the differential oracle's
+// instances against the reference without the cycle rule: every plan it
+// returns, PlanStepInto returns bit for bit, and every error is the same
+// except some of its pass-cap ErrDiverged rejections, which the rule
+// turns into plans. Cycles through more than one variable at a time are
+// not ended by the rule and stay rejected.
+func TestCycleRuleChangesOnlyRejectedPlans(t *testing.T) {
+	const instances = 120000
+	r := rand.New(rand.NewSource(20260531))
+	var got Step
+	cycles, ended := 0, 0
+	for i := 0; i < instances; i++ {
+		in := randomPlanInstance(r)
+		var want Step
+		wantErr := planRefCycles(&want, in.x, in.grad, in.hess, in.group, in.alpha, false)
+		_, _, err := PlanStepInto(&got, in.x, in.grad, in.hess, in.group, in.alpha)
+		if errors.Is(wantErr, ErrDiverged) && strings.Contains(wantErr.Error(), "fixed point") {
+			cycles++
+			if err == nil {
+				ended++
+				continue
+			}
+		}
+		if !sameError(err, wantErr) {
+			t.Fatalf("instance %d (%+v): error %v, want %v", i, in, err, wantErr)
+		}
+		if wantErr == nil {
+			if d := diffPlan(&got, &want); d != "" {
+				t.Fatalf("instance %d (%+v): %s", i, in, d)
+			}
+		}
+	}
+	t.Logf("%d of %d instances cycle without the rule; it ends %d", cycles, instances, ended)
+	if ended < 100 {
+		t.Errorf("the rule ended only %d cycles, want at least 100", ended)
 	}
 }

@@ -1,7 +1,7 @@
 package core_test
 
 // Tests for the section 8.2 second-derivative direction (WithSecondOrder,
-// PlanSecondOrderStep): the pilot-study properties the paper reports —
+// PlanStepInto with curvature): the pilot-study properties the paper reports —
 // scale resilience and stepsize tolerance — plus convergence to the same
 // optimum as the first-order algorithm, boundary optima, and the solver's
 // budget and cancellation exits.
@@ -238,9 +238,9 @@ func TestPlanSecondOrderStepFeasibilityAndDirection(t *testing.T) {
 	x := []float64{0.4, 0.3, 0.3}
 	grad := []float64{-1, -2, -3}
 	hess := []float64{-2, -2, -2}
-	st, err := core.PlanSecondOrderStep(x, grad, hess, []int{0, 1, 2}, 0.5)
-	if err != nil {
-		t.Fatalf("PlanSecondOrderStep: %v", err)
+	var st core.Step
+	if _, _, err := core.PlanStepInto(&st, x, grad, hess, []int{0, 1, 2}, 0.5); err != nil {
+		t.Fatalf("PlanStepInto: %v", err)
 	}
 	var total float64
 	for _, d := range st.Delta {
@@ -255,8 +255,8 @@ func TestPlanSecondOrderStepFeasibilityAndDirection(t *testing.T) {
 	// With uniform curvature the weighted average equals the plain
 	// average and the step reduces to the first-order step scaled by
 	// 1/|h|.
-	first, err := core.PlanStep(x, grad, []int{0, 1, 2}, 0.5/2)
-	if err != nil {
+	var first core.Step
+	if _, _, err := core.PlanStepInto(&first, x, grad, nil, []int{0, 1, 2}, 0.5/2); err != nil {
 		t.Fatal(err)
 	}
 	for i := range st.Delta {
@@ -344,7 +344,8 @@ func TestPlanSecondOrderStepValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := core.PlanSecondOrderStep(x, grad, tt.hess, tt.group, tt.alpha); !errors.Is(err, tt.want) {
+			var st core.Step
+			if _, _, err := core.PlanStepInto(&st, x, grad, tt.hess, tt.group, tt.alpha); !errors.Is(err, tt.want) {
 				t.Errorf("error = %v, want %v", err, tt.want)
 			}
 		})

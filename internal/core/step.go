@@ -41,45 +41,6 @@ type Step struct {
 	Truncation float64
 }
 
-// PlanStep computes the re-allocation for one constraint group following
-// the paper's section 5.2 procedure:
-//
-//	Δx_i = α·(∂U/∂x_i − avg_{j∈A} ∂U/∂x_j),  i ∈ A
-//
-// x and grad are the full allocation and marginal-utility vectors; group
-// lists the variable indices belonging to this constraint; alpha is the
-// stepsize.
-//
-// The active set A starts as the whole group and is refined to a fixed
-// point by the paper's steps (i)–(v): variables on the non-negativity
-// boundary whose share would shrink are excluded (their allocation is
-// frozen at zero), and the excluded variable with the highest marginal
-// utility is re-admitted whenever it exceeds the average over A.
-//
-// One deliberate refinement of the paper's literal step (i): when a large
-// stepsize would drive a variable with a substantial positive allocation
-// below zero (e.g. the paper's own α = 0.67 run from x⁰ = (0.8, 0.1, 0.1, 0),
-// whose first step asks node 1 for 1.17 of its 0.8), excluding that
-// variable from A would freeze its allocation and prevent convergence.
-// Instead PlanStep applies the classical feasible-direction ratio test:
-// the whole step is scaled by the largest t ≤ 1 keeping every allocation
-// non-negative, so the binding variable lands exactly on the boundary and
-// is handled by the exclusion rule on the next iteration. Scaling the whole
-// step preserves both feasibility (the deltas still sum to zero) and the
-// ascent property (⟨∇U, Δx⟩ = t·α·Σ(g_i − ḡ)² ≥ 0, Lemma 1). For stepsizes
-// in the regime of the paper's theorems the test never fires and the
-// procedure is exactly the paper's.
-//
-// PlanStep is deterministic: the decentralized runtime relies on every node
-// planning byte-identical steps from identical round data.
-func PlanStep(x, grad []float64, group []int, alpha float64) (Step, error) {
-	var step Step
-	if err := PlanStepInto(&step, x, grad, group, alpha); err != nil {
-		return Step{}, err
-	}
-	return step, nil
-}
-
 // growFloats returns s resized to n entries, reusing its backing array
 // when capacity allows.
 //
@@ -102,50 +63,63 @@ func growBools(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// PlanStepInto is PlanStep writing into a caller-owned Step: step.Delta
-// and step.Active are reused when their capacity suffices, so a solver
-// iterating over the same groups plans every step allocation-free after
-// the first. On error step's contents are unspecified. The planned result
-// is byte-identical to PlanStep's.
+// PlanStepInto plans the re-allocation for one constraint group into the
+// caller-owned step, following the paper's section 5.2 procedure:
 //
-//fap:zeroalloc
-func PlanStepInto(step *Step, x, grad []float64, group []int, alpha float64) error {
-	_, _, err := planInto(step, x, grad, nil, group, alpha)
-	return err
-}
-
-// PlanSecondOrderStep plans the section 8.2 second-derivative step over
-// one group: each deviation is scaled by the local curvature,
+//	Δx_i = α·(∂U/∂x_i − avg_{j∈A} ∂U/∂x_j),  i ∈ A
+//
+// x and grad are the full allocation and marginal-utility vectors; group
+// lists the variable indices belonging to this constraint; alpha is the
+// stepsize. step.Delta and step.Active are reused when their capacity
+// suffices, so a solver iterating over the same groups plans every step
+// allocation-free after the first. On error step's contents are
+// unspecified.
+//
+// The active set A starts as the whole group and is refined to a fixed
+// point by the paper's steps (i)–(v): variables on the non-negativity
+// boundary whose share would shrink are excluded (their allocation is
+// frozen at zero), and the excluded variable with the highest marginal
+// utility is re-admitted whenever it exceeds the average over A.
+//
+// One deliberate refinement of the paper's literal step (i): when a large
+// stepsize would drive a variable with a substantial positive allocation
+// below zero (e.g. the paper's own α = 0.67 run from x⁰ = (0.8, 0.1, 0.1, 0),
+// whose first step asks node 1 for 1.17 of its 0.8), excluding that
+// variable from A would freeze its allocation and prevent convergence.
+// Instead the plan applies the classical feasible-direction ratio test:
+// the whole step is scaled by the largest t ≤ 1 keeping every allocation
+// non-negative, so the binding variable lands exactly on the boundary and
+// is handled by the exclusion rule on the next iteration. Scaling the whole
+// step preserves both feasibility (the deltas still sum to zero) and the
+// ascent property (⟨∇U, Δx⟩ = t·α·Σ(g_i − ḡ)² ≥ 0, Lemma 1). For stepsizes
+// in the regime of the paper's theorems the test never fires and the
+// procedure is exactly the paper's.
+//
+// With hess == nil the step is that first-order one. Otherwise hess holds
+// h_i = ∂²U/∂x_i² for every variable (len(hess) == len(x)) and the step is
+// section 8.2's second-derivative step, each deviation scaled by the local
+// curvature:
 //
 //	Δx_i = α·(g_i − ν)/|h_i|,   ν = Σ_{j∈A} (g_j/|h_j|) / Σ_{j∈A} (1/|h_j|)
 //
-// where h_i = ∂²U/∂x_i². ν is the curvature-weighted average that makes
-// the deltas sum to zero (Theorem 1), and α = 1 is the projected Newton
-// step on separable quadratics. The active set and the ratio test are
-// PlanStep's, with ν in place of the plain average. Multiplying U by a
+// ν is the curvature-weighted average that makes the deltas sum to zero
+// (Theorem 1), and α = 1 is the projected Newton step on separable
+// quadratics. The active set and the ratio test are the first-order
+// step's, with ν in place of the plain average. Multiplying U by a
 // constant rescales g and h together and leaves the step unchanged — the
 // scale resilience section 8.2 reports. Every h_i in the group must be
 // finite and strictly negative.
-func PlanSecondOrderStep(x, grad, hess []float64, group []int, alpha float64) (Step, error) {
-	var step Step
-	if len(hess) != len(x) {
-		return Step{}, fmt.Errorf("%w: len(x)=%d len(hess)=%d", ErrDimension, len(x), len(hess))
-	}
-	if _, _, err := planInto(&step, x, grad, hess, group, alpha); err != nil {
-		return Step{}, err
-	}
-	return step, nil
-}
-
-// planInto is the one implementation of the section 5.2 step: the
-// active-set fixed point and the feasible-direction ratio test, as a
-// curvature-weighted plan. With hess == nil every weight is 1 and the step
-// is the first-order one; otherwise variable i carries weight 1/|h_i| and
-// the step is PlanSecondOrderStep's: the weighted mean replaces the plain
-// one and each delta is divided by |h_i|. With weight 1 those are exactly
-// the unweighted sums (g·1 = g, Σ1 = |A|), and the first-order path takes
-// no per-variable division. The caller guarantees len(hess) == len(x)
-// when hess is non-nil.
+//
+// It returns the spread of the marginal utilities over the final active
+// set, the quantity compared against ε in the termination test (section
+// 5.2's UNTIL clause, 0 for an empty set), and whether any delta is
+// non-zero. The plan is deterministic: the decentralized runtime relies on
+// every node planning byte-identical steps from identical round data.
+//
+// Both orders are one curvature-weighted plan: variable i carries weight
+// 1/|h_i|, or 1 without curvature. With weight 1 the weighted sums are
+// exactly the unweighted ones (g·1 = g, Σ1 = |A|), and the first-order
+// path takes no per-variable division.
 //
 // A plan does each piece of work once. One pass validates the group,
 // stores every weight in step.Delta, which is free until the active set
@@ -158,18 +132,19 @@ func PlanSecondOrderStep(x, grad, hess []float64, group []int, alpha float64) (S
 // group: it adds g·0 = ±0, and a sum that starts at +0 is never −0 when
 // rounding to nearest, so adding ±0 leaves it unchanged and every mean is
 // bit-identical to a sum over A alone. The deltas are written once, by the
-// loop that also takes the ratio test, the spread of the marginal
-// utilities over A (Step.Spread) and whether any delta is non-zero
-// (!Step.IsNoOp); planInto returns the last two so a solver need not walk
-// the step again.
+// loop that also takes the ratio test, the spread and whether anything
+// moves.
 //
 //fap:zeroalloc
-func planInto(step *Step, x, grad, hess []float64, group []int, alpha float64) (spread float64, moves bool, err error) {
+func PlanStepInto(step *Step, x, grad, hess []float64, group []int, alpha float64) (spread float64, moves bool, err error) {
 	if step == nil {
 		return 0, false, fmt.Errorf("%w: nil step", ErrBadConfig)
 	}
 	if len(x) != len(grad) {
 		return 0, false, fmt.Errorf("%w: len(x)=%d len(grad)=%d", ErrDimension, len(x), len(grad))
+	}
+	if hess != nil && len(hess) != len(x) {
+		return 0, false, fmt.Errorf("%w: len(x)=%d len(hess)=%d", ErrDimension, len(x), len(hess))
 	}
 	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		return 0, false, fmt.Errorf("%w: alpha = %v", ErrBadConfig, alpha)
@@ -209,10 +184,13 @@ func planInto(step *Step, x, grad, hess []float64, group []int, alpha float64) (
 	// boundary variables that would shrink, re-admits the best excluded
 	// variable whose marginal utility beats the A average, or terminates.
 	// Drops and re-admissions each happen at most once per variable per
-	// monotone phase, so 4m+4 passes are ample; exceeding the cap means a
-	// logic error, not a hard problem instance.
+	// monotone phase, so 4m+4 passes are ample unless rounding makes the
+	// set cycle. A cycle through one variable ends below; a longer one
+	// (ties among many marginal utilities) reaches the cap and is
+	// rejected.
 	var avg float64
 	active := m
+	readmitted := -1 // the variable the previous pass re-admitted, if any
 	for pass := 0; ; pass++ {
 		if pass > 4*m+4 {
 			return 0, false, fmt.Errorf("%w: active-set computation did not reach a fixed point", ErrDiverged)
@@ -258,6 +236,17 @@ func planInto(step *Step, x, grad, hess []float64, group []int, alpha float64) (
 		if drops > 0 {
 			active -= drops
 			bound -= drops
+			if drops == 1 && readmitted >= 0 && !act[readmitted] {
+				// The pass dropped only the variable the previous one
+				// re-admitted: A and its sums are again those of the
+				// pass that re-admitted it, so the pair would repeat
+				// until the cap. A rounding tie does this (the newcomer
+				// beats the mean without it, and its trial delta with it
+				// rounds to ≤ 0); A without it is the fixed point.
+				avg = num / den
+				break
+			}
+			readmitted = -1
 			continue
 		}
 
@@ -279,6 +268,7 @@ func planInto(step *Step, x, grad, hess []float64, group []int, alpha float64) (
 			break
 		}
 		act[best] = true
+		readmitted = best
 		wt[best] = 1
 		if hess != nil {
 			wt[best] = 1 / -hess[group[best]]
@@ -344,7 +334,35 @@ func planInto(step *Step, x, grad, hess []float64, group []int, alpha float64) (
 	return spread, moves, nil
 }
 
-// groupError returns the error for a group that planInto's validation
+// PlanRound plans every group's step into steps (steps[i] for groups[i],
+// reused from round to round) and decides the round. spread is the largest
+// active-set spread; converged reports that every group's spread is below
+// eps and, with kkt, that every variable held at zero outside its active
+// set satisfies the boundary KKT condition (kktHolds); movable reports
+// that some delta is non-zero. Allocator runs and the agent's planning
+// rounds both decide here, so both stop on the same test.
+//
+//fap:zeroalloc
+func PlanRound(steps []Step, x, grad, hess []float64, groups [][]int, alpha, eps float64, kkt bool) (spread float64, converged, movable bool, err error) {
+	converged = true
+	for gi, g := range groups {
+		st := &steps[gi]
+		sp, moves, err := PlanStepInto(st, x, grad, hess, g, alpha)
+		if err != nil {
+			return 0, false, false, err
+		}
+		if sp > spread {
+			spread = sp
+		}
+		if sp >= eps || kkt && !kktHolds(st, grad, x, g, eps) {
+			converged = false
+		}
+		movable = movable || moves
+	}
+	return spread, converged, movable, nil
+}
+
+// groupError returns the error for a group that PlanStepInto's validation
 // pass rejected: the first out-of-range index or non-finite marginal
 // utility in group order, else the first bad curvature, so the error
 // does not depend on how the checks were fused.
@@ -400,60 +418,4 @@ func (s Step) Apply(x []float64, group []int) error {
 		x[gi] = ClampResidue(x[gi] + s.Delta[k])
 	}
 	return nil
-}
-
-// IsNoOp reports whether the step moves nothing.
-func (s Step) IsNoOp() bool {
-	for _, d := range s.Delta {
-		if d != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Spread returns the largest pairwise difference of marginal utilities over
-// the active set, the quantity compared against ε in the termination test
-// (section 5.2's UNTIL clause).
-//
-//fap:zeroalloc
-func (s Step) Spread(grad []float64, group []int) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for k, gi := range group {
-		if !s.Active[k] {
-			continue
-		}
-		g := grad[gi]
-		if g < lo {
-			lo = g
-		}
-		if g > hi {
-			hi = g
-		}
-	}
-	if math.IsInf(lo, 1) {
-		return 0
-	}
-	return hi - lo
-}
-
-// GradientSpread returns the largest pairwise difference of marginal
-// utilities over an entire group, ignoring active-set membership.
-//
-//fap:zeroalloc
-func GradientSpread(grad []float64, group []int) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, gi := range group {
-		g := grad[gi]
-		if g < lo {
-			lo = g
-		}
-		if g > hi {
-			hi = g
-		}
-	}
-	if math.IsInf(lo, 1) {
-		return 0
-	}
-	return hi - lo
 }

@@ -40,9 +40,9 @@ func TestPlanStepPreservesFeasibility(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			st, err := PlanStep(tt.x, tt.grad, seq(len(tt.x)), tt.alpha)
+			st, err := plan(tt.x, tt.grad, nil, seq(len(tt.x)), tt.alpha)
 			if err != nil {
-				t.Fatalf("PlanStep: %v", err)
+				t.Fatalf("plan: %v", err)
 			}
 			if got := sum(st.Delta); math.Abs(got) > 1e-12 {
 				t.Errorf("deltas sum to %g, want 0", got)
@@ -67,9 +67,9 @@ func TestPlanStepDirection(t *testing.T) {
 	// Resource moves toward above-average marginal utility.
 	x := []float64{0.25, 0.25, 0.25, 0.25}
 	grad := []float64{-1, -2, -3, -4} // variable 0 most valuable
-	st, err := PlanStep(x, grad, seq(4), 0.01)
+	st, err := plan(x, grad, nil, seq(4), 0.01)
 	if err != nil {
-		t.Fatalf("PlanStep: %v", err)
+		t.Fatalf("plan: %v", err)
 	}
 	if st.Delta[0] <= 0 {
 		t.Errorf("Delta[0] = %g, want positive (above-average marginal utility)", st.Delta[0])
@@ -92,9 +92,9 @@ func TestPlanStepExcludesShrinkingBoundaryVariable(t *testing.T) {
 	// excluded (paper step i) and stay at zero.
 	x := []float64{0.5, 0.5, 0}
 	grad := []float64{-1, -1, -10}
-	st, err := PlanStep(x, grad, seq(3), 0.1)
+	st, err := plan(x, grad, nil, seq(3), 0.1)
 	if err != nil {
-		t.Fatalf("PlanStep: %v", err)
+		t.Fatalf("plan: %v", err)
 	}
 	if st.Active[2] {
 		t.Error("boundary variable with below-average utility still active")
@@ -114,9 +114,9 @@ func TestPlanStepReadmitsValuableBoundaryVariable(t *testing.T) {
 	// is at zero but is the most valuable, so it must receive resource.
 	x := []float64{0.5, 0.5, 0}
 	grad := []float64{-3, -2, -1}
-	st, err := PlanStep(x, grad, seq(3), 0.05)
+	st, err := plan(x, grad, nil, seq(3), 0.05)
 	if err != nil {
-		t.Fatalf("PlanStep: %v", err)
+		t.Fatalf("plan: %v", err)
 	}
 	if !st.Active[2] {
 		t.Error("most valuable boundary variable not in active set")
@@ -132,9 +132,9 @@ func TestPlanStepRatioTest(t *testing.T) {
 	// lands exactly at zero instead of freezing it at 0.8.
 	x := []float64{0.8, 0.1, 0.1, 0}
 	grad := []float64{-5.0612, -2.7653, -2.7653, -2.6667}
-	st, err := PlanStep(x, grad, seq(4), 0.67)
+	st, err := plan(x, grad, nil, seq(4), 0.67)
 	if err != nil {
-		t.Fatalf("PlanStep: %v", err)
+		t.Fatalf("plan: %v", err)
 	}
 	if st.Truncation >= 1 {
 		t.Fatalf("Truncation = %g, want < 1", st.Truncation)
@@ -161,9 +161,9 @@ func TestPlanStepSubgroup(t *testing.T) {
 	x := []float64{0.5, 0.5, 0.9, 0.1}
 	grad := []float64{-1, -2, -100, -200}
 	group := []int{0, 1}
-	st, err := PlanStep(x, grad, group, 0.1)
+	st, err := plan(x, grad, nil, group, 0.1)
 	if err != nil {
-		t.Fatalf("PlanStep: %v", err)
+		t.Fatalf("plan: %v", err)
 	}
 	if len(st.Delta) != 2 {
 		t.Fatalf("delta length = %d, want 2", len(st.Delta))
@@ -184,9 +184,9 @@ func TestPlanStepAllAtBoundary(t *testing.T) {
 	// one. The active set collapses; the step must be a harmless no-op.
 	x := []float64{1, 0, 0}
 	grad := []float64{-1, -5, -7}
-	st, err := PlanStep(x, grad, seq(3), 0.1)
+	st, err := plan(x, grad, nil, seq(3), 0.1)
 	if err != nil {
-		t.Fatalf("PlanStep: %v", err)
+		t.Fatalf("plan: %v", err)
 	}
 	if !st.IsNoOp() {
 		t.Errorf("expected no-op, got %v", st.Delta)
@@ -212,9 +212,9 @@ func TestPlanStepErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := PlanStep(tt.x, tt.grad, tt.group, tt.alpha)
+			_, err := plan(tt.x, tt.grad, nil, tt.group, tt.alpha)
 			if !errors.Is(err, tt.want) {
-				t.Errorf("PlanStep error = %v, want %v", err, tt.want)
+				t.Errorf("plan error = %v, want %v", err, tt.want)
 			}
 		})
 	}
@@ -231,28 +231,41 @@ func TestApplyErrors(t *testing.T) {
 }
 
 func TestSpread(t *testing.T) {
+	// Variable 1 sits on the boundary and wants to shrink, so it leaves
+	// the active set and its marginal utility leaves the spread.
 	grad := []float64{-1, -4, -2}
-	st := Step{Active: []bool{true, false, true}}
-	if got := st.Spread(grad, seq(3)); got != 1 {
-		t.Errorf("Spread = %g, want 1 (inactive variable ignored)", got)
+	var st Step
+	spread, moves, err := PlanStepInto(&st, []float64{0.5, 0, 0.5}, grad, nil, seq(3), 0.1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := GradientSpread(grad, seq(3)); got != 3 {
-		t.Errorf("GradientSpread = %g, want 3", got)
+	if spread != 1 || !moves {
+		t.Errorf("spread, moves = %g, %v, want 1, true (inactive variable ignored)", spread, moves)
 	}
-	empty := Step{Active: []bool{false, false, false}}
-	if got := empty.Spread(grad, seq(3)); got != 0 {
-		t.Errorf("Spread over empty active set = %g, want 0", got)
+	spread, moves, err = PlanStepInto(&st, []float64{0, 0, 0}, []float64{-1, -1, -1}, nil, seq(3), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spread != 0 || moves {
+		t.Errorf("empty active set: spread, moves = %g, %v, want 0, false", spread, moves)
 	}
 }
 
-// TestPlanStepPropertyFeasibility hammers PlanStep with random instances:
+// plan plans one step into a fresh Step.
+func plan(x, grad, hess []float64, group []int, alpha float64) (Step, error) {
+	var st Step
+	_, _, err := PlanStepInto(&st, x, grad, hess, group, alpha)
+	return st, err
+}
+
+// TestPlanStepPropertyFeasibility hammers the planner with random instances:
 // deltas must sum to zero, allocations must stay non-negative, and the
 // planned direction must not decrease the linearized utility.
 func TestPlanStepPropertyFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prop := func(raw rawInstance) bool {
 		x, grad, alpha := raw.normalize(rng)
-		st, err := PlanStep(x, grad, seq(len(x)), alpha)
+		st, err := plan(x, grad, nil, seq(len(x)), alpha)
 		if err != nil {
 			return false
 		}

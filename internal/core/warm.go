@@ -5,28 +5,12 @@ import (
 	"fmt"
 )
 
-// Solver is the shared entry point for whole solves: cold solves
-// (Allocator.RunWithScratch), warm-start incremental re-solves
-// (WarmSolver), and any future strategy plug into batch machinery — a
-// catalog sweep, a grid search — through this one signature. init is the
-// starting allocation (its group sums define the conserved totals) and s
-// supplies every buffer, so steady-state calls allocate nothing. The
-// returned Result.X aliases s and is overwritten by the next solve using
-// the same scratch.
-type Solver interface {
-	Solve(ctx context.Context, init []float64, s *Scratch) (Result, error)
-}
-
-// Solve implements Solver by running a full cold solve; it is
-// RunWithScratch under the interface's name.
+// Solve runs a full cold solve: it is RunWithScratch under the name
+// WarmSolver.Solve shares, so a caller switches between the two solvers
+// without changing the call.
 func (a *Allocator) Solve(ctx context.Context, init []float64, s *Scratch) (Result, error) {
 	return a.RunWithScratch(ctx, init, s)
 }
-
-var (
-	_ Solver = (*Allocator)(nil)
-	_ Solver = (*WarmSolver)(nil)
-)
 
 // WarmConfig tunes a WarmSolver.
 type WarmConfig struct {
@@ -80,7 +64,8 @@ func NewWarmSolver(cold *Allocator, cfg WarmConfig) (*WarmSolver, error) {
 	return &WarmSolver{cold: cold, maxSteps: cfg.MaxSteps, certify: cfg.Certify}, nil
 }
 
-// Solve implements Solver.
+// Solve is SolveWarm without the fallback report; it matches
+// Allocator.Solve.
 func (w *WarmSolver) Solve(ctx context.Context, init []float64, s *Scratch) (Result, error) {
 	res, _, err := w.SolveWarm(ctx, init, s)
 	return res, err

@@ -43,13 +43,12 @@ func maxAbsDiff(a, b []float64) float64 {
 	return m
 }
 
-// TestAllocatorSolveMatchesRunWithScratch pins the Solver interface's cold
-// side: Allocator.Solve is RunWithScratch under the interface name.
+// TestAllocatorSolveMatchesRunWithScratch pins the cold Solve:
+// Allocator.Solve is RunWithScratch under the name WarmSolver.Solve shares.
 func TestAllocatorSolveMatchesRunWithScratch(t *testing.T) {
 	cold, _ := warmPair(t, 5)
-	var s Solver = cold
 	init := uniformInit(5)
-	got, err := s.Solve(context.Background(), init, nil)
+	got, err := cold.Solve(context.Background(), init, nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -53,7 +53,7 @@ func TestPlanStepIntoAllocFree(t *testing.T) {
 	for name, x := range map[string][]float64{"interior": interior, "boundary": boundary} {
 		st := Step{Delta: make([]float64, n), Active: make([]bool, n)}
 		if allocs := testing.AllocsPerRun(100, func() {
-			if err := PlanStepInto(&st, x, grad, group, 0.1); err != nil {
+			if _, _, err := PlanStepInto(&st, x, grad, nil, group, 0.1); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
@@ -62,9 +62,8 @@ func TestPlanStepIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestPlanStepIntoMatchesPlanStep checks the buffer-reusing API plans
-// byte-identical steps to PlanStep, including when a Step is reused
-// across groups of different sizes.
+// TestPlanStepIntoMatchesPlanStep checks that a Step reused across
+// groups of different sizes plans byte-identical steps to a fresh Step.
 func TestPlanStepIntoMatchesPlanStep(t *testing.T) {
 	cases := []struct {
 		x, grad []float64
@@ -78,18 +77,18 @@ func TestPlanStepIntoMatchesPlanStep(t *testing.T) {
 	}
 	var reused Step
 	for ci, tc := range cases {
-		want, err := PlanStep(tc.x, tc.grad, seq(len(tc.x)), tc.alpha)
+		want, err := plan(tc.x, tc.grad, nil, seq(len(tc.x)), tc.alpha)
 		if err != nil {
-			t.Fatalf("case %d: PlanStep: %v", ci, err)
+			t.Fatalf("case %d: fresh step: %v", ci, err)
 		}
-		if err := PlanStepInto(&reused, tc.x, tc.grad, seq(len(tc.x)), tc.alpha); err != nil {
-			t.Fatalf("case %d: PlanStepInto: %v", ci, err)
+		if _, _, err := PlanStepInto(&reused, tc.x, tc.grad, nil, seq(len(tc.x)), tc.alpha); err != nil {
+			t.Fatalf("case %d: reused step: %v", ci, err)
 		}
 		if !reflect.DeepEqual(want.Delta, reused.Delta) ||
 			!reflect.DeepEqual(want.Active, reused.Active) ||
 			want.Truncation != reused.Truncation ||
 			(want.AvgMarginal != reused.AvgMarginal && !(math.IsNaN(want.AvgMarginal) && math.IsNaN(reused.AvgMarginal))) {
-			t.Errorf("case %d: PlanStepInto = %+v, PlanStep = %+v", ci, reused, want)
+			t.Errorf("case %d: reused step = %+v, fresh step = %+v", ci, reused, want)
 		}
 	}
 }

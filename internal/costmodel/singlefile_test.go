@@ -257,18 +257,16 @@ func TestAlphaBoundGuaranteesMonotonicity(t *testing.T) {
 		}
 		// The bound is conservative, so convergence at α=bound can take
 		// astronomically long; verify strict monotonicity on a prefix.
+		var st core.Step
 		for it := 0; it < 200; it++ {
 			if err := m.Gradient(grad, x); err != nil {
 				t.Fatal(err)
 			}
-			st, err := core.PlanStep(x, grad, group, bound)
+			spread, moves, err := core.PlanStepInto(&st, x, grad, nil, group, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Spread(grad, group) < eps {
-				break
-			}
-			if st.IsNoOp() {
+			if spread < eps || !moves {
 				break
 			}
 			if err := st.Apply(x, group); err != nil {

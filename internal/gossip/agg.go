@@ -58,7 +58,7 @@ func combineAggregate(dst *protocol.Aggregate, src protocol.Aggregate) {
 		dst.BoundCount += src.BoundCount
 	}
 	// Best excluded node: highest marginal utility wins, exact ties go to
-	// the lower id — the commutative equivalent of core.PlanStep's
+	// the lower id — the commutative equivalent of core.PlanStepInto's
 	// first-strict-max scan in ascending node order.
 	if src.OutNode >= 0 {
 		if dst.OutNode < 0 || src.OutG > dst.OutG ||

@@ -131,7 +131,7 @@ func (p *pushSum) Round(ctx context.Context, n *agent.Node, round int) (done, co
 	}
 	// Interior nodes step toward the estimated average; the flooded
 	// best-excluded node re-admits itself (the distributed analogue of
-	// core.PlanStep's single re-admission per pass).
+	// core.PlanStepInto's single re-admission per pass).
 	if !math.IsNaN(est) && (interior || (ext.HasOut && ext.OutNode == n.ID)) {
 		if x += cfg.Alpha * (g - est); x < 0 {
 			x = 0

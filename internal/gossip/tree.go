@@ -117,10 +117,10 @@ func aliveAdjacency(g *topology.Graph, alive []bool) [][]int {
 // of the active-set fixed point: partial aggregates flow up to the root,
 // which decides the pass (decide), and the decision flows back down. The
 // final pass carries the round's average and truncation, and every
-// active node applies the step core.PlanStep would.
+// active node applies the step core.PlanStepInto would.
 type treeNode struct{ e *epoch }
 
-// maxPassesSlack bounds the active-set fixed point: core.PlanStep's loop
+// maxPassesSlack bounds the active-set fixed point: core.PlanStepInto's loop
 // provably settles within ~2·N passes (each pass drops ≥1 node or
 // readmits exactly one, and a readmitted node is never dropped again in
 // the same round); anything beyond that is a protocol bug, not slowness.
@@ -220,7 +220,7 @@ func leaf(n *agent.Node, active, changed, havePrev bool, prevAvg float64) protoc
 		agg.BoundMinG = g
 	}
 	if havePrev {
-		// Feasible-direction ratio, computed exactly as core.PlanStep
+		// Feasible-direction ratio, computed exactly as core.PlanStepInto
 		// does so the truncation factor matches the broadcast reference
 		// bit for bit: d := α·(g − avg); if d < 0 then ratio = x / −d.
 		if d := n.Config().Alpha * (g - prevAvg); d < 0 {
@@ -232,7 +232,7 @@ func leaf(n *agent.Node, active, changed, havePrev bool, prevAvg float64) protoc
 }
 
 // decide is the root's per-pass decision over the combined aggregate. It
-// reproduces core.PlanStep's active-set loop one pass at a time: drop
+// reproduces core.PlanStepInto's active-set loop one pass at a time: drop
 // boundary shrinkers first, else readmit the best excluded node, else —
 // once a pass confirms the set is stable — finalize with the ratio test
 // computed against an average the whole tree has already seen. Pass 0
@@ -257,7 +257,7 @@ func decide(agg protocol.Aggregate, round, pass, epoch int, epsilon float64) pro
 	if agg.Count == 1 {
 		// A singleton active set is a no-op step with zero spread; the
 		// broadcast loop's convergence check fires before its no-op exit,
-		// so this finalizes as converged (core.PlanStep returns before
+		// so this finalizes as converged (core.PlanStepInto returns before
 		// drop/readmit when one node remains, hence no fixed-point wait).
 		down.Final, down.Converged, down.NoOp = true, true, true
 		return down

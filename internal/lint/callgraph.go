@@ -21,7 +21,7 @@ import (
 //     receiver type resolve exactly: go/types hands back the declared
 //     *types.Func, which is devirtualization for free whenever the
 //     receiver's static type is not an interface.
-//   - Calls through interface values (core.Solver, Objective, ...)
+//   - Calls through interface values (core.Objective, Endpoint, ...)
 //     resolve to the interface method's *types.Func: the edge exists
 //     and can be matched by identity, but the target has no body, so
 //     traversal stops there — facts do not flow into the concrete

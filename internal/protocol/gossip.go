@@ -54,7 +54,7 @@ type Aggregate struct {
 	BoundCount int     `json:"bound_count,omitempty"`
 	BoundMinG  float64 `json:"bound_min_g,omitempty"`
 	// OutNode/OutG identify the excluded node with the highest marginal
-	// utility (lowest id on ties, matching core.PlanStep's scan order);
+	// utility (lowest id on ties, matching core.PlanStepInto's scan order);
 	// OutNode is -1 when no node is excluded.
 	OutNode int     `json:"out_node"`
 	OutG    float64 `json:"out_g,omitempty"`
@@ -104,7 +104,7 @@ type AggDown struct {
 	// Converged reports spread < ε: nodes exit without applying a step.
 	Converged bool `json:"converged,omitempty"`
 	// NoOp reports a degenerate active set (≤ 1 member): the step moves
-	// nothing and nodes exit unconverged, like core.Step.IsNoOp.
+	// nothing and nodes exit unconverged, like core.PlanRound's stall test.
 	NoOp bool `json:"no_op,omitempty"`
 }
 

@@ -89,8 +89,8 @@ func RunSupervisedAgent(ctx context.Context, cfg agent.Config, sup SupervisorCon
 // departed node re-enters: the survivors keep the allocation they
 // converged to (renormalized so Σ = 1 holds to within 1 ulp), and the
 // rejoiner starts with a zero fragment and climbs back in through
-// PlanStep's active-set re-admission — exactly how the paper's mechanism
-// admits a newly attractive site. It returns the initial allocation and
+// core.PlanStepInto's active-set re-admission — exactly how the paper's
+// mechanism admits a newly attractive site. It returns the initial allocation and
 // alive set for the new epoch's run.
 func RejoinInit(survivorX []float64, alive []bool, rejoiner int) ([]float64, []bool, error) {
 	n := len(survivorX)

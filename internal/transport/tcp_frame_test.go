@@ -114,38 +114,3 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
-
-// BenchmarkTCPSendRecv sends Report-sized payloads from one endpoint to
-// another over loopback TCP and reports delivered messages per second.
-func BenchmarkTCPSendRecv(b *testing.B) {
-	a, c := tcpPair(b)
-	ctx := context.Background()
-	payload := bytes.Repeat([]byte{0xAB}, 33)       // a binary Report frame
-	if err := a.Send(ctx, 1, payload); err != nil { // dial outside the timer
-		b.Fatal(err)
-	}
-	if _, err := c.Recv(ctx); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	recvd := make(chan error, 1)
-	go func() {
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Recv(ctx); err != nil {
-				recvd <- err
-				return
-			}
-		}
-		recvd <- nil
-	}()
-	for i := 0; i < b.N; i++ {
-		if err := a.Send(ctx, 1, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := <-recvd; err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
-}

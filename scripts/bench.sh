@@ -10,12 +10,14 @@
 #
 #	scripts/bench.sh [bench-regex] [benchtime]
 #
-# defaults: 'Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec|PlanStep64|Gradient64|SolveKKT|SolveSecondOrder8'
+# defaults: 'Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec|TCPSendRecv|PlanStep64|Gradient64|RingGradient|SolveKKT|SolveSecondOrder8|Solve256|Simulator'
 # (every figure benchmark, the catalog cold/warm contrast, both users of
 # the agent round loop: the gossip wire-bill round and the E9
 # broadcast/coordinator runs, and the layer benchmarks: the wire codec's
-# per-kind cost, one step plan, one gradient, the water-filling solver and
-# one catalog-shaped Newton solve) and 5x. The regex selects top-level
+# per-kind cost, one loopback TCP send/recv, one step plan, one gradient,
+# the multi-copy ring's gradient, the water-filling solver, one
+# catalog-shaped Newton solve, one 256-node dynamic-α solve and one
+# discrete-event simulation) and 5x. The regex selects top-level
 # benchmarks. benchtime applies to every selected benchmark except the
 # layer benchmarks (LAYERS below), which always run for 1s: one of their
 # ops takes nanoseconds to microseconds, so a fixed handful of iterations
@@ -28,9 +30,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec|PlanStep64|Gradient64|SolveKKT|SolveSecondOrder8}"
+PATTERN="${1:-Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec|TCPSendRecv|PlanStep64|Gradient64|RingGradient|SolveKKT|SolveSecondOrder8|Solve256|Simulator}"
 BENCHTIME="${2:-5x}"
-LAYERS='^Benchmark(ReportCodec|PlanStep64|Gradient64|SolveKKT|SolveSecondOrder8)$'
+LAYERS='^Benchmark(ReportCodec|TCPSendRecv|PlanStep64|Gradient64|RingGradient|SolveKKT|SolveSecondOrder8|Solve256|Simulator)$'
 OUT="${BENCH_OUT:-BENCH_figures.json}"
 RAW="$(mktemp)"
 PART="$(mktemp)"

@@ -85,13 +85,16 @@ go test -race -count 1 -short -run "$GOSSIP_RUN" ./internal/gossip/ ./cmd/fapctl
 
 echo "== bounded codec and planner fuzzing (10s per target)"
 # go test replays only the seed corpora; this runs the fuzz engine on the
-# wire decoder and on the second-order step planner (bit-identity with its
-# reference, feasibility, ascent) for a fixed budget. -fuzz must match
-# exactly one target, hence one invocation each.
+# wire decoder and on the step planner, first order (feasibility, ascent)
+# and second order (bit-identity with its reference, feasibility, ascent),
+# for a fixed budget. -fuzz must match exactly one target, hence one
+# invocation each.
 for target in FuzzBinaryCodec FuzzDecode; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/protocol
 done
-go test -run '^$' -fuzz '^FuzzPlanSecondOrderStep$' -fuzztime 10s ./internal/core
+for target in FuzzPlanStep FuzzPlanSecondOrderStep; do
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/core
+done
 
 echo "== closed-loop serving smoke under -race"
 # The fapload gate: a steady phase then a crash phase over a live 5-node
@@ -183,16 +186,17 @@ echo "== BENCH_figures.json trajectory"
 # The perf trajectory is committed; it must exist and must cover every
 # figure benchmark currently in bench_test.go, plus both users of the
 # agent round loop (gossip and the E9 runtime) and the layer benchmarks
-# (the wire codec's per-kind cost, one step plan, one gradient, the
-# water-filling solver, one catalog-shaped Newton solve), so adding a
-# benchmark without re-running scripts/bench.sh fails here instead of
-# silently shipping a stale record.
+# (the wire codec's per-kind cost, loopback TCP send/recv, one step plan,
+# one gradient, the ring gradient, the water-filling solver, one
+# catalog-shaped Newton solve, one 256-node solve, the simulator), so
+# adding a benchmark without re-running scripts/bench.sh fails here
+# instead of silently shipping a stale record.
 if [ ! -f BENCH_figures.json ]; then
 	echo "BENCH_figures.json is missing; run scripts/bench.sh and commit the result" >&2
 	exit 1
 fi
 STALE=0
-for bench in $(go test -list '^Benchmark(Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec|PlanStep64|Gradient64|SolveKKT|SolveSecondOrder8)' . | grep '^Benchmark'); do
+for bench in $(go test -list '^Benchmark(Fig|Catalog|Gossip|DecentralizedRuntime|ReportCodec|TCPSendRecv|PlanStep64|Gradient64|RingGradient|SolveKKT|SolveSecondOrder8|Solve256|Simulator)' . | grep '^Benchmark'); do
 	if ! grep -q "\"name\": \"$bench" BENCH_figures.json; then
 		echo "BENCH_figures.json has no entry for $bench -- stale; re-run scripts/bench.sh" >&2
 		STALE=1
